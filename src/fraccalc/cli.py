@@ -17,19 +17,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
+from typing import get_type_hints
 
-from .closed_forms import closed_eval, weyl_power_literature
+from .closed_forms import closed_eval
 from .errors import ConvergenceError, DomainError
-from .model import EvalResult, FunctionFamily, OperatorKind, family_param, parse_family
+from .model import EvalResult, FunctionFamily, OperatorKind, parse_family
 from .oracle import DEFAULT_CONFIG, QuadConfig, oracle_eval
-from .verify import SUITE_NAMES, emit_report, falsification_margin, run_suite
+from .verify import SUITE_NAMES, _fmt, emit_report, falsification_margin, run_suite
 
 _OP_TOKENS = tuple(kind.value for kind in OperatorKind)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _family_arg(text: str) -> FunctionFamily:
@@ -67,7 +64,7 @@ def _load_config(path: str | None) -> QuadConfig:
     """QuadConfig from a plain 'key = value' file layered over the defaults."""
     if path is None:
         return DEFAULT_CONFIG
-    valid = {f.name: f.type for f in fields(QuadConfig)}
+    field_types = get_type_hints(QuadConfig)
     overrides: dict[str, float | int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -78,9 +75,9 @@ def _load_config(path: str | None) -> QuadConfig:
                 key, sep, raw = (part.strip() for part in text.partition("="))
                 if not sep or not key or not raw:
                     raise ValueError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
-                if key not in valid:
+                if key not in field_types:
                     raise ValueError(f"line {lineno}: unknown config key {key!r}")
-                overrides[key] = int(raw) if key in ("max_nodes", "richardson_levels") else float(raw)
+                overrides[key] = field_types[key](raw)
     except OSError as exc:
         raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     return replace(DEFAULT_CONFIG, **overrides)
@@ -158,7 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     kind = OperatorKind(args.op)
-    param = family_param(args.fn)
+    param = args.fn.param
     lines = ["alpha,t,param,value_closed,value_oracle,abs_diff"]
     for alpha in args.alpha_range:
         for t in args.t_range:

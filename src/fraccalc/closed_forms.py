@@ -17,6 +17,7 @@ import math
 from . import specfun as sf
 from .errors import DomainError, SingularParamError
 from .model import (
+    _EPS,
     AbsPower,
     EvalResult,
     Exp,
@@ -45,18 +46,11 @@ __all__ = [
     "weyl_power_literature",
 ]
 
-_EPS = 2.220446049250313e-16
-
-
 def _require_positive_t(t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"evaluation point must satisfy t > 0, got {t!r}")
     return t
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
     At a+nu in {0, -1, ...} the coefficient vanishes while the digamma term
     blows up; the limit is not resolved here, so that locus is an error.
     """
-    if _is_nonpositive_integer(a + nu):
+    if sf._is_nonpositive_integer(a + nu):
         raise SingularParamError(
             f"power-log formula is a 0*inf form at shifted order a+nu={a + nu!r}"
         )
@@ -269,7 +263,7 @@ def nth_derivative_powerlog(n: int, beta_exp: float, t: float) -> float:
     if n != int(n) or n < 1:
         raise DomainError(f"derivative order must be a positive integer, got {n!r}")
     shifted = beta_exp - n + 1.0
-    if _is_nonpositive_integer(shifted):
+    if sf._is_nonpositive_integer(shifted):
         raise SingularParamError(
             f"nth_derivative_powerlog is a 0*inf form at beta_exp-n+1={shifted!r}"
         )
@@ -288,7 +282,7 @@ def digamma_sum_identity_residual(n: int, beta_exp: float) -> float:
     if n != int(n) or n < 1:
         raise DomainError(f"sum length must be a positive integer, got {n!r}")
     shifted = beta_exp - n + 1.0
-    if _is_nonpositive_integer(shifted):
+    if sf._is_nonpositive_integer(shifted):
         raise SingularParamError(
             f"digamma sum identity undefined at beta_exp-n+1={shifted!r}"
         )
@@ -307,17 +301,27 @@ def digamma_sum_identity_residual(n: int, beta_exp: float) -> float:
 # ---------------------------------------------------------------------------
 # dispatch over (operator, family)
 
-def _integer_order_derivative(m: int, family: FunctionFamily, t: float) -> float:
-    # whole-number orders fall back to the plain m-th derivative
-    if isinstance(family, Power):
-        return nth_derivative_power(m, family.gamma_exp, t)
-    if isinstance(family, Exp):
-        return family.lam**m * math.exp(family.lam * t)
-    if isinstance(family, PowerLog):
-        return nth_derivative_powerlog(m, family.nu - 1.0, t)
-    if isinstance(family, AbsPower):
-        return nth_derivative_power(m, -family.delta, t)
-    raise DomainError(f"not a function family: {family!r}")
+# Formulas are named, not bound, and looked up in the module globals on every
+# call, so that patching one formula (as the mutation-sensitivity checks and
+# call tracers do) changes what closed_value evaluates.
+_FORMULAS = {
+    (OperatorKind.RL_INTEGRAL, Power): "rl_integral_power",
+    (OperatorKind.RL_INTEGRAL, Exp): "rl_integral_exp",
+    (OperatorKind.RL_INTEGRAL, PowerLog): "rl_integral_powerlog",
+    (OperatorKind.RL_DERIVATIVE, Power): "rl_derivative_power",
+    (OperatorKind.RL_DERIVATIVE, Exp): "rl_derivative_exp",
+    (OperatorKind.RL_DERIVATIVE, PowerLog): "rl_derivative_powerlog",
+    (OperatorKind.WEYL_INTEGRAL, AbsPower): "weyl_integral_abspower",
+    (OperatorKind.WEYL_DERIVATIVE, AbsPower): "weyl_derivative_abspower",
+}
+
+# whole-number derivative orders fall back to the plain m-th derivative
+_PLAIN_DERIVATIVES = {
+    Power: lambda m, f, t: nth_derivative_power(m, f.gamma_exp, t),
+    Exp: lambda m, f, t: f.lam**m * math.exp(f.lam * t),
+    PowerLog: lambda m, f, t: nth_derivative_powerlog(m, f.nu - 1.0, t),
+    AbsPower: lambda m, f, t: nth_derivative_power(m, -f.delta, t),
+}
 
 
 def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> float:
@@ -327,28 +331,10 @@ def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: fl
     the lower-limit-zero kinds accept the other three.
     """
     kind = OperatorKind(kind)
-    if kind.is_weyl != isinstance(family, AbsPower):
-        raise DomainError(
-            f"{kind.value} pairs with {'abspower' if kind.is_weyl else 'power/exp/powerlog'} "
-            f"functions, got {type(family).__name__}"
-        )
+    kind.check_pairing(family)
     if kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha):
-        return _integer_order_derivative(int(alpha), family, t)
-    if kind is OperatorKind.RL_INTEGRAL:
-        if isinstance(family, Power):
-            return rl_integral_power(alpha, family.gamma_exp, t)
-        if isinstance(family, Exp):
-            return rl_integral_exp(alpha, family.lam, t)
-        return rl_integral_powerlog(alpha, family.nu, t)
-    if kind is OperatorKind.RL_DERIVATIVE:
-        if isinstance(family, Power):
-            return rl_derivative_power(alpha, family.gamma_exp, t)
-        if isinstance(family, Exp):
-            return rl_derivative_exp(alpha, family.lam, t)
-        return rl_derivative_powerlog(alpha, family.nu, t)
-    if kind is OperatorKind.WEYL_INTEGRAL:
-        return weyl_integral_abspower(alpha, family.delta, t)
-    return weyl_derivative_abspower(alpha, family.delta, t)
+        return _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
+    return globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)
 
 
 def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:

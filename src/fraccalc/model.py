@@ -20,14 +20,22 @@ __all__ = [
     "OperatorSpec",
     "Power",
     "PowerLog",
-    "family_param",
     "parse_family",
 ]
+
+# machine epsilon of IEEE double precision, 2**-52
+_EPS = 2.220446049250313e-16
 
 
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+# Each family declares its grammar key (the parameter name in 'family:key=VALUE'),
+# its scalar parameter, and its behaviour at the origin: f(t) ~ t**power_at_zero
+# near 0, times log t when log_at_zero is set.  The quadrature oracle picks its
+# Jacobi weights from the origin declaration.
 
 
 @dataclass(frozen=True)
@@ -36,10 +44,21 @@ class Power:
 
     gamma_exp: float
 
+    key = "gamma"
+    log_at_zero = False
+
     def __post_init__(self) -> None:
         _check_finite("gamma_exp", self.gamma_exp)
         if self.gamma_exp <= -1.0:
             raise DomainError(f"Power requires gamma_exp > -1, got {self.gamma_exp!r}")
+
+    @property
+    def param(self) -> float:
+        return self.gamma_exp
+
+    @property
+    def power_at_zero(self) -> float:
+        return self.gamma_exp
 
     def value(self, t):
         return np.power(t, self.gamma_exp)
@@ -51,8 +70,16 @@ class Exp:
 
     lam: float
 
+    key = "lambda"
+    power_at_zero = 0.0
+    log_at_zero = False
+
     def __post_init__(self) -> None:
         _check_finite("lam", self.lam)
+
+    @property
+    def param(self) -> float:
+        return self.lam
 
     def value(self, t):
         return np.exp(self.lam * np.asarray(t, dtype=float))
@@ -64,10 +91,21 @@ class PowerLog:
 
     nu: float
 
+    key = "nu"
+    log_at_zero = True
+
     def __post_init__(self) -> None:
         _check_finite("nu", self.nu)
         if self.nu <= 0.0:
             raise DomainError(f"PowerLog requires nu > 0, got {self.nu!r}")
+
+    @property
+    def param(self) -> float:
+        return self.nu
+
+    @property
+    def power_at_zero(self) -> float:
+        return self.nu - 1.0
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -80,10 +118,21 @@ class AbsPower:
 
     delta: float
 
+    key = "delta"
+    log_at_zero = False
+
     def __post_init__(self) -> None:
         _check_finite("delta", self.delta)
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"AbsPower requires delta in (0, 1), got {self.delta!r}")
+
+    @property
+    def param(self) -> float:
+        return self.delta
+
+    @property
+    def power_at_zero(self) -> float:
+        return -self.delta
 
     def value(self, t):
         return np.power(np.abs(t), -self.delta)
@@ -91,12 +140,7 @@ class AbsPower:
 
 FunctionFamily = Union[Power, Exp, PowerLog, AbsPower]
 
-_FAMILY_GRAMMAR = {
-    "power": ("gamma", Power),
-    "exp": ("lambda", Exp),
-    "powerlog": ("nu", PowerLog),
-    "abspower": ("delta", AbsPower),
-}
+_FAMILY_GRAMMAR = {"power": Power, "exp": Exp, "powerlog": PowerLog, "abspower": AbsPower}
 
 
 def parse_family(text: str) -> FunctionFamily:
@@ -104,28 +148,15 @@ def parse_family(text: str) -> FunctionFamily:
     name, sep, assignment = text.partition(":")
     if not sep or name not in _FAMILY_GRAMMAR:
         raise DomainError(f"unknown function family {text!r}")
-    key, ctor = _FAMILY_GRAMMAR[name]
+    ctor = _FAMILY_GRAMMAR[name]
     param, sep, raw = assignment.partition("=")
-    if not sep or param != key:
-        raise DomainError(f"family {name!r} takes '{key}=VALUE', got {assignment!r}")
+    if not sep or param != ctor.key:
+        raise DomainError(f"family {name!r} takes '{ctor.key}=VALUE', got {assignment!r}")
     try:
         value = float(raw)
     except ValueError as exc:
         raise DomainError(f"family parameter {raw!r} is not a number") from exc
     return ctor(value)
-
-
-def family_param(family: FunctionFamily) -> float:
-    """The single scalar parameter of a family (used in tabular output)."""
-    if isinstance(family, Power):
-        return family.gamma_exp
-    if isinstance(family, Exp):
-        return family.lam
-    if isinstance(family, PowerLog):
-        return family.nu
-    if isinstance(family, AbsPower):
-        return family.delta
-    raise DomainError(f"not a function family: {family!r}")
 
 
 class OperatorKind(str, Enum):
@@ -141,6 +172,14 @@ class OperatorKind(str, Enum):
     @property
     def is_weyl(self) -> bool:
         return self in (OperatorKind.WEYL_INTEGRAL, OperatorKind.WEYL_DERIVATIVE)
+
+    def check_pairing(self, family: FunctionFamily) -> None:
+        """Weyl kinds apply to the two-sided power family only, the others to the rest."""
+        if not isinstance(family, (AbsPower,) if self.is_weyl else (Power, Exp, PowerLog)):
+            raise DomainError(
+                f"{self.value} pairs with {'abspower' if self.is_weyl else 'power/exp/powerlog'} "
+                f"functions, got {type(family).__name__}"
+            )
 
 
 @dataclass(frozen=True)

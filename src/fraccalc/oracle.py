@@ -23,7 +23,7 @@ defining integrals.  The machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,13 +31,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, StencilError
 from .model import (
+    _EPS,
     AbsPower,
     EvalResult,
-    Exp,
     FunctionFamily,
     OperatorKind,
-    Power,
-    PowerLog,
 )
 
 __all__ = [
@@ -51,9 +49,6 @@ __all__ = [
     "weyl_derivative_quad",
     "weyl_integral_quad",
 ]
-
-_EPS = 2.220446049250313e-16
-
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -75,10 +70,14 @@ class QuadConfig:
     def __post_init__(self) -> None:
         if not self.target_rel_tol > 0.0:
             raise DomainError(f"target_rel_tol must be > 0, got {self.target_rel_tol!r}")
-        if self.max_nodes < 16:
-            raise DomainError(f"max_nodes must be >= 16, got {self.max_nodes!r}")
-        if self.richardson_levels < 1:
-            raise DomainError(f"richardson_levels must be >= 1, got {self.richardson_levels!r}")
+        # upper bounds, as both fields can come from a config file: max_nodes
+        # sizes dense n x n eigenproblems, and 4.0**richardson_levels overflows
+        if not 16 <= self.max_nodes <= 4096:
+            raise DomainError(f"max_nodes must be in [16, 4096], got {self.max_nodes!r}")
+        if not 1 <= self.richardson_levels <= 16:
+            raise DomainError(
+                f"richardson_levels must be in [1, 16], got {self.richardson_levels!r}"
+            )
         if not 0.0 < self.fd_step_factor < 0.25:
             raise DomainError(f"fd_step_factor must be in (0, 0.25), got {self.fd_step_factor!r}")
 
@@ -97,10 +96,8 @@ class Integrand:
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    singular_at_zero: bool = False
     power_at_zero: float = 0.0
     log_at_zero: bool = False
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.power_at_zero <= -1.0:
@@ -110,24 +107,7 @@ class Integrand:
 
     @classmethod
     def from_family(cls, family: FunctionFamily) -> "Integrand":
-        if isinstance(family, Power):
-            g = family.gamma_exp
-            return cls(family.value, singular_at_zero=g < 0.0, power_at_zero=g, label=f"t^{g:g}")
-        if isinstance(family, Exp):
-            return cls(family.value, label=f"exp({family.lam:g} t)")
-        if isinstance(family, PowerLog):
-            nu = family.nu
-            return cls(
-                family.value,
-                singular_at_zero=True,
-                power_at_zero=nu - 1.0,
-                log_at_zero=True,
-                label=f"t^{nu - 1.0:g} log t",
-            )
-        if isinstance(family, AbsPower):
-            d = family.delta
-            return cls(family.value, singular_at_zero=True, power_at_zero=-d, label=f"|t|^-{d:g}")
-        raise DomainError(f"not a function family: {family!r}")
+        return cls(family.value, family.power_at_zero, family.log_at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +299,59 @@ def _richardson(samples: list[float]) -> tuple[float, float]:
     return value, spread
 
 
+def _stencil_derivative(
+    name: str,
+    f: Integrand,
+    alpha: float,
+    t: float,
+    cfg: QuadConfig,
+    tail: Callable[[float, list[float], list[float], float], tuple[float, float]] | None = None,
+) -> EvalResult:
+    """Order-alpha derivative as the order-m difference of an order (m - alpha) integral.
+
+    m is the smallest integer above alpha.  The differenced integral is the
+    one of f from 0 plus, when given, a tail term: tail(beta, coeffs, points, h)
+    returns sum_k coeffs[k] * T(points[k]) for the order-beta tail T, and its
+    error.  The differences over a symmetric stencil of base width
+    cfg.fd_step_factor * t are Richardson-extrapolated over
+    cfg.richardson_levels step halvings.
+    """
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
+    if alpha == math.floor(alpha):
+        raise DomainError(
+            f"{name} requires non-integer alpha (got {alpha!r}); "
+            "integer orders are plain derivatives"
+        )
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"{name} requires t > 0, got {t!r}")
+    m = int(math.floor(alpha)) + 1
+    beta_order = m - alpha
+    coeffs, offsets = _central_stencil(m)
+    h0 = cfg.fd_step_factor * t
+    if t - m * h0 <= 0.0:
+        raise StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={t!r}")
+    worst_quad_err = 0.0
+    samples = []
+    for i in range(cfg.richardson_levels):
+        h = h0 / 2.0**i
+        points = [t + o * h for o in offsets]
+        total = 0.0
+        for c, x in zip(coeffs, points):
+            g = rl_integral_quad(f, beta_order, x, cfg)
+            worst_quad_err = max(worst_quad_err, g.abs_err_estimate)
+            total += c * g.value
+        if tail is not None:
+            tail_value, tail_err = tail(beta_order, coeffs, points, h)
+            worst_quad_err = max(worst_quad_err, tail_err)
+            total += tail_value
+        samples.append(total / h**m)
+    value, spread = _richardson(samples)
+    h_min = h0 / 2.0 ** (cfg.richardson_levels - 1)
+    noise = 2.0**m * worst_quad_err / h_min**m
+    return EvalResult(value, "oracle", spread + noise + 64.0 * _EPS * abs(value))
+
+
 def rl_derivative_quad(
     f: Integrand, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> EvalResult:
@@ -329,38 +362,7 @@ def rl_derivative_quad(
     applies the order-m central difference, Richardson-extrapolated over
     cfg.richardson_levels step halvings.
     """
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"rl_derivative_quad requires alpha > 0, got {alpha!r}")
-    if alpha == math.floor(alpha):
-        raise DomainError(
-            f"rl_derivative_quad requires non-integer alpha (got {alpha!r}); "
-            "integer orders are plain derivatives"
-        )
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"rl_derivative_quad requires t > 0, got {t!r}")
-    m = int(math.floor(alpha)) + 1
-    beta_order = m - alpha
-    coeffs, offsets = _central_stencil(m)
-    h0 = cfg.fd_step_factor * t
-    if t - m * h0 <= 0.0:
-        raise StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={t!r}")
-
-    worst_quad_err = 0.0
-
-    def difference(h: float) -> float:
-        nonlocal worst_quad_err
-        total = 0.0
-        for c, o in zip(coeffs, offsets):
-            g = rl_integral_quad(f, beta_order, t + o * h, cfg)
-            worst_quad_err = max(worst_quad_err, g.abs_err_estimate)
-            total += c * g.value
-        return total / h**m
-
-    samples = [difference(h0 / 2.0**i) for i in range(cfg.richardson_levels)]
-    value, spread = _richardson(samples)
-    h_min = h0 / 2.0 ** (cfg.richardson_levels - 1)
-    noise = 2.0**m * worst_quad_err / h_min**m
-    return EvalResult(value, "oracle", spread + noise + 64.0 * _EPS * abs(value))
+    return _stencil_derivative("rl_derivative_quad", f, alpha, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -424,30 +426,14 @@ def weyl_derivative_quad(
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_quad requires delta in (0,1), got {delta!r}")
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"weyl_derivative_quad requires alpha > 0, got {alpha!r}")
-    if alpha == math.floor(alpha):
-        raise DomainError(
-            f"weyl_derivative_quad requires non-integer alpha (got {alpha!r}); "
-            "integer orders are plain derivatives"
-        )
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"weyl_derivative_quad requires t > 0, got {t!r}")
-    m = int(math.floor(alpha)) + 1
-    beta_order = m - alpha
-    coeffs, offsets = _central_stencil(m)
-    h0 = cfg.fd_step_factor * t
-    if t - m * h0 <= 0.0:
-        raise StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={t!r}")
-    near_integrand = Integrand.from_family(AbsPower(delta))
-    prefactor = 1.0 / math.gamma(beta_order)
     w_right = alpha + delta - 1.0
     w_left = -delta
-    worst_quad_err = 0.0
 
-    def tail_difference(points: list[float], h: float) -> tuple[float, float]:
-        if m == 1:
-            # first difference of A**(beta-1) via expm1/log1p: no cancellation
+    def tail(
+        beta_order: float, coeffs: list[float], points: list[float], h: float
+    ) -> tuple[float, float]:
+        if len(points) == 2:
+            # m = 1: first difference of A**(beta-1) via expm1/log1p, no cancellation
             base = min(points)
 
             def kernel(u: np.ndarray) -> np.ndarray:
@@ -480,25 +466,11 @@ def weyl_derivative_quad(
         unsigned_scale = float(np.dot(weights, phi_unsigned(nodes)))
         floor = 64.0 * _EPS * abs(unsigned_scale)
         value, err = _jacobi_ladder(phi, w_right, w_left, cfg, abs_floor=floor)
-        return value, err
+        prefactor = 1.0 / math.gamma(beta_order)
+        return prefactor * value, prefactor * err
 
-    def difference(h: float) -> float:
-        nonlocal worst_quad_err
-        points = [t + o * h for o in offsets]
-        total = 0.0
-        for c, x in zip(coeffs, points):
-            g = rl_integral_quad(near_integrand, beta_order, x, cfg)
-            worst_quad_err = max(worst_quad_err, g.abs_err_estimate)
-            total += c * g.value
-        tail, tail_err = tail_difference(points, h)
-        worst_quad_err = max(worst_quad_err, prefactor * tail_err)
-        return (total + prefactor * tail) / h**m
-
-    samples = [difference(h0 / 2.0**i) for i in range(cfg.richardson_levels)]
-    value, spread = _richardson(samples)
-    h_min = h0 / 2.0 ** (cfg.richardson_levels - 1)
-    noise = 2.0**m * worst_quad_err / h_min**m
-    return EvalResult(value, "oracle", spread + noise + 64.0 * _EPS * abs(value))
+    near = Integrand.from_family(AbsPower(delta))
+    return _stencil_derivative("weyl_derivative_quad", near, alpha, t, cfg, tail)
 
 
 def tail_power_quad(
@@ -528,7 +500,7 @@ def tail_power_quad(
 
 
 # ---------------------------------------------------------------------------
-# dispatch mirror of closed_forms.closed_value
+# dispatch on the operator; the family supplies its own integrand
 
 def oracle_eval(
     kind: OperatorKind,
@@ -539,11 +511,7 @@ def oracle_eval(
 ) -> EvalResult:
     """Quadrature evaluation of an operator applied to a family member."""
     kind = OperatorKind(kind)
-    if kind.is_weyl != isinstance(family, AbsPower):
-        raise DomainError(
-            f"{kind.value} pairs with {'abspower' if kind.is_weyl else 'power/exp/powerlog'} "
-            f"functions, got {type(family).__name__}"
-        )
+    kind.check_pairing(family)
     if kind is OperatorKind.RL_INTEGRAL:
         return rl_integral_quad(Integrand.from_family(family), alpha, t, cfg)
     if kind is OperatorKind.RL_DERIVATIVE:
@@ -551,8 +519,3 @@ def oracle_eval(
     if kind is OperatorKind.WEYL_INTEGRAL:
         return weyl_integral_quad(family.delta, alpha, t, cfg)
     return weyl_derivative_quad(family.delta, alpha, t, cfg)
-
-
-def config_with(cfg: QuadConfig, **overrides) -> QuadConfig:
-    """QuadConfig copy with selected fields replaced (validates invariants)."""
-    return replace(cfg, **overrides)

@@ -20,16 +20,19 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable
 
 from . import closed_forms as cf
 from . import specfun as sf
 from .errors import DomainError, FracCalcError, UnknownSuiteError
-from .model import AbsPower, Exp, Power, PowerLog
+from .model import AbsPower, Exp, OperatorKind, Power, PowerLog
 from .oracle import (
     DEFAULT_CONFIG,
     Integrand,
     QuadConfig,
+    _central_stencil,
+    _richardson,
     tail_power_quad,
     rl_derivative_quad,
     rl_integral_quad,
@@ -274,85 +277,39 @@ def _suite_specfun(cfg: QuadConfig) -> tuple[str, list[_Check]]:
     return spec, checks
 
 
-def _family_checks(
-    suite: str,
-    params: Iterable[float],
-    param_name: str,
-    make_family: Callable[[float], object],
-    closed_int: Callable[[float, float, float], float],
-    closed_der: Callable[[float, float, float], float],
-    cfg: QuadConfig,
-) -> list[_Check]:
+# (suite, family, grid): closed form against oracle for the lower-limit-zero operators
+_RL_SUITES = (("rl-power", Power, GAMMAS), ("rl-exp", Exp, LAMBDAS), ("rl-log", PowerLog, NUS))
+
+
+def _suite_rl(
+    suite: str, family_type: type, params: tuple[float, ...], cfg: QuadConfig
+) -> tuple[str, list[_Check]]:
+    key = family_type.key
     checks: list[_Check] = []
     for alpha in ALPHAS:
         for p in params:
+            family = family_type(p)
+            integrand = Integrand.from_family(family)
             for t in TS:
-                inputs = {"alpha": alpha, param_name: p, "t": t}
-                integrand = Integrand.from_family(make_family(p))
-                checks.append(
-                    _Check(
-                        f"{suite}/int/alpha={alpha:g}/{param_name}={p:g}/t={t:g}",
-                        inputs,
-                        lambda a=alpha, p=p, t=t, f=integrand: (
-                            rl_integral_quad(f, a, t, cfg).value,
-                            closed_int(a, p, t),
-                        ),
-                        TOL_INTEGRAL,
-                        ATOL_INTEGRAL,
+                inputs = {"alpha": alpha, key: p, "t": t}
+                for op, kind, quad, tol, atol in (
+                    ("int", OperatorKind.RL_INTEGRAL, rl_integral_quad, TOL_INTEGRAL, ATOL_INTEGRAL),
+                    ("der", OperatorKind.RL_DERIVATIVE, rl_derivative_quad,
+                     TOL_DERIVATIVE, ATOL_DERIVATIVE),
+                ):
+                    checks.append(
+                        _Check(
+                            f"{suite}/{op}/alpha={alpha:g}/{key}={p:g}/t={t:g}",
+                            inputs,
+                            lambda a=alpha, t=t, fam=family, f=integrand, k=kind, q=quad: (
+                                q(f, a, t, cfg).value,
+                                cf.closed_value(k, a, fam, t),
+                            ),
+                            tol,
+                            atol,
+                        )
                     )
-                )
-                checks.append(
-                    _Check(
-                        f"{suite}/der/alpha={alpha:g}/{param_name}={p:g}/t={t:g}",
-                        inputs,
-                        lambda a=alpha, p=p, t=t, f=integrand: (
-                            rl_derivative_quad(f, a, t, cfg).value,
-                            closed_der(a, p, t),
-                        ),
-                        TOL_DERIVATIVE,
-                        ATOL_DERIVATIVE,
-                    )
-                )
-    return checks
-
-
-def _suite_rl_power(cfg: QuadConfig) -> tuple[str, list[_Check]]:
-    checks = _family_checks(
-        "rl-power",
-        GAMMAS,
-        "gamma",
-        Power,
-        lambda a, g, t: cf.rl_integral_power(a, g, t),
-        lambda a, g, t: cf.rl_derivative_power(a, g, t),
-        cfg,
-    )
-    return f"alpha in {ALPHAS}; gamma in {GAMMAS}; t in {TS}", checks
-
-
-def _suite_rl_exp(cfg: QuadConfig) -> tuple[str, list[_Check]]:
-    checks = _family_checks(
-        "rl-exp",
-        LAMBDAS,
-        "lambda",
-        Exp,
-        lambda a, lam, t: cf.rl_integral_exp(a, lam, t),
-        lambda a, lam, t: cf.rl_derivative_exp(a, lam, t),
-        cfg,
-    )
-    return f"alpha in {ALPHAS}; lambda in {LAMBDAS}; t in {TS}", checks
-
-
-def _suite_rl_log(cfg: QuadConfig) -> tuple[str, list[_Check]]:
-    checks = _family_checks(
-        "rl-log",
-        NUS,
-        "nu",
-        PowerLog,
-        lambda a, nu, t: cf.rl_integral_powerlog(a, nu, t),
-        lambda a, nu, t: cf.rl_derivative_powerlog(a, nu, t),
-        cfg,
-    )
-    return f"alpha in {ALPHAS}; nu in {NUS}; t in {TS}", checks
+    return f"alpha in {ALPHAS}; {key} in {params}; t in {TS}", checks
 
 
 def _suite_weyl(cfg: QuadConfig) -> tuple[str, list[_Check]]:
@@ -361,30 +318,19 @@ def _suite_weyl(cfg: QuadConfig) -> tuple[str, list[_Check]]:
         for alpha in ALPHAS:
             for t in TS:
                 inputs = {"delta": delta, "alpha": alpha, "t": t}
-                int_id = f"weyl/int/delta={delta:g}/alpha={alpha:g}/t={t:g}"
-                if 0.0 < alpha < delta:
-                    checks.append(
-                        _Check(
-                            int_id,
-                            inputs,
-                            lambda d=delta, a=alpha, t=t: (
-                                weyl_integral_quad(d, a, t, cfg).value,
-                                cf.weyl_integral_abspower(a, d, t),
-                            ),
-                            TOL_INTEGRAL,
-                            ATOL_INTEGRAL,
-                        )
+                checks.append(
+                    _Check(
+                        f"weyl/int/delta={delta:g}/alpha={alpha:g}/t={t:g}",
+                        inputs,
+                        lambda d=delta, a=alpha, t=t: (
+                            weyl_integral_quad(d, a, t, cfg).value,
+                            cf.weyl_integral_abspower(a, d, t),
+                        ),
+                        TOL_INTEGRAL,
+                        ATOL_INTEGRAL,
+                        skip_reason="" if 0.0 < alpha < delta else "requires 0 < alpha < delta",
                     )
-                else:
-                    checks.append(
-                        _Check(
-                            int_id,
-                            inputs,
-                            lambda: (0.0, 0.0),
-                            TOL_INTEGRAL,
-                            skip_reason="requires 0 < alpha < delta",
-                        )
-                    )
+                )
                 checks.append(
                     _Check(
                         f"weyl/der/delta={delta:g}/alpha={alpha:g}/t={t:g}",
@@ -400,63 +346,35 @@ def _suite_weyl(cfg: QuadConfig) -> tuple[str, list[_Check]]:
     return f"delta in {DELTAS}; alpha in {ALPHAS}; t in {TS}", checks
 
 
+# (id label, family, grid, derivative formula, integral expression at signed order)
+_D_EQUALS_I_NEG = (
+    ("power", Power, GAMMAS, "rl_derivative_power", "power_shift_expr"),
+    ("exp", Exp, LAMBDAS, "rl_derivative_exp", "exp_shift_expr"),
+    ("log", PowerLog, NUS, "rl_derivative_powerlog", "powerlog_shift_expr"),
+    ("abspower", AbsPower, DELTAS, "weyl_derivative_abspower", "weyl_power_shift_expr"),
+)
+
+
 def _suite_d_equals_i_neg(cfg: QuadConfig) -> tuple[str, list[_Check]]:
     """Derivative closed forms vs the integral expressions taken at -alpha."""
     checks: list[_Check] = []
     for alpha in ALPHAS:
         for t in TS:
-            for g in GAMMAS:
-                checks.append(
-                    _Check(
-                        f"d-equals-i-neg/power/alpha={alpha:g}/gamma={g:g}/t={t:g}",
-                        {"alpha": alpha, "gamma": g, "t": t},
-                        lambda a=alpha, g=g, t=t: (
-                            cf.rl_derivative_power(a, g, t),
-                            cf.power_shift_expr(-a, g, t),
-                        ),
-                        TOL_IDENTITY,
-                        atol=1e-15,
+            for label, family_type, params, derivative, shifted in _D_EQUALS_I_NEG:
+                key = family_type.key
+                for p in params:
+                    checks.append(
+                        _Check(
+                            f"d-equals-i-neg/{label}/alpha={alpha:g}/{key}={p:g}/t={t:g}",
+                            {"alpha": alpha, key: p, "t": t},
+                            lambda a=alpha, p=p, t=t, d=derivative, e=shifted: (
+                                getattr(cf, d)(a, p, t),
+                                getattr(cf, e)(-a, p, t),
+                            ),
+                            TOL_IDENTITY,
+                            atol=1e-15,
+                        )
                     )
-                )
-            for lam in LAMBDAS:
-                checks.append(
-                    _Check(
-                        f"d-equals-i-neg/exp/alpha={alpha:g}/lambda={lam:g}/t={t:g}",
-                        {"alpha": alpha, "lambda": lam, "t": t},
-                        lambda a=alpha, lam=lam, t=t: (
-                            cf.rl_derivative_exp(a, lam, t),
-                            cf.exp_shift_expr(-a, lam, t),
-                        ),
-                        TOL_IDENTITY,
-                        atol=1e-15,
-                    )
-                )
-            for nu in NUS:
-                checks.append(
-                    _Check(
-                        f"d-equals-i-neg/log/alpha={alpha:g}/nu={nu:g}/t={t:g}",
-                        {"alpha": alpha, "nu": nu, "t": t},
-                        lambda a=alpha, nu=nu, t=t: (
-                            cf.rl_derivative_powerlog(a, nu, t),
-                            cf.powerlog_shift_expr(-a, nu, t),
-                        ),
-                        TOL_IDENTITY,
-                        atol=1e-15,
-                    )
-                )
-            for delta in DELTAS:
-                checks.append(
-                    _Check(
-                        f"d-equals-i-neg/abspower/alpha={alpha:g}/delta={delta:g}/t={t:g}",
-                        {"alpha": alpha, "delta": delta, "t": t},
-                        lambda a=alpha, d=delta, t=t: (
-                            cf.weyl_derivative_abspower(a, d, t),
-                            cf.weyl_power_shift_expr(-a, d, t),
-                        ),
-                        TOL_IDENTITY,
-                        atol=1e-15,
-                    )
-                )
     return f"alpha in {ALPHAS}; all family parameters; t in {TS}", checks
 
 
@@ -491,18 +409,13 @@ def _suite_falsification(cfg: QuadConfig) -> tuple[str, list[_Check]]:
 
 def _fd_nth_derivative(fn: Callable[[float], float], n: int, t: float) -> float:
     """Order-n central difference with Richardson extrapolation (test-grade)."""
-    coeffs = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    offsets = [n / 2.0 - k for k in range(n + 1)]
+    coeffs, offsets = _central_stencil(n)
     h0 = 0.05 * t
     samples = []
     for level in range(4):
         h = h0 / 2.0**level
         samples.append(sum(c * fn(t + o * h) for c, o in zip(coeffs, offsets)) / h**n)
-    table = [[s] for s in samples]
-    for j in range(1, len(samples)):
-        for i in range(j, len(samples)):
-            table[i].append(table[i][j - 1] + (table[i][j - 1] - table[i - 1][j - 1]) / (4.0**j - 1.0))
-    return table[-1][-1]
+    return _richardson(samples)[0]
 
 
 def _suite_lemmas(cfg: QuadConfig) -> tuple[str, list[_Check]]:
@@ -602,9 +515,7 @@ def _suite_lemmas(cfg: QuadConfig) -> tuple[str, list[_Check]]:
 
 _SUITE_BUILDERS: dict[str, Callable[[QuadConfig], tuple[str, list[_Check]]]] = {
     "specfun": _suite_specfun,
-    "rl-power": _suite_rl_power,
-    "rl-exp": _suite_rl_exp,
-    "rl-log": _suite_rl_log,
+    **{suite: partial(_suite_rl, suite, family, grid) for suite, family, grid in _RL_SUITES},
     "weyl": _suite_weyl,
     "d-equals-i-neg": _suite_d_equals_i_neg,
     "literature-falsification": _suite_falsification,

@@ -78,6 +78,22 @@ class TestEval:
         assert code == 4
         assert "convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ("richardson_levels = 600", "max_nodes = 1000000"))
+    def test_unbounded_config_value_is_domain_error(self, tmp_path, capsys, setting):
+        config = tmp_path / "quad.cfg"
+        config.write_text(setting + "\n")
+        code = main(
+            ["eval", "--op", "rl-der", "--alpha", "0.5", "--fn", "power:gamma=1",
+             "--t", "1", "--method", "oracle", "--config", str(config)]
+        )
+        assert code == 3
+        assert setting.split()[0] in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path):
+        config = tmp_path / "quad.cfg"
+        config.write_text("richardson_levels = 2.5\n")
+        assert main(["verify", "--suite", "lemmas", "--config", str(config)]) == 2
+
     def test_usage_error_on_bad_op(self):
         result = run_cli("eval", "--op", "bogus")
         assert result.returncode == 2

@@ -1,7 +1,8 @@
-"""Domain types: family invariants, operator descriptor, parsing."""
+"""Domain types: family invariants, operator descriptor, parsing, pairing."""
 
 import pytest
 
+from fraccalc import closed_forms as cf
 from fraccalc.errors import DomainError
 from fraccalc.model import (
     AbsPower,
@@ -11,9 +12,10 @@ from fraccalc.model import (
     OperatorSpec,
     Power,
     PowerLog,
-    family_param,
     parse_family,
 )
+from fraccalc.oracle import oracle_eval
+from fraccalc.verify import ATOL_DERIVATIVE, ATOL_INTEGRAL, TOL_DERIVATIVE, TOL_INTEGRAL
 
 
 class TestFamilyInvariants:
@@ -55,7 +57,13 @@ class TestParseFamily:
                 parse_family(bad)
 
     def test_param_extraction(self):
-        assert family_param(parse_family("exp:lambda=0.25")) == 0.25
+        assert parse_family("exp:lambda=0.25").param == 0.25
+
+    def test_origin_declarations(self):
+        assert (Power(-0.5).power_at_zero, Power(-0.5).log_at_zero) == (-0.5, False)
+        assert (Exp(3.0).power_at_zero, Exp(3.0).log_at_zero) == (0.0, False)
+        assert (PowerLog(0.3).power_at_zero, PowerLog(0.3).log_at_zero) == (0.3 - 1.0, True)
+        assert (AbsPower(0.4).power_at_zero, AbsPower(0.4).log_at_zero) == (-0.4, False)
 
 
 class TestOperatorSpec:
@@ -90,3 +98,52 @@ class TestEvalResult:
             EvalResult(1.0, "oracle", -1.0)
         with pytest.raises(DomainError):
             EvalResult(1.0, "oracle", float("nan"))
+
+
+# one member of each family, and the closed form each valid operator pairs it with
+FAMILIES = (Power(0.5), Exp(-1.0), PowerLog(2.0), AbsPower(0.4))
+FORMULAS = {
+    (OperatorKind.RL_INTEGRAL, Power): "rl_integral_power",
+    (OperatorKind.RL_INTEGRAL, Exp): "rl_integral_exp",
+    (OperatorKind.RL_INTEGRAL, PowerLog): "rl_integral_powerlog",
+    (OperatorKind.RL_DERIVATIVE, Power): "rl_derivative_power",
+    (OperatorKind.RL_DERIVATIVE, Exp): "rl_derivative_exp",
+    (OperatorKind.RL_DERIVATIVE, PowerLog): "rl_derivative_powerlog",
+    (OperatorKind.WEYL_INTEGRAL, AbsPower): "weyl_integral_abspower",
+    (OperatorKind.WEYL_DERIVATIVE, AbsPower): "weyl_derivative_abspower",
+}
+
+
+class TestPairing:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("kind", tuple(OperatorKind), ids=lambda k: k.value)
+    def test_every_operator_family_pair(self, kind, family):
+        if (kind, type(family)) not in FORMULAS:
+            with pytest.raises(DomainError, match="pairs with"):
+                cf.closed_value(kind, 0.25, family, 1.0)
+            with pytest.raises(DomainError, match="pairs with"):
+                oracle_eval(kind, 0.25, family, 1.0)
+            return
+        # 0.25 < delta keeps the Weyl integral's tail convergent; 0.75 is a
+        # fractional order with a nonzero Weyl derivative at delta = 0.4
+        alpha = 0.75 if kind.is_derivative else 0.25
+        closed = cf.closed_value(kind, alpha, family, 1.5)
+        oracle = oracle_eval(kind, alpha, family, 1.5).value
+        if kind.is_derivative:
+            tol, atol = TOL_DERIVATIVE, ATOL_DERIVATIVE
+        else:
+            tol, atol = TOL_INTEGRAL, ATOL_INTEGRAL
+        assert abs(oracle - closed) <= max(tol * abs(closed), atol)
+
+    @pytest.mark.parametrize("pair", tuple(FORMULAS), ids=lambda p: f"{p[0].value}-{p[1].__name__}")
+    def test_closed_value_looks_up_the_formula_at_call_time(self, monkeypatch, pair):
+        kind, family_type = pair
+        family = next(f for f in FAMILIES if type(f) is family_type)
+        monkeypatch.setattr(cf, FORMULAS[pair], lambda alpha, param, t: (alpha, param, t))
+        assert cf.closed_value(kind, 0.25, family, 1.5) == (0.25, family.param, 1.5)
+
+    def test_non_family_is_rejected(self):
+        with pytest.raises(DomainError):
+            cf.closed_value(OperatorKind.RL_INTEGRAL, 0.5, "power", 1.0)
+        with pytest.raises(DomainError):
+            oracle_eval(OperatorKind.RL_DERIVATIVE, 0.5, "power", 1.0)

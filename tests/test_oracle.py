@@ -221,6 +221,13 @@ class TestOracleBehavior:
         with pytest.raises(DomainError):
             QuadConfig(fd_step_factor=0.5)
 
+    def test_config_upper_bounds_name_the_field(self):
+        QuadConfig(max_nodes=4096, richardson_levels=16)
+        with pytest.raises(DomainError, match="max_nodes"):
+            QuadConfig(max_nodes=4097)
+        with pytest.raises(DomainError, match="richardson_levels"):
+            QuadConfig(richardson_levels=17)
+
 
 class TestErrorEstimateHonesty:
     def test_true_error_within_ten_times_estimate(self):
