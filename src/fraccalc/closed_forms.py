@@ -318,7 +318,7 @@ _FORMULAS = {
 # whole-number derivative orders fall back to the plain m-th derivative
 _PLAIN_DERIVATIVES = {
     Power: lambda m, f, t: nth_derivative_power(m, f.gamma_exp, t),
-    Exp: lambda m, f, t: f.lam**m * math.exp(f.lam * t),
+    Exp: lambda m, f, t: f.lam**m * math.exp(f.lam * _require_positive_t(t)),
     PowerLog: lambda m, f, t: nth_derivative_powerlog(m, f.nu - 1.0, t),
     AbsPower: lambda m, f, t: nth_derivative_power(m, -f.delta, t),
 }

@@ -13,7 +13,8 @@ defining integrals.  The machinery:
   log s into a polynomial factor and leaves an analytic integrand;
 * fractional derivatives apply an order-m central difference with Richardson
   extrapolation to the (m - alpha)-order integral, mirroring the defining
-  composition instead of differentiating under the integral sign;
+  composition instead of differentiating under the integral sign; all
+  stencil points of all Richardson levels are rows of one shared ladder;
 * the Weyl tail over (-inf, 0) is mapped to (0, 1) by u = s t/(1-s); for the
   derivative the whole difference stencil is combined into one kernel before
   integrating, which keeps the tail absolutely convergent for every order
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -89,10 +90,12 @@ DEFAULT_CONFIG = QuadConfig()
 class Integrand:
     """A function on (0, inf) with its origin behavior declared.
 
-    The evaluator must accept numpy arrays.  power_at_zero is the exponent p
-    with f(tau) ~ tau**p near 0 (times log tau when log_at_zero is set); the
-    quadrature uses it to pick the matching Jacobi weight, so the declaration
-    must be honest for the accuracy promises to hold.
+    The evaluator must act elementwise on numpy arrays of any shape: the
+    ladders pass 2-D and 3-D arrays, one row per evaluation point.
+    power_at_zero is the exponent p with f(tau) ~ tau**p near 0 (times log
+    tau when log_at_zero is set); the quadrature uses it to pick the matching
+    Jacobi weight, so the declaration must be honest for the accuracy
+    promises to hold.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -168,114 +171,144 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _ladder_sizes(max_nodes: int) -> list[int]:
-    sizes = []
-    n = 16
-    while n <= max_nodes:
-        sizes.append(n)
+RowFn = Callable[[np.ndarray, Sequence], np.ndarray]  # (points, parameter rows) -> a block per row
+
+
+def _row_ladder(
+    rule: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    n: int,
+    n_max: int,
+    reduce: Callable[[np.ndarray, np.ndarray], float],
+    phi: RowFn,
+    params: Sequence,
+    cfg: QuadConfig,
+    floors: Sequence[float] | None = None,
+    tiny: float = 0.0,
+) -> list[tuple[float, float]] | None:
+    """Climb rules of n, 2n, ... <= n_max nodes for all rows of params at once.
+
+    rule(n) is a rule (points, weights); phi(points, p) evaluates the rows p of
+    params there, one block per row; reduce(weights, block) integrates a block.
+    Each row stops at its first rung within max(target_rel_tol * max(|current|,
+    tiny), its floor) of the one before.  None when the rungs run out first.
+    """
+    done: list = [None] * len(params)
+    rows = range(len(params))
+    previous: list[float] = []
+    while n <= n_max:
+        points, weights = rule(n)
+        values = phi(points, params)
+        current, climbing = [], []
+        for j, row in enumerate(rows):
+            value = float(reduce(weights, values[j]))
+            if previous:
+                diff = abs(value - previous[j])
+                floor = floors[row] if floors else 0.0
+                if diff <= max(cfg.target_rel_tol * max(abs(value), tiny), floor):
+                    done[row] = (value, diff + 16.0 * _EPS * abs(value) + floor)
+                    continue
+            current.append(value)
+            climbing.append(j)
+        if not climbing:
+            return done
+        if len(climbing) < len(rows):
+            rows = [rows[j] for j in climbing]
+            params = params[climbing]
+        previous = current
         n *= 2
-    return sizes
+    return None
 
 
 def _jacobi_ladder(
-    phi: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    cfg: QuadConfig,
-    abs_floor: float = 0.0,
-) -> tuple[float, float]:
-    """Double the Gauss-Jacobi rule until two successive estimates agree.
+    phi: RowFn, params: Sequence, a: float, b: float, cfg: QuadConfig, abs_floor: list | None = None
+) -> list[tuple[float, float]]:
+    """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
-    abs_floor is an absolute noise allowance (used when the integrand itself
-    is evaluated with cancellation-limited accuracy); agreement within it
-    counts as convergence.
+    abs_floor, one per row, is an absolute noise allowance (for integrands evaluated
+    with cancellation-limited accuracy); agreement within it counts as convergence.
     """
-    previous = None
-    for n in _ladder_sizes(cfg.max_nodes):
-        nodes, weights = gauss_jacobi_01(n, a, b)
-        current = float(np.dot(weights, phi(nodes)))
-        if previous is not None:
-            diff = abs(current - previous)
-            if diff <= max(cfg.target_rel_tol * abs(current), abs_floor):
-                return current, diff + 16.0 * _EPS * abs(current) + abs_floor
-        previous = current
-    raise ConvergenceError(
-        f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
-    )
+    rule = lambda n: gauss_jacobi_01(n, a, b)
+    # ndarray.dot: the C routine behind np.dot, bit for bit, without its Python-level dispatch
+    done = _row_ladder(rule, 16, cfg.max_nodes, np.ndarray.dot, phi, params, cfg, abs_floor)
+    if done is None:
+        raise ConvergenceError(
+            f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
+        )
+    return done
 
 
 def _panel_gauss_ladder(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    cfg: QuadConfig,
-    panel_len: float = 10.0,
-) -> tuple[float, float]:
-    """Composite Gauss-Legendre on [lo, hi] with per-panel order doubling."""
+    fn: RowFn, params: Sequence, lo: float, hi: float, cfg: QuadConfig, panel_len: float = 10.0
+) -> list[tuple[float, float]]:
+    """Composite Gauss-Legendre on [lo, hi], per-panel order doubling; points are (1, panels, n)."""
     n_panels = max(1, int(math.ceil((hi - lo) / panel_len)))
     edges = np.linspace(lo, hi, n_panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    previous = None
-    n = 8
-    while n * n_panels <= 4 * cfg.max_nodes:
+    centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+
+    def rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = _gauss_legendre(n)
-        points = centers[:, None] + half[:, None] * x[None, :]
-        current = float(np.sum(half[:, None] * w[None, :] * fn(points)))
-        if previous is not None:
-            diff = abs(current - previous)
-            if diff <= cfg.target_rel_tol * max(abs(current), 1e-300):
-                return current, diff + 16.0 * _EPS * abs(current)
-        previous = current
-        n *= 2
-    raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
+        return (centers + half * x)[None], half * w
+
+    # np.add.reduce(axis=None) is what np.sum calls, without its Python-level dispatch
+    reduce = lambda w, block: np.add.reduce(w * block, axis=None)
+    done = _row_ladder(rule, 8, 4 * cfg.max_nodes // n_panels, reduce, fn, params, cfg, tiny=1e-300)
+    if done is None:
+        raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
+    return done
 
 
 # ---------------------------------------------------------------------------
 # lower-limit-zero operators
 
 def rl_integral_quad(
-    f: Integrand, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> EvalResult:
+    f: Integrand, alpha: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
+) -> EvalResult | list[EvalResult]:
     """Order-alpha fractional integral from 0 by weighted quadrature.
 
     After tau = t s the definition reads
     t**alpha / gamma(alpha) * integral_0^1 (1-s)**(alpha-1) f(t s) ds,
     so the kernel weight is exactly a Jacobi weight at s = 1; the declared
-    origin exponent of f supplies the weight at s = 0.
+    origin exponent of f supplies the weight at s = 0.  A sequence of t gives
+    a list of results, its points being rows of the same ladders.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"rl_integral_quad requires alpha > 0, got {alpha!r}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"rl_integral_quad requires t > 0, got {t!r}")
-    prefactor = t**alpha / math.gamma(alpha)
+    scalar = isinstance(t, float) or np.ndim(t) == 0
+    points = [t] if scalar else list(t)
+    prefactors = []
+    for x in points:
+        if not math.isfinite(x) or x <= 0.0:
+            raise DomainError(f"rl_integral_quad requires t > 0, got {x!r}")
+        prefactors.append(x**alpha / math.gamma(alpha))
+    ts = np.array(points)[:, None]
     p = f.power_at_zero
     if not f.log_at_zero:
         if p == 0.0:
-            value, err = _jacobi_ladder(lambda s: f.evaluator(t * s), alpha - 1.0, 0.0, cfg)
+            rows = _jacobi_ladder(lambda s, tc: f.evaluator(tc * s), ts, alpha - 1.0, 0.0, cfg)
         else:
-            value, err = _jacobi_ladder(
-                lambda s: f.evaluator(t * s) * s ** (-p), alpha - 1.0, p, cfg
+            rows = _jacobi_ladder(
+                lambda s, tc: f.evaluator(tc * s) * s ** (-p), ts, alpha - 1.0, p, cfg
             )
-        return EvalResult(prefactor * value, "oracle", prefactor * err)
-    # logarithmic origin: split at s = 1/2
-    # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
-    v_hi, e_hi = _jacobi_ladder(
-        lambda u: f.evaluator(t * (0.5 + 0.5 * u)), alpha - 1.0, 0.0, cfg
-    )
-    scale_hi = 0.5**alpha
-    # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
-    # truncation at X leaves a relative tail below exp(-(p+1) X) ~ 1e-18
-    x_cut = max(30.0, 42.0 / (p + 1.0))
+    else:
+        # logarithmic origin: split at s = 1/2
+        # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
+        upper = _jacobi_ladder(
+            lambda u, tc: f.evaluator(tc * (0.5 + 0.5 * u)), ts, alpha - 1.0, 0.0, cfg
+        )
+        scale_hi = 0.5**alpha
+        # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
+        # truncation at X leaves a relative tail below exp(-(p+1) X) ~ 1e-18
+        x_cut = max(30.0, 42.0 / (p + 1.0))
 
-    def lower(x: np.ndarray) -> np.ndarray:
-        s = 0.5 * np.exp(-x)
-        return (1.0 - s) ** (alpha - 1.0) * f.evaluator(t * s) * s
+        def lower(x: np.ndarray, tc: np.ndarray) -> np.ndarray:
+            s = 0.5 * np.exp(-x)
+            return (1.0 - s) ** (alpha - 1.0) * f.evaluator(tc * s) * s
 
-    v_lo, e_lo = _panel_gauss_ladder(lower, 0.0, x_cut, cfg)
-    value = prefactor * (scale_hi * v_hi + v_lo)
-    err = prefactor * (scale_hi * e_hi + e_lo)
-    return EvalResult(value, "oracle", err)
+        lowers = _panel_gauss_ladder(lower, ts[:, :, None], 0.0, x_cut, cfg)
+        rows = [(scale_hi * v + vl, scale_hi * e + el) for (v, e), (vl, el) in zip(upper, lowers)]
+    results = [EvalResult(c * v, "oracle", c * e) for c, (v, e) in zip(prefactors, rows)]
+    return results[0] if scalar else results
 
 
 def _central_stencil(m: int) -> tuple[list[float], list[float]]:
@@ -305,16 +338,17 @@ def _stencil_derivative(
     alpha: float,
     t: float,
     cfg: QuadConfig,
-    tail: Callable[[float, list[float], list[float], float], tuple[float, float]] | None = None,
+    tail: Callable[..., list[tuple[float, float]]] | None = None,
 ) -> EvalResult:
     """Order-alpha derivative as the order-m difference of an order (m - alpha) integral.
 
     m is the smallest integer above alpha.  The differenced integral is the
-    one of f from 0 plus, when given, a tail term: tail(beta, coeffs, points, h)
-    returns sum_k coeffs[k] * T(points[k]) for the order-beta tail T, and its
-    error.  The differences over a symmetric stencil of base width
-    cfg.fd_step_factor * t are Richardson-extrapolated over
-    cfg.richardson_levels step halvings.
+    one of f from 0, taken at every stencil point of every level in a single
+    rl_integral_quad call, plus, when given, a tail term: tail(beta, coeffs,
+    points, steps) returns, for each level i, sum_k coeffs[k] * T(points[i][k])
+    for the order-beta tail T, and its error.  The differences over a
+    symmetric stencil of base width cfg.fd_step_factor * t are
+    Richardson-extrapolated over cfg.richardson_levels step halvings.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
@@ -331,18 +365,19 @@ def _stencil_derivative(
     h0 = cfg.fd_step_factor * t
     if t - m * h0 <= 0.0:
         raise StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={t!r}")
+    steps = [h0 / 2.0**i for i in range(cfg.richardson_levels)]
+    points = [[t + o * h for o in offsets] for h in steps]
+    integrals = rl_integral_quad(f, beta_order, [x for level in points for x in level], cfg)
+    tails = tail(beta_order, coeffs, points, steps) if tail is not None else None
     worst_quad_err = 0.0
     samples = []
-    for i in range(cfg.richardson_levels):
-        h = h0 / 2.0**i
-        points = [t + o * h for o in offsets]
+    for i, h in enumerate(steps):
         total = 0.0
-        for c, x in zip(coeffs, points):
-            g = rl_integral_quad(f, beta_order, x, cfg)
+        for c, g in zip(coeffs, integrals[i * (m + 1) : (i + 1) * (m + 1)]):
             worst_quad_err = max(worst_quad_err, g.abs_err_estimate)
             total += c * g.value
-        if tail is not None:
-            tail_value, tail_err = tail(beta_order, coeffs, points, h)
+        if tails is not None:
+            tail_value, tail_err = tails[i]
             worst_quad_err = max(worst_quad_err, tail_err)
             total += tail_value
         samples.append(total / h**m)
@@ -397,18 +432,14 @@ def weyl_integral_quad(
     w_right = delta - alpha - 1.0
     w_left = -delta
 
-    def phi(s: np.ndarray) -> np.ndarray:
+    def phi(s: np.ndarray, _: Sequence) -> np.ndarray:
         u, du = _weyl_tail_map(t, s)
         raw = (t + u) ** (alpha - 1.0) * u ** (-delta) * du
-        return raw * (1.0 - s) ** (-w_right) * s ** (-w_left)
+        return [raw * (1.0 - s) ** (-w_right) * s ** (-w_left)]
 
-    tail, tail_err = _jacobi_ladder(phi, w_right, w_left, cfg)
-    prefactor = 1.0 / math.gamma(alpha)
-    return EvalResult(
-        near.value + prefactor * tail,
-        "oracle",
-        near.abs_err_estimate + prefactor * tail_err,
-    )
+    [(tail, tail_err)] = _jacobi_ladder(phi, [t], w_right, w_left, cfg)
+    c = 1.0 / math.gamma(alpha)
+    return EvalResult(near.value + c * tail, "oracle", near.abs_err_estimate + c * tail_err)
 
 
 def weyl_derivative_quad(
@@ -430,44 +461,33 @@ def weyl_derivative_quad(
     w_left = -delta
 
     def tail(
-        beta_order: float, coeffs: list[float], points: list[float], h: float
-    ) -> tuple[float, float]:
-        if len(points) == 2:
-            # m = 1: first difference of A**(beta-1) via expm1/log1p, no cancellation
-            base = min(points)
+        beta_order: float, coeffs: list[float], points: list[list[float]], steps: list[float]
+    ) -> list[tuple[float, float]]:
+        # one row per Richardson level: its step, the low end of its stencil, its points
+        levels = np.array([[h, min(level), *level] for h, level in zip(steps, points)])
 
-            def kernel(u: np.ndarray) -> np.ndarray:
-                a_low = base + u
-                return a_low ** (beta_order - 1.0) * np.expm1(
-                    (beta_order - 1.0) * np.log1p(h / a_low)
+        def phi(s: np.ndarray, rows: np.ndarray, unsigned: bool = False) -> np.ndarray:
+            u, du = _weyl_tail_map(t, s)
+            if len(coeffs) == 2 and not unsigned:
+                # m = 1: first difference of A**(beta-1) via expm1/log1p, no cancellation
+                a_low = rows[:, 1:2] + u
+                kernel = a_low ** (beta_order - 1.0) * np.expm1(
+                    (beta_order - 1.0) * np.log1p(rows[:, :1] / a_low)
                 )
-
-        else:
-
-            def kernel(u: np.ndarray) -> np.ndarray:
-                acc = np.zeros_like(u)
-                for c, x in zip(coeffs, points):
-                    acc += c * (x + u) ** (beta_order - 1.0)
-                return acc
-
-        def phi(s: np.ndarray) -> np.ndarray:
-            u, du = _weyl_tail_map(t, s)
-            return kernel(u) * u ** (-delta) * du * (1.0 - s) ** (-w_right) * s ** (-w_left)
-
-        def phi_unsigned(s: np.ndarray) -> np.ndarray:
-            u, du = _weyl_tail_map(t, s)
-            acc = np.zeros_like(u)
-            for c, x in zip(coeffs, points):
-                acc += abs(c) * (x + u) ** (beta_order - 1.0)
-            return acc * u ** (-delta) * du * (1.0 - s) ** (-w_right) * s ** (-w_left)
+            else:
+                kernel = 0.0
+                for k, c in enumerate(coeffs):
+                    weight = abs(c) if unsigned else c
+                    kernel = kernel + weight * (rows[:, k + 2 : k + 3] + u) ** (beta_order - 1.0)
+            return kernel * u ** (-delta) * du * (1.0 - s) ** (-w_right) * s ** (-w_left)
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
         nodes, weights = gauss_jacobi_01(32, w_right, w_left)
-        unsigned_scale = float(np.dot(weights, phi_unsigned(nodes)))
-        floor = 64.0 * _EPS * abs(unsigned_scale)
-        value, err = _jacobi_ladder(phi, w_right, w_left, cfg, abs_floor=floor)
+        scales = phi(nodes, levels, unsigned=True)
+        floors = [64.0 * _EPS * abs(float(np.dot(weights, row))) for row in scales]
         prefactor = 1.0 / math.gamma(beta_order)
-        return prefactor * value, prefactor * err
+        rows = _jacobi_ladder(phi, levels, w_right, w_left, cfg, abs_floor=floors)
+        return [(prefactor * value, prefactor * err) for value, err in rows]
 
     near = Integrand.from_family(AbsPower(delta))
     return _stencil_derivative("weyl_derivative_quad", near, alpha, t, cfg, tail)
@@ -490,12 +510,12 @@ def tail_power_quad(
     w_right = -a_exp - beta_exp - 2.0
     w_left = beta_exp
 
-    def phi(s: np.ndarray) -> np.ndarray:
+    def phi(s: np.ndarray, _: Sequence) -> np.ndarray:
         u, du = _weyl_tail_map(t, s)
         raw = (t + u) ** a_exp * u**beta_exp * du
-        return raw * (1.0 - s) ** (-w_right) * s ** (-w_left)
+        return [raw * (1.0 - s) ** (-w_right) * s ** (-w_left)]
 
-    value, err = _jacobi_ladder(phi, w_right, w_left, cfg)
+    [(value, err)] = _jacobi_ladder(phi, [t], w_right, w_left, cfg)
     return EvalResult(value, "oracle", err)
 
 

@@ -62,6 +62,13 @@ class TestEval:
         ) == 3
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, t", (("1", "-1"), ("2", "0")))
+    def test_whole_order_exp_derivative_off_domain_exit_code(self, capsys, alpha, t):
+        assert main(
+            ["eval", "--op", "rl-der", "--alpha", alpha, "--fn", "exp:lambda=1", "--t", t]
+        ) == 3
+        assert "t > 0" in capsys.readouterr().err
+
     def test_integer_order_oracle_derivative_is_domain_error(self, capsys):
         assert main(
             ["eval", "--op", "rl-der", "--alpha", "2", "--fn", "exp:lambda=1",

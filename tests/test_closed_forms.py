@@ -162,6 +162,13 @@ class TestExpDerivative:
         with pytest.raises(DomainError):
             cf.rl_derivative_exp(2.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", (1.0, 2.0))
+    @pytest.mark.parametrize("t", (-1.0, 0.0))
+    def test_whole_order_requires_positive_t(self, alpha, t):
+        # whole orders take the plain-derivative row, which must check t like the others
+        with pytest.raises(DomainError, match="t > 0"):
+            cf.closed_value(OperatorKind.RL_DERIVATIVE, alpha, Exp(1.0), t)
+
 
 class TestPowerLogIntegral:
     def test_order_one_antiderivative(self):

@@ -92,6 +92,80 @@ class TestRlIntegralQuad:
             orc.rl_integral_quad(Integrand.from_family(Exp(1.0)), 0.5, 1.0, tiny)
 
 
+# the four integrand kinds of rl_integral_quad: p = 0, p != 0, log at the origin,
+# and a custom evaluator; each grows fast enough that t = 40 needs more nodes than t = 1
+VECTOR_KINDS = {
+    "p=0": Integrand.from_family(Exp(1.0)),
+    "p!=0": Integrand(lambda x: np.sqrt(x) * np.exp(x), power_at_zero=0.5),
+    "log-origin": Integrand(lambda x: np.log(x) * np.exp(x), log_at_zero=True),
+    "custom": Integrand(np.cos),
+}
+VECTOR_TS = (1.0, 40.0, 0.5, 5.0)
+
+
+def _rule_sizes(monkeypatch, f, alpha, t):
+    """Node counts of every rule one single-point call asks for, in order."""
+    sizes = []
+    jacobi, legendre = orc.gauss_jacobi_01, orc._gauss_legendre
+    with monkeypatch.context() as patch:
+        patch.setattr(orc, "gauss_jacobi_01", lambda n, a, b: sizes.append(n) or jacobi(n, a, b))
+        patch.setattr(orc, "_gauss_legendre", lambda n: sizes.append(n) or legendre(n))
+        orc.rl_integral_quad(f, alpha, t, CFG)
+    return sizes
+
+
+class TestRlIntegralQuadVector:
+    @pytest.mark.parametrize("kind", sorted(VECTOR_KINDS))
+    def test_rows_equal_single_point_calls(self, kind, monkeypatch):
+        f = VECTOR_KINDS[kind]
+        # the rows converge on different rungs, so the batch must stop each on its own
+        rungs = [_rule_sizes(monkeypatch, f, 0.5, t) for t in VECTOR_TS]
+        assert len({len(r) for r in rungs}) > 1
+        singles = [orc.rl_integral_quad(f, 0.5, t, CFG) for t in VECTOR_TS]
+        assert orc.rl_integral_quad(f, 0.5, list(VECTOR_TS), CFG) == singles
+        assert orc.rl_integral_quad(f, 0.5, np.array(VECTOR_TS), CFG) == singles
+
+    def test_scalar_and_one_element_sequence(self):
+        f = VECTOR_KINDS["p=0"]
+        single = orc.rl_integral_quad(f, 0.5, 2.0, CFG)
+        assert single.method == "oracle"
+        assert orc.rl_integral_quad(f, 0.5, [2.0], CFG) == [single]
+        assert orc.rl_integral_quad(f, 0.5, (2.0,), CFG) == [single]
+
+    @pytest.mark.parametrize("bad", (-1.0, 0.0, math.nan, math.inf))
+    def test_any_bad_point_is_domain_error(self, bad):
+        with pytest.raises(DomainError, match="t > 0"):
+            orc.rl_integral_quad(VECTOR_KINDS["p=0"], 0.5, [1.0, bad, 2.0], CFG)
+
+    def test_row_that_cannot_converge(self):
+        f = VECTOR_KINDS["p=0"]
+        with pytest.raises(ConvergenceError):
+            orc.rl_integral_quad(f, 0.5, [1.0, 2.0], QuadConfig(max_nodes=16))
+        # t = 1 converges within 32 nodes on its own, t = 40 does not
+        orc.rl_integral_quad(f, 0.5, 1.0, QuadConfig(max_nodes=32))
+        with pytest.raises(ConvergenceError):
+            orc.rl_integral_quad(f, 0.5, [1.0, 40.0], QuadConfig(max_nodes=32))
+
+
+class TestStencilBatching:
+    @pytest.mark.parametrize("alpha", (0.5, 1.5, 2.5))  # m = 1, 2, 3
+    def test_one_integral_call_per_derivative(self, alpha, monkeypatch):
+        calls = []
+        real = orc.rl_integral_quad
+
+        def counting(f, beta, t, cfg=CFG):
+            calls.append(len(t))
+            return real(f, beta, t, cfg)
+
+        monkeypatch.setattr(orc, "rl_integral_quad", counting)
+        rows = (math.floor(alpha) + 2) * CFG.richardson_levels
+        orc.rl_derivative_quad(Integrand.from_family(Exp(1.0)), alpha, 2.0, CFG)
+        assert calls == [rows]
+        calls.clear()
+        orc.weyl_derivative_quad(0.5, alpha, 2.0, CFG)
+        assert calls == [rows]
+
+
 class TestRlDerivativeQuad:
     def test_square(self):
         r = orc.rl_derivative_quad(Integrand.from_family(Power(2.0)), 0.5, 1.0, CFG)
