@@ -31,7 +31,6 @@ from .model import (
     Exp,
     FunctionFamily,
     OperatorKind,
-    OperatorSpec,
     Power,
     PowerLog,
     parse_family,
@@ -50,7 +49,6 @@ __all__ = [
     "FunctionFamily",
     "Integrand",
     "OperatorKind",
-    "OperatorSpec",
     "PoleError",
     "Power",
     "PowerLog",

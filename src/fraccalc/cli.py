@@ -16,6 +16,7 @@ within ``step * 1e-9``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import get_type_hints
@@ -44,6 +45,8 @@ def _range_arg(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"range {text!r} has a non-numeric part") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"range {text!r} has a non-finite part")
     if step <= 0.0:
         raise argparse.ArgumentTypeError(f"range step must be > 0, got {step!r}")
     if stop < start:
@@ -83,6 +86,14 @@ def _load_config(path: str | None) -> QuadConfig:
     return replace(DEFAULT_CONFIG, **overrides)
 
 
+def _write_out(path: str, payload: bytes) -> None:
+    try:
+        with open(path, "wb") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fraccalc",
@@ -108,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", metavar="PATH")
-    p_verify.add_argument("--tol", type=float, help="override the relative tolerance of every check")
     p_verify.add_argument("--config", metavar="PATH")
 
     p_table = sub.add_parser("table", help="closed-vs-oracle sweep as CSV")
@@ -142,11 +152,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    report = run_suite(args.suite, cfg, tol_override=args.tol)
+    report = run_suite(args.suite, cfg)
     payload = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
+        _write_out(args.out, payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
@@ -173,8 +182,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     )
                 )
             )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_out(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -196,8 +204,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 )
             )
         )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_out(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 
 

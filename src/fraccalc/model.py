@@ -1,4 +1,4 @@
-"""Shared domain types: function families, operator descriptors, results."""
+"""Shared domain types: function families, operator kinds, results."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "Exp",
     "FunctionFamily",
     "OperatorKind",
-    "OperatorSpec",
     "Power",
     "PowerLog",
     "parse_family",
@@ -183,45 +182,15 @@ class OperatorKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
-    """Operator kind plus fractional order alpha > 0."""
-
-    kind: OperatorKind
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _check_finite("alpha", self.alpha)
-        if self.alpha <= 0.0:
-            raise DomainError(f"operator order must satisfy alpha > 0, got {self.alpha!r}")
-
-    @property
-    def is_integer_order(self) -> bool:
-        return self.alpha == math.floor(self.alpha)
-
-    @property
-    def m(self) -> int:
-        """Differentiation order for derivative kinds.
-
-        Smallest integer strictly above alpha for fractional orders; alpha
-        itself when the order is a whole number (plain m-th derivative).
-        """
-        if not self.kind.is_derivative:
-            raise DomainError(f"m is defined for derivative kinds only, not {self.kind}")
-        if self.is_integer_order:
-            return int(self.alpha)
-        return int(math.floor(self.alpha)) + 1
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """A single evaluation: value, producing route, and an absolute error bound."""
 
     value: float
-    method: str  # 'closed-form' | 'oracle' | 'literature'
+    method: str  # 'closed-form' | 'oracle'
     abs_err_estimate: float
 
     def __post_init__(self) -> None:
-        if self.method not in ("closed-form", "oracle", "literature"):
+        if self.method not in ("closed-form", "oracle"):
             raise DomainError(f"unknown method tag {self.method!r}")
         if not math.isfinite(self.abs_err_estimate) or self.abs_err_estimate < 0.0:
             raise DomainError(

@@ -25,19 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, StencilError
-from .model import (
-    _EPS,
-    AbsPower,
-    EvalResult,
-    FunctionFamily,
-    OperatorKind,
-)
+from .model import _EPS, AbsPower, EvalResult, FunctionFamily, OperatorKind
 
 __all__ = [
     "Integrand",
@@ -53,52 +48,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Accuracy and budget knobs for every oracle evaluation.
-
-    fd_step_factor is the base central-difference step as a fraction of t.
-    It defaults to 0.1: the step must stay large enough that evaluation
-    noise, amplified by 2**m/h**m, stays under the 1e-9 absolute floor of
-    the derivative checks (an order-3 difference of machine-accurate values
-    needs h**3 > ~1e-6), while Richardson extrapolation removes the O(h**2)
-    truncation error; tiny steps such as 1e-4*t are hopeless for m >= 2.
-    """
+    """Accuracy and budget knobs for every oracle evaluation."""
 
     target_rel_tol: float = 1e-10
     max_nodes: int = 2048
-    fd_step_factor: float = 0.1
-    richardson_levels: int = 3
 
     def __post_init__(self) -> None:
         if not self.target_rel_tol > 0.0:
             raise DomainError(f"target_rel_tol must be > 0, got {self.target_rel_tol!r}")
-        # upper bounds, as both fields can come from a config file: max_nodes
-        # sizes dense n x n eigenproblems, and 4.0**richardson_levels overflows
+        # upper bound, as the field can come from a config file: max_nodes
+        # sizes dense n x n eigenproblems
         if not 16 <= self.max_nodes <= 4096:
             raise DomainError(f"max_nodes must be in [16, 4096], got {self.max_nodes!r}")
-        if not 1 <= self.richardson_levels <= 16:
-            raise DomainError(
-                f"richardson_levels must be in [1, 16], got {self.richardson_levels!r}"
-            )
-        if not 0.0 < self.fd_step_factor < 0.25:
-            raise DomainError(f"fd_step_factor must be in (0, 0.25), got {self.fd_step_factor!r}")
 
 
 DEFAULT_CONFIG = QuadConfig()
 
+# The base central-difference step, as a fraction of t, and the number of
+# Richardson step halvings.  The step must stay large enough that evaluation
+# noise, amplified by 2**m/h**m, stays under the 1e-9 absolute floor of the
+# derivative checks (an order-3 difference of machine-accurate values needs
+# h**3 > ~1e-6), while Richardson extrapolation removes the O(h**2)
+# truncation error; tiny steps such as 1e-4*t are hopeless for m >= 2.
+FD_STEP_FACTOR = 0.1
+RICHARDSON_LEVELS = 3
+
 
 @dataclass(frozen=True)
 class Integrand:
-    """A function on (0, inf) with its origin behavior declared.
+    """A custom function on (0, inf) with its origin behavior declared.
 
-    The evaluator must act elementwise on numpy arrays of any shape: the
-    ladders pass 2-D and 3-D arrays, one row per evaluation point.
-    power_at_zero is the exponent p with f(tau) ~ tau**p near 0 (times log
-    tau when log_at_zero is set); the quadrature uses it to pick the matching
-    Jacobi weight, so the declaration must be honest for the accuracy
-    promises to hold.
+    The four families of model declare the same three attributes, so the
+    oracle takes them as integrands directly.  value must act elementwise on
+    numpy arrays of any shape: the ladders pass 2-D and 3-D arrays, one row
+    per evaluation point.  power_at_zero is the exponent p with f(tau) ~
+    tau**p near 0 (times log tau when log_at_zero is set); the quadrature
+    uses it to pick the matching Jacobi weight, so the declaration must be
+    honest for the accuracy promises to hold.
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray], np.ndarray]
     power_at_zero: float = 0.0
     log_at_zero: bool = False
 
@@ -107,10 +96,6 @@ class Integrand:
             raise DomainError(
                 f"integrand must be integrable at 0: power_at_zero > -1, got {self.power_at_zero!r}"
             )
-
-    @classmethod
-    def from_family(cls, family: FunctionFamily) -> "Integrand":
-        return cls(family.value, family.power_at_zero, family.log_at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +168,13 @@ def _row_ladder(
     params: Sequence,
     cfg: QuadConfig,
     floors: Sequence[float] | None = None,
-    tiny: float = 0.0,
 ) -> list[tuple[float, float]] | None:
     """Climb rules of n, 2n, ... <= n_max nodes for all rows of params at once.
 
     rule(n) is a rule (points, weights); phi(points, p) evaluates the rows p of
     params there, one block per row; reduce(weights, block) integrates a block.
-    Each row stops at its first rung within max(target_rel_tol * max(|current|,
-    tiny), its floor) of the one before.  None when the rungs run out first.
+    Each row stops at its first rung within max(target_rel_tol * |current|,
+    its floor) of the one before.  None when the rungs run out first.
     """
     done: list = [None] * len(params)
     rows = range(len(params))
@@ -204,7 +188,7 @@ def _row_ladder(
             if previous:
                 diff = abs(value - previous[j])
                 floor = floors[row] if floors else 0.0
-                if diff <= max(cfg.target_rel_tol * max(abs(value), tiny), floor):
+                if diff <= max(cfg.target_rel_tol * abs(value), floor):
                     done[row] = (value, diff + 16.0 * _EPS * abs(value) + floor)
                     continue
             current.append(value)
@@ -252,7 +236,7 @@ def _panel_gauss_ladder(
 
     # np.add.reduce(axis=None) is what np.sum calls, without its Python-level dispatch
     reduce = lambda w, block: np.add.reduce(w * block, axis=None)
-    done = _row_ladder(rule, 8, 4 * cfg.max_nodes // n_panels, reduce, fn, params, cfg, tiny=1e-300)
+    done = _row_ladder(rule, 8, 4 * cfg.max_nodes // n_panels, reduce, fn, params, cfg)
     if done is None:
         raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
     return done
@@ -262,7 +246,7 @@ def _panel_gauss_ladder(
 # lower-limit-zero operators
 
 def rl_integral_quad(
-    f: Integrand, alpha: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
+    f: Integrand | FunctionFamily, alpha: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
 ) -> EvalResult | list[EvalResult]:
     """Order-alpha fractional integral from 0 by weighted quadrature.
 
@@ -285,16 +269,16 @@ def rl_integral_quad(
     p = f.power_at_zero
     if not f.log_at_zero:
         if p == 0.0:
-            rows = _jacobi_ladder(lambda s, tc: f.evaluator(tc * s), ts, alpha - 1.0, 0.0, cfg)
+            rows = _jacobi_ladder(lambda s, tc: f.value(tc * s), ts, alpha - 1.0, 0.0, cfg)
         else:
             rows = _jacobi_ladder(
-                lambda s, tc: f.evaluator(tc * s) * s ** (-p), ts, alpha - 1.0, p, cfg
+                lambda s, tc: f.value(tc * s) * s ** (-p), ts, alpha - 1.0, p, cfg
             )
     else:
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
         upper = _jacobi_ladder(
-            lambda u, tc: f.evaluator(tc * (0.5 + 0.5 * u)), ts, alpha - 1.0, 0.0, cfg
+            lambda u, tc: f.value(tc * (0.5 + 0.5 * u)), ts, alpha - 1.0, 0.0, cfg
         )
         scale_hi = 0.5**alpha
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
@@ -303,7 +287,7 @@ def rl_integral_quad(
 
         def lower(x: np.ndarray, tc: np.ndarray) -> np.ndarray:
             s = 0.5 * np.exp(-x)
-            return (1.0 - s) ** (alpha - 1.0) * f.evaluator(tc * s) * s
+            return (1.0 - s) ** (alpha - 1.0) * f.value(tc * s) * s
 
         lowers = _panel_gauss_ladder(lower, ts[:, :, None], 0.0, x_cut, cfg)
         rows = [(scale_hi * v + vl, scale_hi * e + el) for (v, e), (vl, el) in zip(upper, lowers)]
@@ -334,7 +318,7 @@ def _richardson(samples: list[float]) -> tuple[float, float]:
 
 def _stencil_derivative(
     name: str,
-    f: Integrand,
+    f: Integrand | FunctionFamily,
     alpha: float,
     t: float,
     cfg: QuadConfig,
@@ -347,8 +331,8 @@ def _stencil_derivative(
     rl_integral_quad call, plus, when given, a tail term: tail(beta, coeffs,
     points, steps) returns, for each level i, sum_k coeffs[k] * T(points[i][k])
     for the order-beta tail T, and its error.  The differences over a
-    symmetric stencil of base width cfg.fd_step_factor * t are
-    Richardson-extrapolated over cfg.richardson_levels step halvings.
+    symmetric stencil of base width FD_STEP_FACTOR * t are
+    Richardson-extrapolated over RICHARDSON_LEVELS step halvings.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
@@ -362,10 +346,10 @@ def _stencil_derivative(
     m = int(math.floor(alpha)) + 1
     beta_order = m - alpha
     coeffs, offsets = _central_stencil(m)
-    h0 = cfg.fd_step_factor * t
+    h0 = FD_STEP_FACTOR * t
     if t - m * h0 <= 0.0:
         raise StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={t!r}")
-    steps = [h0 / 2.0**i for i in range(cfg.richardson_levels)]
+    steps = [h0 / 2.0**i for i in range(RICHARDSON_LEVELS)]
     points = [[t + o * h for o in offsets] for h in steps]
     integrals = rl_integral_quad(f, beta_order, [x for level in points for x in level], cfg)
     tails = tail(beta_order, coeffs, points, steps) if tail is not None else None
@@ -382,31 +366,63 @@ def _stencil_derivative(
             total += tail_value
         samples.append(total / h**m)
     value, spread = _richardson(samples)
-    h_min = h0 / 2.0 ** (cfg.richardson_levels - 1)
+    h_min = h0 / 2.0 ** (RICHARDSON_LEVELS - 1)
     noise = 2.0**m * worst_quad_err / h_min**m
     return EvalResult(value, "oracle", spread + noise + 64.0 * _EPS * abs(value))
 
 
 def rl_derivative_quad(
-    f: Integrand, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
+    f: Integrand | FunctionFamily, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> EvalResult:
     """Order-alpha fractional derivative from 0 by differencing the integral.
 
     With m the smallest integer above alpha, evaluates the order (m - alpha)
-    integral on a symmetric stencil of base width cfg.fd_step_factor * t and
+    integral on a symmetric stencil of base width FD_STEP_FACTOR * t and
     applies the order-m central difference, Richardson-extrapolated over
-    cfg.richardson_levels step halvings.
+    RICHARDSON_LEVELS step halvings.
     """
     return _stencil_derivative("rl_derivative_quad", f, alpha, t, cfg)
 
 
 # ---------------------------------------------------------------------------
-# Weyl (lower limit -inf) operators for |t|**(-delta)
+# tails over (0, inf), and the Weyl (lower limit -inf) operators for |t|**(-delta)
 
-def _weyl_tail_map(t: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = s t / (1-s) maps (0,1) -> (0,inf); returns (u, du/ds)."""
-    one_minus = 1.0 - s
-    return s * t / one_minus, t / one_minus**2
+def _tail_integrand(t: float, kernel: RowFn, beta_exp: float, w_right: float) -> RowFn:
+    """integral_0^inf kernel(u, rows) u**beta_exp du as a Jacobi-weighted integral on (0, 1).
+
+    u = s t/(1-s) maps (0, 1) onto (0, inf).  The returned integrand is
+    divided by the weight (1-s)**w_right s**beta_exp, which the rule of the
+    caller supplies; w_right is the decay exponent of the whole integrand at
+    s = 1, and each caller computes it from its own exponents.
+    """
+
+    def phi(s: np.ndarray, rows: Sequence) -> np.ndarray:
+        one_minus = 1.0 - s
+        u = s * t / one_minus
+        du = t / one_minus**2
+        return kernel(u, rows) * u**beta_exp * du * one_minus ** (-w_right) * s ** (-beta_exp)
+
+    return phi
+
+
+def tail_power_quad(
+    a_exp: float, beta_exp: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
+) -> EvalResult:
+    """Direct numerical value of integral_0^inf (t+u)**a_exp u**beta_exp du.
+
+    After u = s t/(1-s) the endpoint exponents are -a_exp-beta_exp-2 at s=1
+    and beta_exp at s=0.
+    """
+    if not a_exp < -beta_exp - 1.0 < 0.0:
+        raise DomainError(
+            f"tail_power_quad requires a_exp < -beta_exp-1 < 0, got a_exp={a_exp!r}, beta_exp={beta_exp!r}"
+        )
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"tail_power_quad requires t > 0, got {t!r}")
+    w_right = -a_exp - beta_exp - 2.0
+    phi = _tail_integrand(t, lambda u, ts: (ts + u) ** a_exp, beta_exp, w_right)
+    [(value, err)] = _jacobi_ladder(phi, np.array([[t]]), w_right, beta_exp, cfg)
+    return EvalResult(value, "oracle", err)
 
 
 def weyl_integral_quad(
@@ -415,9 +431,9 @@ def weyl_integral_quad(
     """Weyl fractional integral of |tau|**(-delta) at t > 0, formula-free.
 
     Split at 0: the (0, t) part is the lower-limit-zero integral of
-    tau**(-delta); the (-inf, 0) part becomes, via u = -tau and then
-    u = s t/(1-s), a Jacobi-weighted integral on (0, 1) with exponents
-    delta-alpha-1 at s=1 (tail decay) and -delta at s=0.
+    tau**(-delta); the (-inf, 0) part becomes, via u = -tau, the tail
+    integral of (t+u)**(alpha-1) u**(-delta), with exponents delta-alpha-1
+    at s=1 (tail decay) and -delta at s=0.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_integral_quad requires delta in (0,1), got {delta!r}")
@@ -428,16 +444,10 @@ def weyl_integral_quad(
         )
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"weyl_integral_quad requires t > 0, got {t!r}")
-    near = rl_integral_quad(Integrand.from_family(AbsPower(delta)), alpha, t, cfg)
+    near = rl_integral_quad(AbsPower(delta), alpha, t, cfg)
     w_right = delta - alpha - 1.0
-    w_left = -delta
-
-    def phi(s: np.ndarray, _: Sequence) -> np.ndarray:
-        u, du = _weyl_tail_map(t, s)
-        raw = (t + u) ** (alpha - 1.0) * u ** (-delta) * du
-        return [raw * (1.0 - s) ** (-w_right) * s ** (-w_left)]
-
-    [(tail, tail_err)] = _jacobi_ladder(phi, [t], w_right, w_left, cfg)
+    phi = _tail_integrand(t, lambda u, ts: (ts + u) ** (alpha - 1.0), -delta, w_right)
+    [(tail, tail_err)] = _jacobi_ladder(phi, np.array([[t]]), w_right, -delta, cfg)
     c = 1.0 / math.gamma(alpha)
     return EvalResult(near.value + c * tail, "oracle", near.abs_err_estimate + c * tail_err)
 
@@ -458,7 +468,6 @@ def weyl_derivative_quad(
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_quad requires delta in (0,1), got {delta!r}")
     w_right = alpha + delta - 1.0
-    w_left = -delta
 
     def tail(
         beta_order: float, coeffs: list[float], points: list[list[float]], steps: list[float]
@@ -466,57 +475,29 @@ def weyl_derivative_quad(
         # one row per Richardson level: its step, the low end of its stencil, its points
         levels = np.array([[h, min(level), *level] for h, level in zip(steps, points)])
 
-        def phi(s: np.ndarray, rows: np.ndarray, unsigned: bool = False) -> np.ndarray:
-            u, du = _weyl_tail_map(t, s)
+        def kernel(u: np.ndarray, rows: np.ndarray, unsigned: bool = False) -> np.ndarray:
             if len(coeffs) == 2 and not unsigned:
                 # m = 1: first difference of A**(beta-1) via expm1/log1p, no cancellation
                 a_low = rows[:, 1:2] + u
-                kernel = a_low ** (beta_order - 1.0) * np.expm1(
+                return a_low ** (beta_order - 1.0) * np.expm1(
                     (beta_order - 1.0) * np.log1p(rows[:, :1] / a_low)
                 )
-            else:
-                kernel = 0.0
-                for k, c in enumerate(coeffs):
-                    weight = abs(c) if unsigned else c
-                    kernel = kernel + weight * (rows[:, k + 2 : k + 3] + u) ** (beta_order - 1.0)
-            return kernel * u ** (-delta) * du * (1.0 - s) ** (-w_right) * s ** (-w_left)
+            total = 0.0
+            for k, c in enumerate(coeffs):
+                weight = abs(c) if unsigned else c
+                total = total + weight * (rows[:, k + 2 : k + 3] + u) ** (beta_order - 1.0)
+            return total
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
-        nodes, weights = gauss_jacobi_01(32, w_right, w_left)
-        scales = phi(nodes, levels, unsigned=True)
+        nodes, weights = gauss_jacobi_01(32, w_right, -delta)
+        scales = _tail_integrand(t, partial(kernel, unsigned=True), -delta, w_right)(nodes, levels)
         floors = [64.0 * _EPS * abs(float(np.dot(weights, row))) for row in scales]
         prefactor = 1.0 / math.gamma(beta_order)
-        rows = _jacobi_ladder(phi, levels, w_right, w_left, cfg, abs_floor=floors)
+        phi = _tail_integrand(t, kernel, -delta, w_right)
+        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, abs_floor=floors)
         return [(prefactor * value, prefactor * err) for value, err in rows]
 
-    near = Integrand.from_family(AbsPower(delta))
-    return _stencil_derivative("weyl_derivative_quad", near, alpha, t, cfg, tail)
-
-
-def tail_power_quad(
-    a_exp: float, beta_exp: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> EvalResult:
-    """Direct numerical value of integral_0^inf (t+u)**a_exp u**beta_exp du.
-
-    Same u = s t/(1-s) transform as the Weyl tail; endpoint exponents are
-    -a_exp-beta_exp-2 at s=1 and beta_exp at s=0.
-    """
-    if not a_exp < -beta_exp - 1.0 < 0.0:
-        raise DomainError(
-            f"tail_power_quad requires a_exp < -beta_exp-1 < 0, got a_exp={a_exp!r}, beta_exp={beta_exp!r}"
-        )
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"tail_power_quad requires t > 0, got {t!r}")
-    w_right = -a_exp - beta_exp - 2.0
-    w_left = beta_exp
-
-    def phi(s: np.ndarray, _: Sequence) -> np.ndarray:
-        u, du = _weyl_tail_map(t, s)
-        raw = (t + u) ** a_exp * u**beta_exp * du
-        return [raw * (1.0 - s) ** (-w_right) * s ** (-w_left)]
-
-    [(value, err)] = _jacobi_ladder(phi, [t], w_right, w_left, cfg)
-    return EvalResult(value, "oracle", err)
+    return _stencil_derivative("weyl_derivative_quad", AbsPower(delta), alpha, t, cfg, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +514,9 @@ def oracle_eval(
     kind = OperatorKind(kind)
     kind.check_pairing(family)
     if kind is OperatorKind.RL_INTEGRAL:
-        return rl_integral_quad(Integrand.from_family(family), alpha, t, cfg)
+        return rl_integral_quad(family, alpha, t, cfg)
     if kind is OperatorKind.RL_DERIVATIVE:
-        return rl_derivative_quad(Integrand.from_family(family), alpha, t, cfg)
+        return rl_derivative_quad(family, alpha, t, cfg)
     if kind is OperatorKind.WEYL_INTEGRAL:
         return weyl_integral_quad(family.delta, alpha, t, cfg)
     return weyl_derivative_quad(family.delta, alpha, t, cfg)

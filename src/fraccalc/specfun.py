@@ -29,7 +29,6 @@ __all__ = [
     "digamma",
     "gamma",
     "gamma_ratio",
-    "log_gamma",
     "lower_incomplete_gamma",
     "mittag_leffler",
     "pochhammer",
@@ -89,14 +88,6 @@ def gamma(z: float) -> float:
         return math.gamma(z)
     except ValueError as exc:
         raise PoleError(f"gamma pole at z={z!r}") from exc
-
-
-def log_gamma(z: float) -> float:
-    """log(gamma(z)) for z > 0."""
-    z = _require_finite("z", z)
-    if z <= 0.0:
-        raise DomainError(f"log_gamma requires z > 0, got {z!r}")
-    return math.lgamma(z)
 
 
 def reciprocal_gamma(z: float) -> float:
@@ -215,10 +206,12 @@ def mittag_leffler(mu: float, nu: float, z: float) -> float:
     once three consecutive terms fall below 1e-16 of the running sum.
 
     Restricted to |z| <= ML_Z_MAX with at most ML_MAX_TERMS terms; within that
-    window the relative error is ~1e-13 for z >= 0, degrading gracefully by
-    cancellation for increasingly negative z (about 1e-12 at z = -5).  Full
-    accuracy for large negative z is out of reach for any double-precision
-    summation of this series.
+    window the relative error is ~1e-13 for z >= 0.  For negative z the
+    alternating terms cancel: with mu = 1 and nu in [1.1, 3.5] the relative
+    error is ~3e-13 at z = -5, ~1e-4 at z = -20 and above 1e9 at z = -50.
+    The loss comes from direct summation, not from double precision: for
+    mu = 1, Kummer's transformation E_{1,nu}(z) = e**z 1F1(nu-1; nu; -z) /
+    gamma(nu) gives a series of positive terms for z < 0 and nu > 1.
     """
     mu = _require_finite("mu", mu)
     nu = _require_finite("nu", nu)

@@ -29,7 +29,6 @@ from .errors import DomainError, FracCalcError, UnknownSuiteError
 from .model import AbsPower, Exp, OperatorKind, Power, PowerLog
 from .oracle import (
     DEFAULT_CONFIG,
-    Integrand,
     QuadConfig,
     _central_stencil,
     _richardson,
@@ -289,7 +288,6 @@ def _suite_rl(
     for alpha in ALPHAS:
         for p in params:
             family = family_type(p)
-            integrand = Integrand.from_family(family)
             for t in TS:
                 inputs = {"alpha": alpha, key: p, "t": t}
                 for op, kind, quad, tol, atol in (
@@ -301,8 +299,8 @@ def _suite_rl(
                         _Check(
                             f"{suite}/{op}/alpha={alpha:g}/{key}={p:g}/t={t:g}",
                             inputs,
-                            lambda a=alpha, t=t, fam=family, f=integrand, k=kind, q=quad: (
-                                q(f, a, t, cfg).value,
+                            lambda a=alpha, t=t, fam=family, k=kind, q=quad: (
+                                q(fam, a, t, cfg).value,
                                 cf.closed_value(k, a, fam, t),
                             ),
                             tol,
@@ -525,16 +523,15 @@ _SUITE_BUILDERS: dict[str, Callable[[QuadConfig], tuple[str, list[_Check]]]] = {
 SUITE_NAMES = tuple(_SUITE_BUILDERS) + ("all",)
 
 
-def _execute(check: _Check, tol_override: float | None) -> CheckRecord | SkippedCheck:
+def _execute(check: _Check) -> CheckRecord | SkippedCheck:
     if check.skip_reason:
         return SkippedCheck(check.check_id, check.inputs, check.skip_reason)
-    tol = check.tol if tol_override is None else tol_override
     try:
         outcome = check.thunk()
     except (FracCalcError, OverflowError) as exc:
         nan = float("nan")
         return CheckRecord(
-            check.check_id, check.inputs, nan, nan, nan, nan, tol,
+            check.check_id, check.inputs, nan, nan, nan, nan, check.tol,
             passed=False, note=f"{type(exc).__name__}: {exc}",
         )
     if len(outcome) == 2:
@@ -545,20 +542,14 @@ def _execute(check: _Check, tol_override: float | None) -> CheckRecord | Skipped
     lhs, rhs = float(lhs), float(rhs)
     abs_diff = abs(lhs - rhs)
     rel_diff = abs_diff / max(abs(lhs), abs(rhs), _TINY)
-    passed = (rel_diff <= tol or abs_diff <= check.atol) if forced is None else bool(forced)
-    return CheckRecord(check.check_id, check.inputs, lhs, rhs, abs_diff, rel_diff, tol, passed, note)
+    passed = (rel_diff <= check.tol or abs_diff <= check.atol) if forced is None else bool(forced)
+    return CheckRecord(
+        check.check_id, check.inputs, lhs, rhs, abs_diff, rel_diff, check.tol, passed, note
+    )
 
 
-def run_suite(
-    name: str,
-    cfg: QuadConfig = DEFAULT_CONFIG,
-    tol_override: float | None = None,
-) -> VerificationReport:
-    """Run one named suite (or 'all') over the default grid.
-
-    tol_override replaces every check's relative tolerance; absolute floors
-    are left alone.
-    """
+def run_suite(name: str, cfg: QuadConfig = DEFAULT_CONFIG) -> VerificationReport:
+    """Run one named suite (or 'all') over the default grid."""
     started = time.perf_counter()
     if name == "all":
         parts = []
@@ -578,7 +569,7 @@ def run_suite(
     records: list[CheckRecord] = []
     skipped: list[SkippedCheck] = []
     for check in checks:
-        result = _execute(check, tol_override)
+        result = _execute(check)
         if isinstance(result, SkippedCheck):
             skipped.append(result)
         else:

@@ -33,6 +33,27 @@ class TestRangeGrammar:
             with pytest.raises(argparse.ArgumentTypeError):
                 _range_arg(bad)
 
+    # each used to loop forever, growing the list until MemoryError
+    @pytest.mark.parametrize("bad", ("nan", "inf"))
+    def test_non_finite_start_is_usage_error(self, bad, capsys):
+        self._assert_usage_error(f"{bad}:2:0.5", capsys)
+
+    @pytest.mark.parametrize("bad", ("nan", "inf"))
+    def test_non_finite_stop_is_usage_error(self, bad, capsys):
+        self._assert_usage_error(f"0.5:{bad}:0.5", capsys)
+
+    @pytest.mark.parametrize("bad", ("nan", "inf"))
+    def test_non_finite_step_is_usage_error(self, bad, capsys):
+        self._assert_usage_error(f"0.5:2:{bad}", capsys)
+
+    @staticmethod
+    def _assert_usage_error(text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--op", "rl-int", "--fn", "power:gamma=0.5", "--alpha-range",
+                  "0.5:0.5:0.1", "--t-range", text, "--out", "unused.csv"])
+        assert exc.value.code == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestEval:
     def test_closed_and_oracle_agree_within_printed_error(self, capsys):
@@ -85,7 +106,7 @@ class TestEval:
         assert code == 4
         assert "convergence" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ("richardson_levels = 600", "max_nodes = 1000000"))
+    @pytest.mark.parametrize("setting", ("max_nodes = 1000000",))
     def test_unbounded_config_value_is_domain_error(self, tmp_path, capsys, setting):
         config = tmp_path / "quad.cfg"
         config.write_text(setting + "\n")
@@ -98,7 +119,7 @@ class TestEval:
 
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path):
         config = tmp_path / "quad.cfg"
-        config.write_text("richardson_levels = 2.5\n")
+        config.write_text("max_nodes = 2.5\n")
         assert main(["verify", "--suite", "lemmas", "--config", str(config)]) == 2
 
     def test_usage_error_on_bad_op(self):
@@ -128,13 +149,6 @@ class TestVerifyCommand:
         out = tmp_path / "report.csv"
         assert main(["verify", "--suite", "rl-power", "--format", "csv", "--out", str(out)]) == 1
 
-    def test_tol_override_flag(self, tmp_path):
-        out = tmp_path / "report.csv"
-        code = main(
-            ["verify", "--suite", "specfun", "--format", "csv", "--tol", "1e-30", "--out", str(out)]
-        )
-        assert code == 1
-
     def test_unknown_suite_is_usage_error(self):
         result = run_cli("verify", "--suite", "nope")
         assert result.returncode == 2
@@ -147,6 +161,14 @@ class TestVerifyCommand:
         config = tmp_path / "quad.cfg"
         config.write_text("bogus_knob = 3\n")
         assert main(["verify", "--suite", "lemmas", "--config", str(config)]) == 2
+
+    # the differencing step and Richardson depth are fixed constants, not settings
+    @pytest.mark.parametrize("setting", ("fd_step_factor = 0.1", "richardson_levels = 3"))
+    def test_stencil_keys_are_unknown(self, tmp_path, capsys, setting):
+        config = tmp_path / "quad.cfg"
+        config.write_text(setting + "\n")
+        assert main(["verify", "--suite", "lemmas", "--config", str(config)]) == 2
+        assert setting.split()[0] in capsys.readouterr().err
 
     def test_config_overrides_apply(self, tmp_path):
         config = tmp_path / "quad.cfg"
@@ -200,6 +222,24 @@ class TestCompareCommand:
             )
             assert abs(float(fields[5])) < 1e-6
             assert fields[7] == "corrected"
+
+
+class TestUnwritableOut:
+    # exit 1 means verification failure, so a path that cannot be written is a usage error
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["verify", "--suite", "lemmas", "--format", "csv"],
+            ["table", "--op", "rl-int", "--fn", "power:gamma=0.5", "--alpha-range", "0.5:0.5:0.1",
+             "--t-range", "1:1:1"],
+            ["compare", "--delta", "0.5", "--alpha", "0.25", "--t-range", "1:1:1"],
+        ),
+        ids=("verify", "table", "compare"),
+    )
+    def test_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "r.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"fraccalc: error: cannot write {str(out)!r}" in capsys.readouterr().err
 
 
 class TestHelp:

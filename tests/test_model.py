@@ -1,4 +1,4 @@
-"""Domain types: family invariants, operator descriptor, parsing, pairing."""
+"""Domain types: family invariants, operator kinds, parsing, pairing."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from fraccalc.model import (
     EvalResult,
     Exp,
     OperatorKind,
-    OperatorSpec,
     Power,
     PowerLog,
     parse_family,
@@ -66,23 +65,7 @@ class TestParseFamily:
         assert (AbsPower(0.4).power_at_zero, AbsPower(0.4).log_at_zero) == (-0.4, False)
 
 
-class TestOperatorSpec:
-    def test_m_for_fractional_orders(self):
-        assert OperatorSpec(OperatorKind.RL_DERIVATIVE, 0.5).m == 1
-        assert OperatorSpec(OperatorKind.RL_DERIVATIVE, 1.5).m == 2
-        assert OperatorSpec(OperatorKind.WEYL_DERIVATIVE, 2.5).m == 3
-
-    def test_m_for_integer_orders_is_alpha_itself(self):
-        assert OperatorSpec(OperatorKind.RL_DERIVATIVE, 2.0).m == 2
-
-    def test_m_undefined_for_integrals(self):
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.RL_INTEGRAL, 0.5).m
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(DomainError):
-            OperatorSpec(OperatorKind.RL_INTEGRAL, 0.0)
-
+class TestOperatorKind:
     def test_kind_predicates(self):
         assert OperatorKind.WEYL_DERIVATIVE.is_weyl
         assert OperatorKind.WEYL_DERIVATIVE.is_derivative
@@ -92,8 +75,10 @@ class TestOperatorSpec:
 class TestEvalResult:
     def test_invariants(self):
         EvalResult(1.0, "oracle", 0.0)
-        with pytest.raises(DomainError):
-            EvalResult(1.0, "guess", 0.0)
+        EvalResult(1.0, "closed-form", 0.0)
+        for tag in ("guess", "literature"):
+            with pytest.raises(DomainError):
+                EvalResult(1.0, tag, 0.0)
         with pytest.raises(DomainError):
             EvalResult(1.0, "oracle", -1.0)
         with pytest.raises(DomainError):

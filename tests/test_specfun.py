@@ -78,21 +78,6 @@ class TestGamma:
         assert sf.gamma(z + 1.0) == pytest.approx(z * sf.gamma(z), rel=1e-12)
 
 
-class TestLogGamma:
-    def test_trivial_zeros(self):
-        assert sf.log_gamma(1.0) == 0.0
-        assert sf.log_gamma(2.0) == 0.0
-
-    def test_half(self):
-        assert sf.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.log_gamma(0.0)
-        with pytest.raises(DomainError):
-            sf.log_gamma(-1.5)
-
-
 class TestDigamma:
     def test_recurrence_at_one(self):
         assert sf.digamma(2.0) - sf.digamma(1.0) == pytest.approx(1.0, abs=1e-13)
