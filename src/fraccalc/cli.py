@@ -29,6 +29,10 @@ from .verify import SUITE_NAMES, _fmt, emit_report, falsification_margin, run_su
 
 _OP_TOKENS = tuple(kind.value for kind in OperatorKind)
 
+# Points per range: table crosses two ranges, so its rows, held in memory until
+# written, stay below a million.
+RANGE_MAX_POINTS = 1000
+
 
 def _family_arg(text: str) -> FunctionFamily:
     try:
@@ -51,8 +55,12 @@ def _range_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"range step must be > 0, got {step!r}")
     if stop < start:
         raise argparse.ArgumentTypeError(f"range {text!r} is empty (stop < start)")
-    values = []
     eps = step * 1e-9
+    span = (stop + eps - start) / step
+    if not span < RANGE_MAX_POINTS:
+        count = f"{span + 1.0:.0f}" if math.isfinite(span) else "over 1e308"
+        raise argparse.ArgumentTypeError(f"range {text!r} has {count} points, more than {RANGE_MAX_POINTS}")
+    values = []
     i = 0
     while True:
         v = start + i * step

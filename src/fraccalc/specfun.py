@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 
-from scipy import special as _sp
-
 from .errors import ConvergenceError, DomainError, PoleError
+from .model import _EPS
 
 __all__ = [
+    "INCGAMMA_MAX_TERMS",
     "ML_MAX_TERMS",
     "ML_Z_MAX",
     "beta",
@@ -41,6 +41,11 @@ __all__ = [
 # instead of a silently inaccurate value.
 ML_Z_MAX = 50.0
 ML_MAX_TERMS = 400
+
+# Terms of the incomplete-gamma series or continued fraction; both need about
+# sqrt(alpha) near z = alpha, so the cap is reached only past alpha ~ 10**4,
+# where gamma(alpha) has long left double range.
+INCGAMMA_MAX_TERMS = 1000
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -180,8 +185,29 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+def _power_times_exp(a: float, z: float, factor: float) -> float:
+    """z**a * exp(-z) * factor for z, factor > 0, to a few ulps, without an intermediate overflow.
+
+    Splits into 2**j equal factors that each stay in range; a power of two
+    divides a and z exactly.  Raises OverflowError when the result does not fit.
+    """
+    m = 1
+    while abs(a * math.log(z)) > 700.0 * m or z > 700.0 * m:
+        m *= 2
+    return (z ** (a / m) * math.exp(-z / m) * factor ** (1.0 / m)) ** m
+
+
 def lower_incomplete_gamma(alpha: float, z: float) -> float:
-    """Lower incomplete gamma integral of t^(alpha-1) e^(-t) over (0, z)."""
+    """Lower incomplete gamma integral of t^(alpha-1) e^(-t) over (0, z).
+
+    For z < alpha + 1 the series z**alpha e**-z sum_k z**k / (alpha (alpha+1)
+    ... (alpha+k)) (DLMF 8.7.1); otherwise gamma(alpha) minus the upper
+    function, from Legendre's continued fraction
+    z**alpha e**-z / (z+1-alpha - 1(1-alpha)/(z+3-alpha - 2(2-alpha)/(...)))
+    by the modified Lentz method.  Raises ConvergenceError when
+    INCGAMMA_MAX_TERMS terms do not settle either, and OverflowError when the
+    value exceeds double range.
+    """
     alpha = _require_finite("alpha", alpha)
     z = _require_finite("z", z)
     if alpha <= 0.0:
@@ -190,12 +216,51 @@ def lower_incomplete_gamma(alpha: float, z: float) -> float:
         raise DomainError(f"lower_incomplete_gamma requires z >= 0, got {z!r}")
     if z == 0.0:
         return 0.0
-    regularized = float(_sp.gammainc(alpha, z))
+    if z < alpha + 1.0:
+        term = total = 1.0 / alpha
+        for k in range(1, INCGAMMA_MAX_TERMS):
+            term *= z / (alpha + k)
+            total += term
+            if term <= 0.5 * _EPS * total:
+                return _power_times_exp(alpha, z, total)
+        raise _incgamma_unsettled(alpha, z)
+    tiny = 1e-300
+    b = z + 1.0 - alpha
+    c = 1.0 / tiny
+    d = 1.0 / b
+    fraction = d
+    for k in range(1, INCGAMMA_MAX_TERMS):
+        an = -k * (k - alpha)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        ratio = c * d
+        fraction *= ratio
+        if abs(ratio - 1.0) <= _EPS:
+            break
+    else:
+        raise _incgamma_unsettled(alpha, z)
     if alpha < 170.0:
-        return regularized * math.gamma(alpha)
-    if regularized == 0.0:
-        return 0.0
-    return math.exp(math.lgamma(alpha) + math.log(regularized))
+        return math.gamma(alpha) - _power_times_exp(alpha, z, fraction)
+    # gamma(alpha) = gamma(alpha - 3) (alpha-1)(alpha-2)(alpha-3), whose first
+    # factor stays in range up to alpha = 174.6; the value is at least
+    # gamma(alpha)/2, past double range from alpha = 172 on
+    base = math.gamma(alpha - 3.0)
+    rising = (alpha - 1.0) * (alpha - 2.0) * (alpha - 3.0)
+    value = base * (rising - _power_times_exp(alpha, z, fraction / base))
+    if math.isinf(value):
+        raise OverflowError(f"lower_incomplete_gamma({alpha!r}, {z!r}) exceeds double range")
+    return value
+
+
+def _incgamma_unsettled(alpha: float, z: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"lower_incomplete_gamma did not settle within {INCGAMMA_MAX_TERMS} terms "
+        f"(alpha={alpha!r}, z={z!r})"
+    )
 
 
 def mittag_leffler(mu: float, nu: float, z: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: grammar, exit codes, output contracts."""
 
+import argparse
 import math
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from fraccalc import closed_forms as cf
-from fraccalc.cli import _range_arg, main
+from fraccalc.cli import RANGE_MAX_POINTS, _range_arg, main
 
 
 def run_cli(*argv):
@@ -27,8 +28,6 @@ class TestRangeGrammar:
         assert _range_arg("1:1:0.5") == [1.0]
 
     def test_rejects_bad_forms(self):
-        import argparse
-
         for bad in ("1:2", "1:2:0", "2:1:0.5", "a:b:c"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _range_arg(bad)
@@ -53,6 +52,29 @@ class TestRangeGrammar:
                   "0.5:0.5:0.1", "--t-range", text, "--out", "unused.csv"])
         assert exc.value.code == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestRangeCap:
+    # the point count is checked before any point is built: these ranges used to
+    # grow their list until MemoryError
+    def test_table_range_over_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--op", "rl-int", "--fn", "exp:lambda=1", "--alpha-range",
+                  "0.5:0.5:1", "--t-range", "0.5:1e12:1e-3", "--out", "unused.csv"])
+        assert exc.value.code == 2
+        assert "999999999999501 points" in capsys.readouterr().err
+
+    def test_compare_range_over_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--delta", "0.5", "--alpha", "0.25", "--t-range",
+                  "0.5:1e300:1e-300", "--out", "unused.csv"])
+        assert exc.value.code == 2
+        assert "more than" in capsys.readouterr().err
+
+    def test_cap_is_inclusive(self):
+        assert len(_range_arg(f"1:{RANGE_MAX_POINTS}:1")) == RANGE_MAX_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match=f"{RANGE_MAX_POINTS + 1} points"):
+            _range_arg(f"0:{RANGE_MAX_POINTS}:1")
 
 
 class TestEval:
@@ -240,6 +262,33 @@ class TestUnwritableOut:
         out = tmp_path / "missing" / "r.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert f"fraccalc: error: cannot write {str(out)!r}" in capsys.readouterr().err
+
+
+class TestNumpyOnlyRuntime:
+    # scipy set to None in sys.modules makes every import of it fail
+    SCRIPT = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from fraccalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["verify", "--suite", "all", "--format", "csv", "--out", sys.argv[1]]),
+        main(["eval", "--op", "rl-der", "--alpha", "0.5", "--fn", "exp:lambda=1",
+              "--t", "1", "--method", "both"]),
+    ]
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+print(codes, loaded)
+"""
+
+    def test_verify_and_eval_run_without_scipy(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "report.csv")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[0, 0] []"
+        assert (tmp_path / "report.csv").stat().st_size > 0
 
 
 class TestHelp:

@@ -46,11 +46,66 @@ class TestGaussJacobiRule:
     def test_matches_scipy_reference(self):
         from scipy.special import roots_jacobi
 
-        a, b, n = 0.3, -0.4, 24
-        mine_x, mine_w = orc.gauss_jacobi_01(n, a, b)
-        ref_x, ref_w = roots_jacobi(n, a, b)
-        assert np.allclose(mine_x, (ref_x + 1.0) / 2.0, rtol=1e-12, atol=1e-14)
-        assert np.allclose(mine_w, ref_w * 2.0 ** (-a - b - 1.0), rtol=1e-12, atol=1e-16)
+        a, b = 0.3, -0.4
+        # one rule from each route; roots_jacobi's weights next to the endpoints
+        # are off by up to 1e-9 relative at n = 300 (against mpmath, where these
+        # are within 2e-14)
+        for n, weight_rtol in ((24, 1e-12), (300, 2e-9)):
+            mine_x, mine_w = orc.gauss_jacobi_01(n, a, b)
+            ref_x, ref_w = roots_jacobi(n, a, b)
+            assert np.allclose(mine_x, (ref_x + 1.0) / 2.0, rtol=1e-12, atol=1e-14)
+            assert np.allclose(mine_w, ref_w * 2.0 ** (-a - b - 1.0), rtol=weight_rtol, atol=1e-16)
+
+    # both routes: dense eigenproblem up to DENSE_RULE_MAX_NODES = 256, Newton above
+    @pytest.mark.parametrize("n", (256, 257, 1024, 2048))
+    @pytest.mark.parametrize("a", (-0.9, 0.0, 1.5))
+    @pytest.mark.parametrize("b", (-0.9, 0.0, 1.5))
+    def test_polynomial_exactness_large_n(self, n, a, b):
+        # integral_0^1 (1-s)^a s^(k+b) ds = B(k+b+1, a+1); k = 2n-1 leans on the nodes
+        # next to s = 1, k = 0 on all weights
+        nodes, weights = orc.gauss_jacobi_01(n, a, b)
+        for k in (0, 1, n, 2 * n - 1):
+            estimate = float(np.dot(weights, nodes**k))
+            exact = math.exp(math.lgamma(k + b + 1.0) + math.lgamma(a + 1.0) - math.lgamma(k + a + b + 2.0))
+            assert estimate == pytest.approx(exact, rel=1e-11)
+
+    @staticmethod
+    def _newton(n, a, b, start):
+        rec = orc._EdgeRecurrence(n, a, b)
+        return orc._newton_jacobi(rec, start(rec))
+
+    @pytest.mark.parametrize("n", (257, 512))
+    @pytest.mark.parametrize("a, b", ((-0.9, 0.3), (0.0, 0.0), (1.5, -0.9), (4.0, 2.5), (30.0, 0.5)))
+    def test_newton_rule_matches_dense(self, n, a, b):
+        # the asymptotic starting values miss the zeros next to an endpoint of
+        # exponent 30; the bisected ones serve every case
+        asymptotic = self._newton(n, a, b, orc._asymptotic_zeros)
+        assert (asymptotic is None) == (a == 30.0)
+        dense_x, dense_w = orc._golub_welsch(n, a, b)
+        for rule in filter(None, (asymptotic, self._newton(n, a, b, orc._bisected_zeros))):
+            assert np.max(np.abs(rule[0] - dense_x)) <= 1e-15
+            # the dense weights next to an endpoint are themselves off by up to
+            # 5e-10 relative (against mpmath), so they count against the mass
+            assert np.allclose(rule[1], dense_w, rtol=1e-12, atol=1e-12 * float(np.sum(dense_w)))
+        assert orc.gauss_jacobi_01(n, a, b)[0] == pytest.approx(dense_x, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("start, n", (("_asymptotic_zeros", 2048), ("_bisected_zeros", 1024)))
+    def test_newton_rule_memory_is_linear(self, start, n):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert self._newton(n, 0.3, -0.4, getattr(orc, start)) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # the dense matrix alone is 8 n**2 bytes
+
+    def test_exponent_out_of_range_is_convergence_error(self):
+        # scaled to 1 at x = 1, P_n leaves double range in the middle by
+        # a = 150 at 1024 nodes
+        with pytest.raises(ConvergenceError, match="1024 nodes"):
+            orc.gauss_jacobi_01(1024, 150.0, -0.5)
 
     def test_bad_exponents(self):
         with pytest.raises(DomainError):

@@ -6,10 +6,12 @@ literals, and are re-derived live where cheap.
 """
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraccalc import specfun as sf
@@ -175,6 +177,43 @@ class TestLowerIncompleteGamma:
             sf.lower_incomplete_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             sf.lower_incomplete_gamma(1.0, -0.5)
+
+    # a in [0.05, 200], z in [0, 1000]; "near" draws z = a * ratio, around the
+    # series / continued-fraction switch at z = a + 1.  The examples pin both
+    # sides of it at a >= 170, where gamma(a) nears double range.
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.floats(min_value=0.05, max_value=200.0),
+        st.floats(min_value=0.0, max_value=1000.0),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.booleans(),
+    )
+    @example(a=180.0, z_free=30.0, ratio=0.0, near=False)
+    @example(a=171.5, z_free=200.0, ratio=0.0, near=False)
+    @example(a=170.5, z_free=0.0, ratio=1.0, near=True)
+    @example(a=172.5, z_free=0.0, ratio=1.1, near=True)
+    def test_against_mpmath(self, a, z_free, ratio, near):
+        z = min(a * ratio, 1000.0) if near else z_free
+        with mpmath.workdps(40):
+            exact = mpmath.gammainc(a, 0, z)
+        if exact > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                sf.lower_incomplete_gamma(a, z)
+            return
+        value = sf.lower_incomplete_gamma(a, z)
+        if exact < sys.float_info.min:  # zero or subnormal: no relative accuracy to hold
+            assert 0.0 <= value < sys.float_info.min
+            return
+        assert abs(value - exact) <= 1e-14 * exact
+
+    def test_term_cap_raises(self, monkeypatch):
+        # z ~ a needs about sqrt(a) terms: at a = 1e6 the series outruns the cap
+        with pytest.raises(ConvergenceError):
+            sf.lower_incomplete_gamma(1e6, 1e6 - 1.0)
+        monkeypatch.setattr(sf, "INCGAMMA_MAX_TERMS", 3)
+        for z in (1.0, 10.0):  # series, continued fraction (it ends early at whole a)
+            with pytest.raises(ConvergenceError, match="3 terms"):
+                sf.lower_incomplete_gamma(2.5, z)
 
 
 class TestMittagLeffler:
