@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error, 4 convergence error.  Numbers on the command line are plain decimal
 literals; ranges are ``start:stop:step`` with both ends included (stop
 within ``step * 1e-9``).
+
+Only the commands that use them import the quadrature oracle and the
+verifier, and with them numpy: a closed-form ``eval`` runs on the ``math``
+module alone.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from typing import get_type_hints
 
 from .closed_forms import closed_eval
 from .errors import ConvergenceError, DomainError
-from .model import EvalResult, FunctionFamily, OperatorKind, parse_family
-from .oracle import DEFAULT_CONFIG, QuadConfig, oracle_eval
-from .verify import SUITE_NAMES, _fmt, emit_report, falsification_margin, run_suite
+from .model import DEFAULT_CONFIG, EvalResult, FunctionFamily, OperatorKind, QuadConfig, _fmt, parse_family
 
 _OP_TOKENS = tuple(kind.value for kind in OperatorKind)
 
@@ -124,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", metavar="PATH")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    p_verify.add_argument("--suite", required=True, help="a suite or 'all'; an unknown name lists the suites")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", metavar="PATH")
     p_verify.add_argument("--config", metavar="PATH")
@@ -152,6 +154,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         results.append(closed_eval(kind, args.alpha, args.fn, args.t))
     if args.method in ("oracle", "both"):
+        from .oracle import oracle_eval
+
         results.append(oracle_eval(kind, args.alpha, args.fn, args.t, cfg))
     for r in results:
         print(f"{_fmt(r.value)}\t{_fmt(r.abs_err_estimate)}\t{r.method}")
@@ -159,6 +163,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import emit_report, run_suite
+
     cfg = _load_config(args.config)
     report = run_suite(args.suite, cfg)
     payload = emit_report(report, args.format)
@@ -171,6 +177,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .oracle import oracle_eval
+
     kind = OperatorKind(args.op)
     param = args.fn.param
     lines = ["alpha,t,param,value_closed,value_oracle,abs_diff"]
@@ -195,6 +203,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .verify import falsification_margin
+
     lines = ["delta,alpha,t,corrected,literature,oracle,oracle_err,verdict"]
     for t in args.t_range:
         margin = falsification_margin(args.delta, args.alpha, t)

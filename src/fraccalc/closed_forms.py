@@ -18,6 +18,7 @@ from . import specfun as sf
 from .errors import DomainError, SingularParamError
 from .model import (
     _EPS,
+    _check_finite,
     AbsPower,
     EvalResult,
     Exp,
@@ -332,6 +333,8 @@ def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: fl
     """
     kind = OperatorKind(kind)
     kind.check_pairing(family)
+    # before the whole-order test: math.floor raises on nan and inf
+    _check_finite("alpha", alpha)
     if kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha):
         return _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
     return globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)

@@ -7,23 +7,42 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
     "AbsPower",
+    "DEFAULT_CONFIG",
     "EvalResult",
     "Exp",
     "FunctionFamily",
     "OperatorKind",
     "Power",
     "PowerLog",
+    "QuadConfig",
     "parse_family",
 ]
 
 # machine epsilon of IEEE double precision, 2**-52
 _EPS = 2.220446049250313e-16
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy until a family value is first computed, then rebinds np to numpy.
+
+    The family value methods are the only numpy code here, and closed-form
+    evaluation never calls them, so it runs without numpy loaded.  Once bound,
+    np costs nothing per call, where an import statement in each method would
+    cost about 0.15 us per call.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -196,3 +215,28 @@ class EvalResult:
             raise DomainError(
                 f"abs_err_estimate must be finite and nonnegative, got {self.abs_err_estimate!r}"
             )
+
+
+@dataclass(frozen=True)
+class QuadConfig:
+    """Accuracy and budget knobs for every oracle evaluation."""
+
+    target_rel_tol: float = 1e-10
+    max_nodes: int = 2048
+
+    def __post_init__(self) -> None:
+        if not self.target_rel_tol > 0.0:
+            raise DomainError(f"target_rel_tol must be > 0, got {self.target_rel_tol!r}")
+        # upper bound, as the field can come from a config file: each doubling
+        # of max_nodes doubles the memory and about quadruples the time of the
+        # largest Gauss-Jacobi rule
+        if not 16 <= self.max_nodes <= 4096:
+            raise DomainError(f"max_nodes must be in [16, 4096], got {self.max_nodes!r}")
+
+
+DEFAULT_CONFIG = QuadConfig()
+
+
+def _fmt(x: float) -> str:
+    """The 17-significant-digit form of every number the CLI and reports print."""
+    return f"{x:.17g}"

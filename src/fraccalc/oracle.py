@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StencilError
-from .model import _EPS, AbsPower, EvalResult, FunctionFamily, OperatorKind
+from .model import _EPS, DEFAULT_CONFIG, AbsPower, EvalResult, FunctionFamily, OperatorKind, QuadConfig
 
 __all__ = [
     "Integrand",
@@ -45,25 +45,6 @@ __all__ = [
     "weyl_derivative_quad",
     "weyl_integral_quad",
 ]
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Accuracy and budget knobs for every oracle evaluation."""
-
-    target_rel_tol: float = 1e-10
-    max_nodes: int = 2048
-
-    def __post_init__(self) -> None:
-        if not self.target_rel_tol > 0.0:
-            raise DomainError(f"target_rel_tol must be > 0, got {self.target_rel_tol!r}")
-        # upper bound, as the field can come from a config file: each doubling
-        # of max_nodes doubles the memory and about quadruples the time of the
-        # largest Gauss-Jacobi rule
-        if not 16 <= self.max_nodes <= 4096:
-            raise DomainError(f"max_nodes must be in [16, 4096], got {self.max_nodes!r}")
-
-
-DEFAULT_CONFIG = QuadConfig()
 
 # Gauss-Jacobi rules of up to this many nodes come from the dense eigenproblem
 # (O(n**2) memory, O(n**3) time: 7 ms at 256 nodes); larger ones from Newton
@@ -388,7 +369,13 @@ def _panel_gauss_ladder(
     fn: RowFn, params: Sequence, lo: float, hi: float, cfg: QuadConfig, panel_len: float = 10.0
 ) -> list[tuple[float, float]]:
     """Composite Gauss-Legendre on [lo, hi], per-panel order doubling; points are (1, panels, n)."""
-    n_panels = max(1, int(math.ceil((hi - lo) / panel_len)))
+    first_rung, budget = 8, 4 * cfg.max_nodes
+    # checked before the panels are built: a long interval (hi up to inf) has
+    # more panels than the budget can give first_rung nodes each
+    span = (hi - lo) / panel_len
+    if not span <= budget // first_rung:
+        raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
+    n_panels = max(1, int(math.ceil(span)))
     edges = np.linspace(lo, hi, n_panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -399,7 +386,7 @@ def _panel_gauss_ladder(
 
     # np.add.reduce(axis=None) is what np.sum calls, without its Python-level dispatch
     reduce = lambda w, block: np.add.reduce(w * block, axis=None)
-    done = _row_ladder(rule, 8, 4 * cfg.max_nodes // n_panels, reduce, fn, params, cfg)
+    done = _row_ladder(rule, first_rung, budget // n_panels, reduce, fn, params, cfg)
     if done is None:
         raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
     return done
@@ -446,7 +433,8 @@ def rl_integral_quad(
         scale_hi = 0.5**alpha
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
         # truncation at X leaves a relative tail below exp(-(p+1) X) ~ 1e-18
-        x_cut = max(30.0, 42.0 / (p + 1.0))
+        # (p + 1 rounds to 0 when nu is below about 1e-16: the cut is then infinite)
+        x_cut = max(30.0, 42.0 / (p + 1.0)) if p > -1.0 else math.inf
 
         def lower(x: np.ndarray, tc: np.ndarray) -> np.ndarray:
             s = 0.5 * np.exp(-x)

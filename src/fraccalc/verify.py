@@ -26,10 +26,8 @@ from typing import Callable
 from . import closed_forms as cf
 from . import specfun as sf
 from .errors import DomainError, FracCalcError, UnknownSuiteError
-from .model import AbsPower, Exp, OperatorKind, Power, PowerLog
+from .model import DEFAULT_CONFIG, AbsPower, Exp, OperatorKind, Power, PowerLog, QuadConfig, _fmt
 from .oracle import (
-    DEFAULT_CONFIG,
-    QuadConfig,
     _central_stencil,
     _richardson,
     tail_power_quad,
@@ -589,10 +587,6 @@ def run_suite(name: str, cfg: QuadConfig = DEFAULT_CONFIG) -> VerificationReport
 
 # ---------------------------------------------------------------------------
 # report rendering
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _fmt_inputs(inputs: dict[str, float]) -> str:

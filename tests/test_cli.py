@@ -17,6 +17,19 @@ def run_cli(*argv):
     )
 
 
+# the eight valid (operator, family) pairs
+VALID_PAIRS = (
+    ("rl-int", "power:gamma=0.5"),
+    ("rl-int", "exp:lambda=1"),
+    ("rl-int", "powerlog:nu=2"),
+    ("rl-der", "power:gamma=0.5"),
+    ("rl-der", "exp:lambda=1"),
+    ("rl-der", "powerlog:nu=2"),
+    ("weyl-int", "abspower:delta=0.5"),
+    ("weyl-der", "abspower:delta=0.5"),
+)
+
+
 class TestRangeGrammar:
     def test_basic(self):
         assert _range_arg("0.5:2:0.5") == [0.5, 1.0, 1.5, 2.0]
@@ -144,6 +157,19 @@ class TestEval:
         config.write_text("max_nodes = 2.5\n")
         assert main(["verify", "--suite", "lemmas", "--config", str(config)]) == 2
 
+    # the closed route checked alpha only after a whole-order test that calls
+    # math.floor: nan exited 2 as a usage error, inf as an overflow
+    @pytest.mark.parametrize("method", ("closed", "oracle"))
+    @pytest.mark.parametrize("alpha", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("op, fn", VALID_PAIRS)
+    def test_non_finite_alpha_is_domain_error(self, capsys, op, fn, alpha, method):
+        code = main(["eval", "--op", op, f"--alpha={alpha}", "--fn", fn, "--t", "1", "--method", method])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "alpha" in err
+        if method == "closed":
+            assert f"alpha must be finite, got {float(alpha)!r}" in err
+
     def test_usage_error_on_bad_op(self):
         result = run_cli("eval", "--op", "bogus")
         assert result.returncode == 2
@@ -174,6 +200,8 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self):
         result = run_cli("verify", "--suite", "nope")
         assert result.returncode == 2
+        assert "'nope'" in result.stderr
+        assert "rl-power" in result.stderr and "literature-falsification" in result.stderr
 
     def test_text_to_stdout(self, capsys):
         assert main(["verify", "--suite", "lemmas"]) == 0
@@ -289,6 +317,107 @@ print(codes, loaded)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[0, 0] []"
         assert (tmp_path / "report.csv").stat().st_size > 0
+
+
+class TestClosedRouteWithoutNumpy:
+    # with "blocked", numpy set to None in sys.modules makes every import of it fail
+    SCRIPT = """
+import contextlib, io, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+import fraccalc
+from fraccalc.cli import main
+
+ops = [["--op", op, "--alpha", "0.5", "--fn", fn, "--t", "1.5"] for op, fn in [
+    ("rl-int", "powerlog:nu=2"), ("rl-der", "exp:lambda=-1"),
+    ("weyl-int", "abspower:delta=0.75"), ("weyl-der", "abspower:delta=0.5")]]
+runs = [["eval", *argv] for argv in ops] + [
+    ["eval", "--op", "rl-der", "--alpha", "2", "--fn", "power:gamma=2.5", "--t", "1.5"],
+    ["--help"],
+    ["eval", *ops[0], "--config", sys.argv[2]],
+    ["eval", *ops[0], "--config", sys.argv[3]],
+]
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(code, repr(out.getvalue()))
+r = fraccalc.closed_eval("rl-der", 0.5, fraccalc.PowerLog(2.0), 1.0)
+print(repr(r.value), repr(r.abs_err_estimate), r.method)
+print([name for name, module in sys.modules.items()
+       if name.split(".")[0] == "numpy" and module is not None])
+"""
+
+    def _run(self, mode, tmp_path):
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text("target_rel_tol = 1e-9\nmax_nodes = 1024\n")
+        bad.write_text("bogus_knob = 3\n")
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, mode, str(good), str(bad)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_closed_eval_runs_without_numpy(self, tmp_path):
+        blocked = self._run("blocked", tmp_path)
+        assert blocked == self._run("normal", tmp_path)
+        lines = blocked.splitlines()
+        assert [int(line.split(None, 1)[0]) for line in lines[:8]] == [0, 0, 0, 0, 0, 0, 0, 2]
+        assert all("closed-form" in line for line in lines[:5] + lines[6:7])
+        assert "usage: fraccalc" in lines[5]
+        assert "unknown config key 'bogus_knob'" in blocked
+        assert blocked.endswith("closed-form\n[]\n")
+
+
+class TestLazyImports:
+    def test_lazy_names_are_the_oracle_attributes(self):
+        import fraccalc
+        from fraccalc import oracle
+
+        assert fraccalc.oracle_eval is oracle.oracle_eval
+        assert fraccalc.Integrand is oracle.Integrand
+        # bound in the package namespace, where a patch of every fraccalc namespace finds them
+        assert vars(fraccalc)["oracle_eval"] is oracle.oracle_eval
+
+    def test_star_import_binds_all(self):
+        import fraccalc
+
+        namespace = {}
+        exec("from fraccalc import *", namespace)
+        assert set(fraccalc.__all__) <= set(namespace)
+
+    def test_unknown_attribute_raises(self):
+        import fraccalc
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fraccalc.no_such_name
+
+    # fraccalc.verify is loaded in this test process, so a fresh one is needed
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["eval", "--op", "rl-der", "--alpha", "0.5", "--fn", "exp:lambda=1", "--t", "1",
+             "--method", "both"],
+            ["table", "--op", "rl-int", "--fn", "power:gamma=0.5", "--alpha-range", "0.5:1:0.5",
+             "--t-range", "1:1:1", "--out", "{out}"],
+        ),
+        ids=("eval-both", "table"),
+    )
+    def test_oracle_commands_leave_the_verifier_unloaded(self, tmp_path, argv):
+        argv = [a.format(out=tmp_path / "t.csv") for a in argv]
+        script = (
+            "import sys; from fraccalc.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'fraccalc.oracle' in sys.modules, 'fraccalc.verify' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 True False"
 
 
 class TestHelp:

@@ -6,6 +6,7 @@ re-derived in test_closed_forms.py from independent routes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,31 @@ class TestOracleBehavior:
         QuadConfig(max_nodes=4096)
         with pytest.raises(DomainError, match="max_nodes"):
             QuadConfig(max_nodes=4097)
+
+
+class TestPowerLogTinyNu:
+    # x_cut = 42/nu made ceil(x_cut/10) panels before the budget check: nu = 1e-7
+    # peaked at 1.28 GB, 1e-9 asked for 31 GiB, and 1e-300 (nu - 1 + 1 == 0)
+    # divided by zero
+    @pytest.mark.parametrize("nu", (1e-7, 1e-9, 1e-300))
+    def test_budget_is_checked_before_allocating(self, nu):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="budget"):
+                orc.oracle_eval(OperatorKind.RL_INTEGRAL, 0.5, PowerLog(nu), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("nu", ("1e-7", "1e-9", "1e-300"))
+    def test_cli_exits_four(self, nu, capsys):
+        from fraccalc.cli import main
+
+        argv = ["eval", "--op", "rl-int", "--alpha", "0.5", "--fn", f"powerlog:nu={nu}", "--t", "1",
+                "--method", "oracle"]
+        assert main(argv) == 4
+        assert "convergence error" in capsys.readouterr().err
 
 
 class TestErrorEstimateHonesty:
