@@ -20,6 +20,7 @@ module alone.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -253,5 +254,21 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The ``fraccalc`` command: main(), then exit with its status.
+
+    A command leaves about 200 objects of cyclic garbage (the parser), however
+    many points it evaluates, so the process runs without the cyclic
+    collector: its passes only walk the modules being imported, 7 ms of an
+    ``eval`` that loads numpy.  The objects alive at the end are frozen, so
+    the collections of interpreter shutdown skip them too: they took 16 ms of
+    a closed ``eval`` and 30 ms of one that loads numpy.
+    """
+    gc.disable()
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

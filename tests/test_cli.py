@@ -420,6 +420,34 @@ class TestLazyImports:
         assert result.stdout.splitlines()[-1] == "0 True False"
 
 
+class TestEntryPoint:
+    # the atexit hook reports the collector's state after run() has handed over to sys.exit
+    SCRIPT = (
+        "import atexit, gc, sys; from fraccalc.cli import run; "
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "sys.argv[0] = 'fraccalc'; run()"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        (
+            (["eval", "--op", "rl-der", "--alpha", "0.5", "--fn", "exp:lambda=1", "--t", "1",
+              "--method", "both"], 0),
+            (["eval", "--op", "rl-der", "--alpha", "nan", "--fn", "exp:lambda=1", "--t", "1"], 3),
+        ),
+        ids=("both", "domain-error"),
+    )
+    def test_run_exits_with_main_status_and_frozen_heap(self, argv, code, capsys):
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        assert result.returncode == code
+        assert result.stdout == expected.out
+        assert result.stderr == expected.err + "False True\n"
+
+
 class TestHelp:
     @pytest.mark.parametrize("sub", (None, "eval", "verify", "table", "compare"))
     def test_help_exits_zero(self, sub):
