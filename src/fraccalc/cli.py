@@ -23,8 +23,6 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import replace
-from typing import get_type_hints
 
 from .closed_forms import closed_eval
 from .errors import ConvergenceError, DomainError
@@ -78,7 +76,8 @@ def _load_config(path: str | None) -> QuadConfig:
     """QuadConfig from a plain 'key = value' file layered over the defaults."""
     if path is None:
         return DEFAULT_CONFIG
-    field_types = get_type_hints(QuadConfig)
+    # each key takes the type of its default value
+    field_types = {name: type(value) for name, value in DEFAULT_CONFIG._asdict().items()}
     overrides: dict[str, float | int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -94,7 +93,7 @@ def _load_config(path: str | None) -> QuadConfig:
                 overrides[key] = field_types[key](raw)
     except OSError as exc:
         raise ValueError(f"cannot read config {path!r}: {exc}") from exc
-    return replace(DEFAULT_CONFIG, **overrides)
+    return QuadConfig(**overrides)
 
 
 def _write_out(path: str, payload: bytes) -> None:

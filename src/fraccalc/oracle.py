@@ -25,14 +25,13 @@ defining integrals.  The machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StencilError
-from .model import _EPS, DEFAULT_CONFIG, AbsPower, EvalResult, FunctionFamily, OperatorKind, QuadConfig
+from .model import _EPS, DEFAULT_CONFIG, AbsPower, EvalResult, FunctionFamily, OperatorKind, QuadConfig, _Record, _set
 
 __all__ = [
     "Integrand",
@@ -66,8 +65,7 @@ FD_STEP_FACTOR = 0.1
 RICHARDSON_LEVELS = 3
 
 
-@dataclass(frozen=True)
-class Integrand:
+class Integrand(_Record):
     """A custom function on (0, inf) with its origin behavior declared.
 
     The four families of model declare the same three attributes, so the
@@ -79,15 +77,16 @@ class Integrand:
     honest for the accuracy promises to hold.
     """
 
-    value: Callable[[np.ndarray], np.ndarray]
-    power_at_zero: float = 0.0
-    log_at_zero: bool = False
+    __slots__ = ("value", "power_at_zero", "log_at_zero")
 
-    def __post_init__(self) -> None:
-        if self.power_at_zero <= -1.0:
-            raise DomainError(
-                f"integrand must be integrable at 0: power_at_zero > -1, got {self.power_at_zero!r}"
-            )
+    def __init__(
+        self, value: Callable[[np.ndarray], np.ndarray], power_at_zero: float = 0.0, log_at_zero: bool = False
+    ) -> None:
+        if power_at_zero <= -1.0:
+            raise DomainError(f"integrand must be integrable at 0: power_at_zero > -1, got {power_at_zero!r}")
+        _set(self, "value", value)
+        _set(self, "power_at_zero", power_at_zero)
+        _set(self, "log_at_zero", log_at_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
 from . import closed_forms as cf
 from . import specfun as sf
 from .errors import DomainError, FracCalcError, UnknownSuiteError
-from .model import DEFAULT_CONFIG, AbsPower, Exp, OperatorKind, Power, PowerLog, QuadConfig, _fmt
+from .model import DEFAULT_CONFIG, AbsPower, Exp, OperatorKind, Power, PowerLog, QuadConfig, _fmt, _Record, _set
 from .oracle import (
     _central_stencil,
     _richardson,
@@ -73,64 +72,113 @@ EULER_MASCHERONI = 0.5772156649015329
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(_Record):
     """One executed check: both sides, their discrepancy, and the verdict."""
 
-    check_id: str
-    inputs: dict[str, float]
-    lhs: float
-    rhs: float
-    abs_diff: float
-    rel_diff: float
-    tol: float
-    passed: bool
-    note: str = ""
+    __slots__ = ("check_id", "inputs", "lhs", "rhs", "abs_diff", "rel_diff", "tol", "passed", "note")
+
+    def __init__(
+        self,
+        check_id: str,
+        inputs: dict[str, float],
+        lhs: float,
+        rhs: float,
+        abs_diff: float,
+        rel_diff: float,
+        tol: float,
+        passed: bool,
+        note: str = "",
+    ) -> None:
+        _set(self, "check_id", check_id)
+        _set(self, "inputs", inputs)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "abs_diff", abs_diff)
+        _set(self, "rel_diff", rel_diff)
+        _set(self, "tol", tol)
+        _set(self, "passed", passed)
+        _set(self, "note", note)
 
 
-@dataclass(frozen=True)
-class SkippedCheck:
+class SkippedCheck(_Record):
     """A grid point outside a formula's stated domain; not a failure."""
 
-    check_id: str
-    inputs: dict[str, float]
-    reason: str
+    __slots__ = ("check_id", "inputs", "reason")
+
+    def __init__(self, check_id: str, inputs: dict[str, float], reason: str) -> None:
+        _set(self, "check_id", check_id)
+        _set(self, "inputs", inputs)
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    grid_spec: str
-    records: list[CheckRecord]
-    skipped: list[SkippedCheck]
-    n_pass: int
-    n_fail: int
-    n_skip: int
-    wall_time_seconds: float
+class VerificationReport(_Record):
+    __slots__ = ("suite", "grid_spec", "records", "skipped", "n_pass", "n_fail", "n_skip", "wall_time_seconds")
+
+    def __init__(
+        self,
+        suite: str,
+        grid_spec: str,
+        records: list[CheckRecord],
+        skipped: list[SkippedCheck],
+        n_pass: int,
+        n_fail: int,
+        n_skip: int,
+        wall_time_seconds: float,
+    ) -> None:
+        _set(self, "suite", suite)
+        _set(self, "grid_spec", grid_spec)
+        _set(self, "records", records)
+        _set(self, "skipped", skipped)
+        _set(self, "n_pass", n_pass)
+        _set(self, "n_fail", n_fail)
+        _set(self, "n_skip", n_skip)
+        _set(self, "wall_time_seconds", wall_time_seconds)
 
 
-@dataclass(frozen=True)
-class FalsificationMargin:
+class FalsificationMargin(_Record):
     """Oracle arbitration between the corrected and the literature formula."""
 
-    delta: float
-    alpha: float
-    t: float
-    corrected: float
-    literature: float
-    oracle: float
-    oracle_err: float
-    verdict: str  # 'corrected' | 'literature' | 'inconclusive'
+    __slots__ = ("delta", "alpha", "t", "corrected", "literature", "oracle", "oracle_err", "verdict")
+
+    def __init__(
+        self,
+        delta: float,
+        alpha: float,
+        t: float,
+        corrected: float,
+        literature: float,
+        oracle: float,
+        oracle_err: float,
+        verdict: str,  # 'corrected' | 'literature' | 'inconclusive'
+    ) -> None:
+        _set(self, "delta", delta)
+        _set(self, "alpha", alpha)
+        _set(self, "t", t)
+        _set(self, "corrected", corrected)
+        _set(self, "literature", literature)
+        _set(self, "oracle", oracle)
+        _set(self, "oracle_err", oracle_err)
+        _set(self, "verdict", verdict)
 
 
-@dataclass(frozen=True)
-class _Check:
-    check_id: str
-    inputs: dict[str, float]
-    thunk: Callable[[], tuple]
-    tol: float
-    atol: float = 0.0
-    skip_reason: str = ""
+class _Check(_Record):
+    __slots__ = ("check_id", "inputs", "thunk", "tol", "atol", "skip_reason")
+
+    def __init__(
+        self,
+        check_id: str,
+        inputs: dict[str, float],
+        thunk: Callable[[], tuple],
+        tol: float,
+        atol: float = 0.0,
+        skip_reason: str = "",
+    ) -> None:
+        _set(self, "check_id", check_id)
+        _set(self, "inputs", inputs)
+        _set(self, "thunk", thunk)
+        _set(self, "tol", tol)
+        _set(self, "atol", atol)
+        _set(self, "skip_reason", skip_reason)
 
 
 def falsification_margin(
@@ -604,7 +652,10 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
     the full report object.
     """
     if fmt == "json":
-        return (json.dumps(asdict(report), indent=2) + "\n").encode()
+        fields = report._asdict()
+        fields["records"] = [r._asdict() for r in report.records]
+        fields["skipped"] = [s._asdict() for s in report.skipped]
+        return (json.dumps(fields, indent=2) + "\n").encode()
     if fmt == "csv":
         out = io.StringIO()
         out.write(CSV_HEADER + "\n")

@@ -320,11 +320,16 @@ print(codes, loaded)
 
 
 class TestClosedRouteWithoutNumpy:
-    # with "blocked", numpy set to None in sys.modules makes every import of it fail
+    # with "blocked", the modules named in argv[2] are set to None in sys.modules,
+    # which makes every import of them fail; the last line lists those of them
+    # (and their submodules) that the script loaded
     SCRIPT = """
 import contextlib, io, sys
+watched = sys.argv[2].split(",")
+preloaded = set(sys.modules)
 if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None
+    for name in watched:
+        sys.modules[name] = None
 import fraccalc
 from fraccalc.cli import main
 
@@ -334,8 +339,8 @@ ops = [["--op", op, "--alpha", "0.5", "--fn", fn, "--t", "1.5"] for op, fn in [
 runs = [["eval", *argv] for argv in ops] + [
     ["eval", "--op", "rl-der", "--alpha", "2", "--fn", "power:gamma=2.5", "--t", "1.5"],
     ["--help"],
-    ["eval", *ops[0], "--config", sys.argv[2]],
     ["eval", *ops[0], "--config", sys.argv[3]],
+    ["eval", *ops[0], "--config", sys.argv[4]],
 ]
 for argv in runs:
     out = io.StringIO()
@@ -347,30 +352,37 @@ for argv in runs:
     print(code, repr(out.getvalue()))
 r = fraccalc.closed_eval("rl-der", 0.5, fraccalc.PowerLog(2.0), 1.0)
 print(repr(r.value), repr(r.abs_err_estimate), r.method)
-print([name for name, module in sys.modules.items()
-       if name.split(".")[0] == "numpy" and module is not None])
+print(sorted(name for name, module in sys.modules.items() if module is not None and name not in preloaded
+             and name.split(".")[0] in watched))
 """
 
-    def _run(self, mode, tmp_path):
+    def _run(self, mode, watched, tmp_path):
         good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
         good.write_text("target_rel_tol = 1e-9\nmax_nodes = 1024\n")
         bad.write_text("bogus_knob = 3\n")
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, mode, str(good), str(bad)],
+            [sys.executable, "-c", self.SCRIPT, mode, watched, str(good), str(bad)],
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
         return result.stdout
 
-    def test_closed_eval_runs_without_numpy(self, tmp_path):
-        blocked = self._run("blocked", tmp_path)
-        assert blocked == self._run("normal", tmp_path)
-        lines = blocked.splitlines()
+    def _check(self, watched, tmp_path):
+        out = self._run("blocked", watched, tmp_path)
+        assert out == self._run("normal", watched, tmp_path)
+        lines = out.splitlines()
         assert [int(line.split(None, 1)[0]) for line in lines[:8]] == [0, 0, 0, 0, 0, 0, 0, 2]
         assert all("closed-form" in line for line in lines[:5] + lines[6:7])
         assert "usage: fraccalc" in lines[5]
-        assert "unknown config key 'bogus_knob'" in blocked
-        assert blocked.endswith("closed-form\n[]\n")
+        assert "unknown config key 'bogus_knob'" in out
+        assert out.endswith("closed-form\n[]\n")
+
+    def test_closed_eval_runs_without_numpy(self, tmp_path):
+        self._check("numpy", tmp_path)
+
+    def test_closed_eval_runs_without_dataclasses_inspect_typing(self, tmp_path):
+        # the records are plain classes, and nothing on the closed route needs typing
+        self._check("numpy,dataclasses,inspect,typing", tmp_path)
 
 
 class TestLazyImports:

@@ -1,20 +1,34 @@
-"""Domain types: family invariants, operator kinds, parsing, pairing."""
+"""Domain types: family invariants, operator kinds, parsing, pairing, record semantics."""
+
+import copy
+import pickle
 
 import pytest
 
 from fraccalc import closed_forms as cf
 from fraccalc.errors import DomainError
 from fraccalc.model import (
+    DEFAULT_CONFIG,
     AbsPower,
     EvalResult,
     Exp,
     OperatorKind,
     Power,
     PowerLog,
+    QuadConfig,
     parse_family,
 )
-from fraccalc.oracle import oracle_eval
-from fraccalc.verify import ATOL_DERIVATIVE, ATOL_INTEGRAL, TOL_DERIVATIVE, TOL_INTEGRAL
+from fraccalc.oracle import Integrand, oracle_eval
+from fraccalc.verify import (
+    ATOL_DERIVATIVE,
+    ATOL_INTEGRAL,
+    TOL_DERIVATIVE,
+    TOL_INTEGRAL,
+    CheckRecord,
+    FalsificationMargin,
+    SkippedCheck,
+    VerificationReport,
+)
 
 
 class TestFamilyInvariants:
@@ -132,3 +146,158 @@ class TestPairing:
             cf.closed_value(OperatorKind.RL_INTEGRAL, 0.5, "power", 1.0)
         with pytest.raises(DomainError):
             oracle_eval(OperatorKind.RL_DERIVATIVE, 0.5, "power", 1.0)
+
+
+# Every record type with its fields as (name, value) pairs, in declaration
+# order, and its repr, which reads as the frozen-dataclass repr of earlier
+# versions did.  Fields left out take their defaults.
+_CHECK = CheckRecord("c/1", {"t": 0.5}, 1.0, 1.5, 0.5, 0.25, 1e-09, False, "n")
+_SKIP = SkippedCheck("c/2", {"t": 2.0}, "outside")
+RECORDS = (
+    (Power, (("gamma_exp", 0.5),), "Power(gamma_exp=0.5)"),
+    (Exp, (("lam", -1.0),), "Exp(lam=-1.0)"),
+    (PowerLog, (("nu", 2.0),), "PowerLog(nu=2.0)"),
+    (AbsPower, (("delta", 0.25),), "AbsPower(delta=0.25)"),
+    (
+        EvalResult,
+        (("value", 1.5), ("method", "oracle"), ("abs_err_estimate", 1e-12)),
+        "EvalResult(value=1.5, method='oracle', abs_err_estimate=1e-12)",
+    ),
+    (QuadConfig, (), "QuadConfig(target_rel_tol=1e-10, max_nodes=2048)"),
+    (
+        QuadConfig,
+        (("target_rel_tol", 1e-9), ("max_nodes", 1024)),
+        "QuadConfig(target_rel_tol=1e-09, max_nodes=1024)",
+    ),
+    (Integrand, (("value", abs),), "Integrand(value=<built-in function abs>, power_at_zero=0.0, log_at_zero=False)"),
+    (
+        Integrand,
+        (("value", abs), ("power_at_zero", 0.5), ("log_at_zero", True)),
+        "Integrand(value=<built-in function abs>, power_at_zero=0.5, log_at_zero=True)",
+    ),
+    (
+        CheckRecord,
+        tuple(zip(CheckRecord.__slots__[:-1], ("c/1", {"t": 0.5}, 1.0, 1.5, 0.5, 0.25, 1e-09, False))),
+        "CheckRecord(check_id='c/1', inputs={'t': 0.5}, lhs=1.0, rhs=1.5, abs_diff=0.5, rel_diff=0.25, "
+        "tol=1e-09, passed=False, note='')",
+    ),
+    (
+        SkippedCheck,
+        (("check_id", "c/2"), ("inputs", {"t": 2.0}), ("reason", "outside")),
+        "SkippedCheck(check_id='c/2', inputs={'t': 2.0}, reason='outside')",
+    ),
+    (
+        VerificationReport,
+        tuple(zip(VerificationReport.__slots__, ("s", "g", [_CHECK], [_SKIP], 0, 1, 1, 0.25))),
+        f"VerificationReport(suite='s', grid_spec='g', records=[{_CHECK!r}], skipped=[{_SKIP!r}], "
+        "n_pass=0, n_fail=1, n_skip=1, wall_time_seconds=0.25)",
+    ),
+    (
+        FalsificationMargin,
+        tuple(zip(FalsificationMargin.__slots__, (0.5, 0.25, 1.0, 2.0, 3.0, 2.0, 1e-10, "corrected"))),
+        "FalsificationMargin(delta=0.5, alpha=0.25, t=1.0, corrected=2.0, literature=3.0, oracle=2.0, "
+        "oracle_err=1e-10, verdict='corrected')",
+    ),
+)
+_IDS = [f"{cls.__name__}-{len(fields)}" for cls, fields, _ in RECORDS]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
+    def test_positional_and_keyword_construction_agree(self, cls, fields, text):
+        positional = cls(*(value for _, value in fields))
+        keyword = cls(**dict(fields))
+        assert positional == keyword
+        assert repr(positional) == repr(keyword) == text
+        for name, value in fields:
+            assert getattr(positional, name) is value
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, text):
+        record = cls(**dict(fields))
+        for name in cls.__slots__ + ("other",):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
+    def test_equality_is_strict_by_type(self, cls, fields, text):
+        record = cls(**dict(fields))
+        assert record == cls(**dict(fields))
+        assert not record != cls(**dict(fields))
+        values = tuple(getattr(record, name) for name in cls.__slots__)
+        assert record != values
+        assert record != list(values)
+        assert record != dict(zip(cls.__slots__, values))
+        # a record of another type with the same field values
+        twin = type("Twin", (cls,), {"__slots__": ()})(*values)
+        assert record != twin and twin != record
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
+    def test_hash_matches_equality(self, cls, fields, text):
+        record = cls(**dict(fields))
+        if any(isinstance(getattr(record, name), (dict, list)) for name in cls.__slots__):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(record) == hash(cls(**dict(fields)))
+            assert len({record, cls(**dict(fields))}) == 1
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
+    def test_copy_and_pickle_round_trip(self, cls, fields, text):
+        record = cls(**dict(fields))
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_families_differ_from_each_other(self):
+        assert Power(0.5) != Exp(0.5)
+        assert Power(0.5) != AbsPower(0.5)
+        assert Power(0.5) != (0.5,)
+        assert Power(0.5) != Power(0.25)
+        assert EvalResult(1.0, "oracle", 0.0) != EvalResult(1.0, "closed-form", 0.0)
+
+    def test_default_config(self):
+        assert QuadConfig() == DEFAULT_CONFIG
+        assert QuadConfig(1e-10, 2048) == DEFAULT_CONFIG
+        assert QuadConfig(max_nodes=1024) != DEFAULT_CONFIG
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Power(-1.0), "Power requires gamma_exp > -1, got -1.0"),
+            (lambda: Power(float("nan")), "gamma_exp must be finite, got nan"),
+            (lambda: Exp(float("inf")), "lam must be finite, got inf"),
+            (lambda: PowerLog(0.0), "PowerLog requires nu > 0, got 0.0"),
+            (lambda: PowerLog(float("-inf")), "nu must be finite, got -inf"),
+            (lambda: AbsPower(1.0), "AbsPower requires delta in (0, 1), got 1.0"),
+            (lambda: AbsPower(float("nan")), "delta must be finite, got nan"),
+            (lambda: EvalResult(1.0, "guess", 0.0), "unknown method tag 'guess'"),
+            (lambda: EvalResult(1.0, "oracle", -1.0), "abs_err_estimate must be finite and nonnegative, got -1.0"),
+            (lambda: EvalResult(1.0, "oracle", float("inf")), "abs_err_estimate must be finite and nonnegative, got inf"),
+            (lambda: QuadConfig(0.0), "target_rel_tol must be > 0, got 0.0"),
+            (lambda: QuadConfig(max_nodes=8), "max_nodes must be in [16, 4096], got 8"),
+            (lambda: QuadConfig(max_nodes=8192), "max_nodes must be in [16, 4096], got 8192"),
+            (lambda: Integrand(abs, -1.0), "integrand must be integrable at 0: power_at_zero > -1, got -1.0"),
+        ],
+    )
+    def test_validation_messages(self, build, message):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Power(), "missing 1 required positional argument: 'gamma_exp'"),
+            (lambda: Power(1.0, 2.0), "takes 2 positional arguments but 3 were given"),
+            (lambda: Power(gamma=1.0), "unexpected keyword argument 'gamma'"),
+            (lambda: SkippedCheck("c", {}), "missing 1 required positional argument: 'reason'"),
+        ],
+    )
+    def test_wrong_arguments_are_type_errors(self, build, message):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert message in str(info.value)

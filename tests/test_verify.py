@@ -1,5 +1,6 @@
 """Verification harness: suite outcomes, report formats, arbitration logic."""
 
+import json
 import math
 
 import pytest
@@ -108,6 +109,28 @@ class TestReportFormats:
         report = run_suite("lemmas")
         parsed = parse_report_json(emit_report(report, "json"))
         assert parsed == report
+
+    def test_json_text(self):
+        # the text a frozen-dataclass report gave through dataclasses.asdict
+        report = VerificationReport(
+            "s", "g", [CheckRecord("s/x", {"t": 0.5, "a": 2.0}, 1.0, math.nan, 0.5, 0.25, 1e-09, False, "n")],
+            [SkippedCheck("s/y", {"t": 2.0}, "outside")], 0, 1, 1, 0.125,
+        )
+        assert emit_report(report, "json") == (
+            b'{\n  "suite": "s",\n  "grid_spec": "g",\n  "records": [\n    {\n      "check_id": "s/x",\n'
+            b'      "inputs": {\n        "t": 0.5,\n        "a": 2.0\n      },\n      "lhs": 1.0,\n'
+            b'      "rhs": NaN,\n      "abs_diff": 0.5,\n      "rel_diff": 0.25,\n      "tol": 1e-09,\n'
+            b'      "passed": false,\n      "note": "n"\n    }\n  ],\n  "skipped": [\n    {\n'
+            b'      "check_id": "s/y",\n      "inputs": {\n        "t": 2.0\n      },\n'
+            b'      "reason": "outside"\n    }\n  ],\n  "n_pass": 0,\n  "n_fail": 1,\n  "n_skip": 1,\n'
+            b'  "wall_time_seconds": 0.125\n}\n'
+        )
+
+    def test_json_keys_follow_the_record_fields(self):
+        raw = json.loads(emit_report(run_suite("lemmas"), "json"))
+        assert tuple(raw) == VerificationReport.__slots__
+        assert raw["records"] and all(tuple(r) == CheckRecord.__slots__ for r in raw["records"])
+        assert all(tuple(s) == SkippedCheck.__slots__ for s in raw["skipped"])
 
     def test_csv_is_deterministic(self):
         report = run_suite("specfun")
