@@ -317,7 +317,8 @@ def _row_ladder(
     rule(n) is a rule (points, weights); phi(points, p) evaluates the rows p of
     params there, one block per row; reduce(weights, block) integrates a block.
     Each row stops at its first rung within max(target_rel_tol * |current|,
-    its floor) of the one before.  None when the rungs run out first.
+    its floor) of the one before, and its error estimate is that difference
+    plus rounding.  None when the rungs run out first.
     """
     done: list = [None] * len(params)
     rows = range(len(params))
@@ -332,7 +333,7 @@ def _row_ladder(
                 diff = abs(value - previous[j])
                 floor = floors[row] if floors else 0.0
                 if diff <= max(cfg.target_rel_tol * abs(value), floor):
-                    done[row] = (value, diff + 16.0 * _EPS * abs(value) + floor)
+                    done[row] = (value, diff + 16.0 * _EPS * abs(value))
                     continue
             current.append(value)
             climbing.append(j)
@@ -347,16 +348,16 @@ def _row_ladder(
 
 
 def _jacobi_ladder(
-    phi: RowFn, params: Sequence, a: float, b: float, cfg: QuadConfig, abs_floor: list | None = None
+    phi: RowFn, params: Sequence, a: float, b: float, cfg: QuadConfig, floors: list | None = None
 ) -> list[tuple[float, float]]:
     """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
-    abs_floor, one per row, is an absolute noise allowance (for integrands evaluated
-    with cancellation-limited accuracy); agreement within it counts as convergence.
+    floors, one per row, are absolute tolerances: agreement within a row's floor
+    counts as convergence.
     """
     rule = lambda n: gauss_jacobi_01(n, a, b)
     # ndarray.dot: the C routine behind np.dot, bit for bit, without its Python-level dispatch
-    done = _row_ladder(rule, 16, cfg.max_nodes, np.ndarray.dot, phi, params, cfg, abs_floor)
+    done = _row_ladder(rule, 16, cfg.max_nodes, np.ndarray.dot, phi, params, cfg, floors)
     if done is None:
         raise ConvergenceError(
             f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
@@ -365,9 +366,12 @@ def _jacobi_ladder(
 
 
 def _panel_gauss_ladder(
-    fn: RowFn, params: Sequence, lo: float, hi: float, cfg: QuadConfig, panel_len: float = 10.0
+    fn: RowFn, params: Sequence, lo: float, hi: float, cfg: QuadConfig, floors: list, panel_len: float = 10.0
 ) -> list[tuple[float, float]]:
-    """Composite Gauss-Legendre on [lo, hi], per-panel order doubling; points are (1, panels, n)."""
+    """Composite Gauss-Legendre on [lo, hi], per-panel order doubling; points are (1, panels, n).
+
+    floors, one per row, are absolute tolerances as in _jacobi_ladder.
+    """
     first_rung, budget = 8, 4 * cfg.max_nodes
     # checked before the panels are built: a long interval (hi up to inf) has
     # more panels than the budget can give first_rung nodes each
@@ -385,7 +389,7 @@ def _panel_gauss_ladder(
 
     # np.add.reduce(axis=None) is what np.sum calls, without its Python-level dispatch
     reduce = lambda w, block: np.add.reduce(w * block, axis=None)
-    done = _row_ladder(rule, first_rung, budget // n_panels, reduce, fn, params, cfg)
+    done = _row_ladder(rule, first_rung, budget // n_panels, reduce, fn, params, cfg, floors)
     if done is None:
         raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
     return done
@@ -439,7 +443,10 @@ def rl_integral_quad(
             s = 0.5 * np.exp(-x)
             return (1.0 - s) ** (alpha - 1.0) * f.value(tc * s) * s
 
-        lowers = _panel_gauss_ladder(lower, ts[:, :, None], 0.0, x_cut, cfg)
+        # the lower piece changes sign where t s = 1 and can cancel to nearly 0, so it
+        # needs accuracy relative to the whole integral, not to itself
+        floors = [cfg.target_rel_tol * scale_hi * abs(v) for v, _ in upper]
+        lowers = _panel_gauss_ladder(lower, ts[:, :, None], 0.0, x_cut, cfg, floors)
         rows = [(scale_hi * v + vl, scale_hi * e + el) for (v, e), (vl, el) in zip(upper, lowers)]
     results = [EvalResult(c * v, "oracle", c * e) for c, (v, e) in zip(prefactors, rows)]
     return results[0] if scalar else results
@@ -644,8 +651,9 @@ def weyl_derivative_quad(
         floors = [64.0 * _EPS * abs(float(np.dot(weights, row))) for row in scales]
         prefactor = 1.0 / math.gamma(beta_order)
         phi = _tail_integrand(t, kernel, -delta, w_right)
-        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, abs_floor=floors)
-        return [(prefactor * value, prefactor * err) for value, err in rows]
+        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors)
+        # the floor is evaluation noise that the ladder's differences need not show
+        return [(prefactor * value, prefactor * (err + floor)) for (value, err), floor in zip(rows, floors)]
 
     return _stencil_derivative("weyl_derivative_quad", AbsPower(delta), alpha, t, cfg, tail)
 

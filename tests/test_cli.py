@@ -9,6 +9,7 @@ import pytest
 
 from fraccalc import closed_forms as cf
 from fraccalc.cli import RANGE_MAX_POINTS, _range_arg, main
+from fraccalc.verify import ATOL_DERIVATIVE, TOL_DERIVATIVE
 
 
 def run_cli(*argv):
@@ -241,6 +242,19 @@ class TestTableCommand:
         assert (float(alpha), float(t), float(param)) == (0.25, 1.0, 0.5)
         assert abs(float(closed) - float(oracle)) == float(diff)
         assert float(diff) < 1e-9
+
+    def test_powerlog_derivative_sweep(self, tmp_path):
+        # one point of this sweep has a stencil integral whose lower log piece cancels to nearly 0
+        out = tmp_path / "table.csv"
+        assert main(
+            ["table", "--op", "rl-der", "--fn", "powerlog:nu=1.5",
+             "--alpha-range", "0.1:0.9:0.02", "--t-range", "0.5:5:0.05", "--out", str(out)]
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 41 * 91
+        for row in rows:
+            closed, diff = float(row[3]), float(row[5])
+            assert diff <= max(TOL_DERIVATIVE * abs(closed), ATOL_DERIVATIVE)
 
     def test_rows_parse_back_losslessly(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -25,6 +25,10 @@ T8_HALF_ONE_ONE = 0.78213283827483395  # 2 ln 2 / sqrt(pi)
 T2_QUARTER_HALF_ONE = 2.8928181692641543  # sqrt(2) gamma(1/4) / sqrt(pi)
 T6_HALF_QUARTER_ONE = -0.13999967745248263  # -tan(pi/8) gamma(3/4)/gamma(1/4)
 LIT_QUARTER_HALF_ONE = 0.69136733903629335  # gamma(3/4)/gamma(1/2)
+# powerlog nu = 1.5; the integral also from 40-digit quadrature, the derivative
+# also as the numerical derivative of the order-0.24 integral (agreeing to 1e-14)
+T4_CANCELLING = 2.6807390824790617  # alpha 0.24, t 3.594375
+T8_CANCELLING = 1.2426388388897313  # alpha 0.76, t 3.55
 
 
 class TestPowerIntegral:
@@ -182,6 +186,7 @@ class TestPowerLogIntegral:
 
     def test_frozen_value(self):
         assert cf.rl_integral_powerlog(0.5, 1.0, 1.0) == pytest.approx(T4_HALF_ONE_ONE, rel=1e-13)
+        assert cf.rl_integral_powerlog(0.24, 1.5, 3.594375) == pytest.approx(T4_CANCELLING, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -194,6 +199,7 @@ class TestPowerLogDerivative:
         assert cf.rl_derivative_powerlog(0.5, 1.0, 1.0) == pytest.approx(
             T8_HALF_ONE_ONE, rel=1e-13
         )
+        assert cf.rl_derivative_powerlog(0.76, 1.5, 3.55) == pytest.approx(T8_CANCELLING, rel=1e-13)
 
     def test_equals_integral_expression_at_negated_order(self):
         for alpha in (0.25, 0.9, 1.5):

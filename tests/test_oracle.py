@@ -15,12 +15,16 @@ from fraccalc import oracle as orc
 from fraccalc.errors import ConvergenceError, DomainError, StencilError
 from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog
 from fraccalc.oracle import Integrand, QuadConfig
+from fraccalc.verify import ATOL_DERIVATIVE, TOL_DERIVATIVE
 
 CFG = QuadConfig()
 
 T4_HALF_ONE_ONE = -0.69249265764135724
 T2_QUARTER_HALF_ONE = 2.8928181692641543
 T6_HALF_QUARTER_ONE = -0.13999967745248263
+# powerlog nu = 1.5 at points where one lower log piece nearly cancels to 0
+T4_CANCELLING = 2.6807390824790617  # alpha 0.24, t 3.594375
+T8_CANCELLING = 1.2426388388897313  # alpha 0.76, t 3.55
 
 
 class TestGaussJacobiRule:
@@ -147,6 +151,13 @@ class TestRlIntegralQuad:
         with pytest.raises(ConvergenceError):
             orc.rl_integral_quad(Exp(1.0), 0.5, 1.0, tiny)
 
+    def test_powerlog_lower_piece_cancelling_to_zero(self):
+        # the lower log piece changes sign at t s = 1 and here nearly cancels to 0,
+        # so it converges to a tolerance set by the whole integral, not by itself
+        r = orc.rl_integral_quad(PowerLog(1.5), 0.24, 3.594375, CFG)
+        assert abs(r.value - T4_CANCELLING) <= r.abs_err_estimate + 4e-16 * T4_CANCELLING
+        assert r.abs_err_estimate <= CFG.target_rel_tol * abs(r.value)
+
 
 # the four integrand kinds of rl_integral_quad: p = 0, p != 0, log at the origin,
 # and a custom evaluator; each grows fast enough that t = 40 needs more nodes than t = 1
@@ -246,6 +257,13 @@ class TestRlDerivativeQuad:
     def test_integer_order_rejected(self):
         with pytest.raises(DomainError):
             orc.rl_derivative_quad(Exp(1.0), 1.0, 1.0, CFG)
+
+    def test_powerlog_whose_lower_piece_cancels(self):
+        # one stencil point's integral has a lower log piece of nearly 0
+        r = orc.oracle_eval(OperatorKind.RL_DERIVATIVE, 0.76, PowerLog(1.5), 3.55, CFG)
+        gap = abs(r.value - T8_CANCELLING)
+        assert gap <= max(TOL_DERIVATIVE * T8_CANCELLING, ATOL_DERIVATIVE)
+        assert gap <= r.abs_err_estimate
 
     def test_stencil_check(self):
         # m = 11 steps of FD_STEP_FACTOR * t reach past the origin
