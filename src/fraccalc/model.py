@@ -60,8 +60,9 @@ class _Record:
     to records of the same type with equal fields, hash consistently with
     that, and repr as 'Power(gamma_exp=0.5)'.  The standard library's
     decorator for frozen records does the same, but importing it (with
-    inspect, ast and dis) took about 11 ms of a 105 ms closed-form eval, and
-    the __init__ it writes costs about twice as much per record.
+    inspect, ast and dis) and running it took about 16 ms of a 102 ms
+    closed-form eval on a 2-vCPU x86 host, and the __init__ it writes costs
+    about a fifth more per record.
     """
 
     __slots__ = ()

@@ -31,7 +31,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StencilError
-from .model import _EPS, DEFAULT_CONFIG, AbsPower, EvalResult, FunctionFamily, OperatorKind, QuadConfig, _Record, _set
+from .model import (
+    _EPS,
+    DEFAULT_CONFIG,
+    AbsPower,
+    EvalResult,
+    FunctionFamily,
+    OperatorKind,
+    QuadConfig,
+    _Record,
+    _set,
+)
 
 __all__ = [
     "Integrand",

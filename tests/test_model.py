@@ -148,11 +148,19 @@ class TestPairing:
             oracle_eval(OperatorKind.RL_DERIVATIVE, 0.5, "power", 1.0)
 
 
-# Every record type with its fields as (name, value) pairs, in declaration
+# Every record type with all its fields as (name, value) pairs, in declaration
 # order, and its repr, which reads as the frozen-dataclass repr of earlier
-# versions did.  Fields left out take their defaults.
-_CHECK = CheckRecord("c/1", {"t": 0.5}, 1.0, 1.5, 0.5, 0.25, 1e-09, False, "n")
-_SKIP = SkippedCheck("c/2", {"t": 2.0}, "outside")
+# versions did.
+_CHECK_FIELDS = (
+    ("check_id", "c/1"), ("inputs", {"t": 0.5}), ("lhs", 1.0), ("rhs", 1.5), ("abs_diff", 0.5),
+    ("rel_diff", 0.25), ("tol", 1e-09), ("passed", False), ("note", "n"),
+)
+_SKIP_FIELDS = (("check_id", "c/2"), ("inputs", {"t": 2.0}), ("reason", "outside"))
+_CHECK_REPR = (
+    "CheckRecord(check_id='c/1', inputs={'t': 0.5}, lhs=1.0, rhs=1.5, abs_diff=0.5, rel_diff=0.25, "
+    "tol=1e-09, passed=False, note='n')"
+)
+_SKIP_REPR = "SkippedCheck(check_id='c/2', inputs={'t': 2.0}, reason='outside')"
 RECORDS = (
     (Power, (("gamma_exp", 0.5),), "Power(gamma_exp=0.5)"),
     (Exp, (("lam", -1.0),), "Exp(lam=-1.0)"),
@@ -163,43 +171,39 @@ RECORDS = (
         (("value", 1.5), ("method", "oracle"), ("abs_err_estimate", 1e-12)),
         "EvalResult(value=1.5, method='oracle', abs_err_estimate=1e-12)",
     ),
-    (QuadConfig, (), "QuadConfig(target_rel_tol=1e-10, max_nodes=2048)"),
     (
         QuadConfig,
         (("target_rel_tol", 1e-9), ("max_nodes", 1024)),
         "QuadConfig(target_rel_tol=1e-09, max_nodes=1024)",
     ),
-    (Integrand, (("value", abs),), "Integrand(value=<built-in function abs>, power_at_zero=0.0, log_at_zero=False)"),
     (
         Integrand,
         (("value", abs), ("power_at_zero", 0.5), ("log_at_zero", True)),
         "Integrand(value=<built-in function abs>, power_at_zero=0.5, log_at_zero=True)",
     ),
-    (
-        CheckRecord,
-        tuple(zip(CheckRecord.__slots__[:-1], ("c/1", {"t": 0.5}, 1.0, 1.5, 0.5, 0.25, 1e-09, False))),
-        "CheckRecord(check_id='c/1', inputs={'t': 0.5}, lhs=1.0, rhs=1.5, abs_diff=0.5, rel_diff=0.25, "
-        "tol=1e-09, passed=False, note='')",
-    ),
-    (
-        SkippedCheck,
-        (("check_id", "c/2"), ("inputs", {"t": 2.0}), ("reason", "outside")),
-        "SkippedCheck(check_id='c/2', inputs={'t': 2.0}, reason='outside')",
-    ),
+    (CheckRecord, _CHECK_FIELDS, _CHECK_REPR),
+    (SkippedCheck, _SKIP_FIELDS, _SKIP_REPR),
     (
         VerificationReport,
-        tuple(zip(VerificationReport.__slots__, ("s", "g", [_CHECK], [_SKIP], 0, 1, 1, 0.25))),
-        f"VerificationReport(suite='s', grid_spec='g', records=[{_CHECK!r}], skipped=[{_SKIP!r}], "
+        (
+            ("suite", "s"), ("grid_spec", "g"), ("records", [CheckRecord(**dict(_CHECK_FIELDS))]),
+            ("skipped", [SkippedCheck(**dict(_SKIP_FIELDS))]), ("n_pass", 0), ("n_fail", 1), ("n_skip", 1),
+            ("wall_time_seconds", 0.25),
+        ),
+        f"VerificationReport(suite='s', grid_spec='g', records=[{_CHECK_REPR}], skipped=[{_SKIP_REPR}], "
         "n_pass=0, n_fail=1, n_skip=1, wall_time_seconds=0.25)",
     ),
     (
         FalsificationMargin,
-        tuple(zip(FalsificationMargin.__slots__, (0.5, 0.25, 1.0, 2.0, 3.0, 2.0, 1e-10, "corrected"))),
+        (
+            ("delta", 0.5), ("alpha", 0.25), ("t", 1.0), ("corrected", 2.0), ("literature", 3.0),
+            ("oracle", 2.0), ("oracle_err", 1e-10), ("verdict", "corrected"),
+        ),
         "FalsificationMargin(delta=0.5, alpha=0.25, t=1.0, corrected=2.0, literature=3.0, oracle=2.0, "
         "oracle_err=1e-10, verdict='corrected')",
     ),
 )
-_IDS = [f"{cls.__name__}-{len(fields)}" for cls, fields, _ in RECORDS]
+_IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 
 class TestRecords:
@@ -215,7 +219,7 @@ class TestRecords:
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, text):
         record = cls(**dict(fields))
-        for name in cls.__slots__ + ("other",):
+        for name in [name for name, _ in fields] + ["other"]:
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(record, name, 1.0)
             with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
@@ -227,10 +231,10 @@ class TestRecords:
         record = cls(**dict(fields))
         assert record == cls(**dict(fields))
         assert not record != cls(**dict(fields))
-        values = tuple(getattr(record, name) for name in cls.__slots__)
+        values = tuple(value for _, value in fields)
         assert record != values
         assert record != list(values)
-        assert record != dict(zip(cls.__slots__, values))
+        assert record != dict(fields)
         # a record of another type with the same field values
         twin = type("Twin", (cls,), {"__slots__": ()})(*values)
         assert record != twin and twin != record
@@ -238,7 +242,7 @@ class TestRecords:
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
     def test_hash_matches_equality(self, cls, fields, text):
         record = cls(**dict(fields))
-        if any(isinstance(getattr(record, name), (dict, list)) for name in cls.__slots__):
+        if any(isinstance(value, (dict, list)) for _, value in fields):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(record)
         else:
@@ -259,10 +263,15 @@ class TestRecords:
         assert Power(0.5) != Power(0.25)
         assert EvalResult(1.0, "oracle", 0.0) != EvalResult(1.0, "closed-form", 0.0)
 
-    def test_default_config(self):
+    def test_defaults(self):
         assert QuadConfig() == DEFAULT_CONFIG
         assert QuadConfig(1e-10, 2048) == DEFAULT_CONFIG
         assert QuadConfig(max_nodes=1024) != DEFAULT_CONFIG
+        assert repr(QuadConfig()) == "QuadConfig(target_rel_tol=1e-10, max_nodes=2048)"
+        assert repr(Integrand(abs)) == (
+            "Integrand(value=<built-in function abs>, power_at_zero=0.0, log_at_zero=False)"
+        )
+        assert CheckRecord(*(value for _, value in _CHECK_FIELDS[:-1])).note == ""
 
     @pytest.mark.parametrize(
         "build, message",
