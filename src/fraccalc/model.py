@@ -56,7 +56,8 @@ class _Record:
     """Base of the package's immutable records.
 
     A subclass lists its fields as __slots__ and sets each once in its
-    __init__, after validating it, through _set.  Records compare equal only
+    __init__, after validating it, through _set; a subclass of a record keeps
+    the fields of its bases and adds its own.  Records compare equal only
     to records of the same type with equal fields, hash consistently with
     that, and repr as 'Power(gamma_exp=0.5)'.  The standard library's
     decorator for frozen records does the same, but importing it (with
@@ -66,6 +67,10 @@ class _Record:
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += cls.__dict__.get("__slots__", ())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -74,10 +79,10 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def _asdict(self) -> dict:
-        return dict(zip(self.__slots__, self._astuple()))
+        return dict(zip(self._fields, self._astuple()))
 
     def __eq__(self, other):
         if type(other) is not type(self):

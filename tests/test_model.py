@@ -235,9 +235,12 @@ class TestRecords:
         assert record != values
         assert record != list(values)
         assert record != dict(fields)
-        # a record of another type with the same field values
-        twin = type("Twin", (cls,), {"__slots__": ()})(*values)
+        # a subclass keeps the fields, and its records differ from the base's
+        twin_type = type("Twin", (cls,), {"__slots__": ()})
+        twin = twin_type(*values)
         assert record != twin and twin != record
+        assert twin == twin_type(*values)
+        assert repr(twin) == "Twin" + text[len(cls.__name__):]
 
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=_IDS)
     def test_hash_matches_equality(self, cls, fields, text):
