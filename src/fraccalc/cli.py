@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 
 from .closed_forms import closed_eval
@@ -137,12 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--alpha-range", required=True, type=_range_arg, metavar="a:b:s")
     p_table.add_argument("--t-range", required=True, type=_range_arg, metavar="a:b:s")
     p_table.add_argument("--out", required=True, metavar="PATH")
+    p_table.add_argument("--config", metavar="PATH")
 
     p_cmp = sub.add_parser("compare", help="corrected vs literature Weyl derivative")
     p_cmp.add_argument("--delta", required=True, type=float)
     p_cmp.add_argument("--alpha", required=True, type=float)
     p_cmp.add_argument("--t-range", required=True, type=_range_arg, metavar="a:b:s")
     p_cmp.add_argument("--out", required=True, metavar="PATH")
+    p_cmp.add_argument("--config", metavar="PATH")
 
     return parser
 
@@ -179,13 +182,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     from .oracle import oracle_eval
 
+    cfg = _load_config(args.config)
     kind = OperatorKind(args.op)
     param = args.fn.param
     lines = ["alpha,t,param,value_closed,value_oracle,abs_diff"]
     for alpha in args.alpha_range:
         for t in args.t_range:
             closed = closed_eval(kind, alpha, args.fn, t)
-            oracle = oracle_eval(kind, alpha, args.fn, t)
+            oracle = oracle_eval(kind, alpha, args.fn, t, cfg)
             lines.append(
                 ",".join(
                     (
@@ -205,9 +209,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .verify import falsification_margin
 
+    cfg = _load_config(args.config)
     lines = ["delta,alpha,t,corrected,literature,oracle,oracle_err,verdict"]
     for t in args.t_range:
-        margin = falsification_margin(args.delta, args.alpha, t)
+        margin = falsification_margin(args.delta, args.alpha, t, cfg)
         lines.append(
             ",".join(
                 (
@@ -256,6 +261,14 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The ``fraccalc`` command: main(), then exit with its status.
 
+    numpy's BLAS/LAPACK runs on one thread unless ``OPENBLAS_NUM_THREADS`` is
+    already set.  Every BLAS call here is small (1-D dot products, ``eigh`` of
+    at most 256 nodes), so a second thread never helps; it only spins between
+    calls, which took about 280 ms of CPU beyond the wall time of a ``verify``
+    run.  numpy is first imported inside a command, after this point, so
+    OpenBLAS reads the setting when it loads.  Only the command sets it: a
+    program that imports fraccalc keeps its own threading.
+
     A command leaves about 200 objects of cyclic garbage (the parser), however
     many points it evaluates, so the process runs without the cyclic
     collector: its passes only walk the modules being imported, 7 ms of an
@@ -263,6 +276,7 @@ def run() -> None:
     the collections of interpreter shutdown skip them too: they took 16 ms of
     a closed ``eval`` and 30 ms of one that loads numpy.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     status = main()
     gc.freeze()

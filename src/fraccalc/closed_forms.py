@@ -67,8 +67,8 @@ def exp_shift_expr(a: float, lam: float, t: float) -> float:
     return t**a * sf.mittag_leffler(1.0, 1.0 + a, lam * t)
 
 
-def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
-    """t**(a+nu-1) * gamma(nu)/gamma(a+nu) * [log t + psi(nu) - psi(a+nu)].
+def powerlog_shift_terms(a: float, nu: float, t: float) -> tuple[float, float, float, float]:
+    """Prefactor t**(a+nu-1) * gamma(nu)/gamma(a+nu), then log t, psi(nu), psi(a+nu).
 
     At a+nu in {0, -1, ...} the coefficient vanishes while the digamma term
     blows up; the limit is not resolved here, so that locus is an error.
@@ -77,9 +77,14 @@ def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
         raise SingularParamError(
             f"power-log formula is a 0*inf form at shifted order a+nu={a + nu!r}"
         )
-    coeff = sf.gamma_ratio(nu, a + nu)
-    bracket = math.log(t) + sf.digamma(nu) - sf.digamma(a + nu)
-    return t ** (a + nu - 1.0) * coeff * bracket
+    prefactor = t ** (a + nu - 1.0) * sf.gamma_ratio(nu, a + nu)
+    return prefactor, math.log(t), sf.digamma(nu), sf.digamma(a + nu)
+
+
+def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
+    """t**(a+nu-1) * gamma(nu)/gamma(a+nu) * [log t + psi(nu) - psi(a+nu)]."""
+    prefactor, log_t, psi_nu, psi_shifted = powerlog_shift_terms(a, nu, t)
+    return prefactor * (log_t + psi_nu - psi_shifted)
 
 
 def weyl_power_shift_expr(a: float, delta: float, t: float) -> float:
@@ -341,6 +346,17 @@ def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: fl
 
 
 def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:
-    """closed_value wrapped with a few-ulp error bound."""
+    """closed_value wrapped with a few-ulp error bound.
+
+    The power-log bracket log t + psi(nu) - psi(a+nu) can cancel (small alpha,
+    t near 1), leaving an error of a few ulp of its largest term, not of the
+    result; there the bound is taken on |prefactor| times the sum of the
+    terms' magnitudes, which equals |value| where the terms share a sign.
+    """
     value = closed_value(kind, alpha, family, t)
-    return EvalResult(value=value, method="closed-form", abs_err_estimate=8.0 * _EPS * abs(value))
+    scale = abs(value)
+    if type(family) is PowerLog:
+        a = -alpha if OperatorKind(kind).is_derivative else alpha
+        prefactor, *terms = powerlog_shift_terms(a, family.nu, t)
+        scale = abs(prefactor) * sum(map(abs, terms))
+    return EvalResult(value=value, method="closed-form", abs_err_estimate=8.0 * _EPS * scale)

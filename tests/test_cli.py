@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import subprocess
 import sys
 
@@ -288,6 +289,38 @@ class TestCompareCommand:
             assert fields[7] == "corrected"
 
 
+class TestOracleCommandConfig:
+    # each command beside the eval whose oracle evaluates the same point
+    CASES = (
+        (["table", "--op", "rl-int", "--fn", "exp:lambda=1", "--alpha-range", "0.5:0.5:1",
+          "--t-range", "1:1:1"],
+         ["eval", "--op", "rl-int", "--alpha", "0.5", "--fn", "exp:lambda=1", "--t", "1"]),
+        (["compare", "--delta", "0.5", "--alpha", "0.5", "--t-range", "1:1:1"],
+         ["eval", "--op", "weyl-der", "--alpha", "0.5", "--fn", "abspower:delta=0.5", "--t", "1"]),
+    )
+
+    @pytest.mark.parametrize("argv, eval_argv", CASES, ids=("table", "compare"))
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, argv, eval_argv):
+        config = tmp_path / "quad.cfg"
+        config.write_text("bogus_knob = 3\n")
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--out", str(out), "--config", str(config)]) == 2
+        assert "unknown config key 'bogus_knob'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, eval_argv", CASES, ids=("table", "compare"))
+    def test_config_reaches_the_oracle(self, tmp_path, capsys, argv, eval_argv):
+        config = tmp_path / "quad.cfg"
+        config.write_text("max_nodes = 16\n")
+        assert main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
+        capsys.readouterr()
+        assert main([*eval_argv, "--method", "oracle", "--config", str(config)]) == 4
+        expected = capsys.readouterr().err
+        assert "convergence error" in expected
+        assert main([*argv, "--out", str(tmp_path / "r.csv"), "--config", str(config)]) == 4
+        assert capsys.readouterr().err == expected
+
+
 class TestUnwritableOut:
     # exit 1 means verification failure, so a path that cannot be written is a usage error
     @pytest.mark.parametrize(
@@ -447,31 +480,61 @@ class TestLazyImports:
 
 
 class TestEntryPoint:
-    # the atexit hook reports the collector's state after run() has handed over to sys.exit
+    # the atexit hook prints {report} after run() has handed over to sys.exit
     SCRIPT = (
-        "import atexit, gc, sys; from fraccalc.cli import run; "
-        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "import atexit, gc, os, sys; from fraccalc.cli import run; "
+        "atexit.register(lambda: print({report}, file=sys.stderr)); "
         "sys.argv[0] = 'fraccalc'; run()"
     )
+    COLLECTOR = "gc.isenabled(), gc.get_freeze_count() > 0"
+    BLAS_SETTING = "os.environ.get('OPENBLAS_NUM_THREADS')"
+    THREADS = "[line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')][0]"
+    EVAL_BOTH = ["eval", "--op", "rl-der", "--alpha", "0.5", "--fn", "exp:lambda=1", "--t", "1",
+                 "--method", "both"]
+
+    def _run(self, report, argv, **env):
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT.format(report=report), *argv],
+            capture_output=True, text=True, timeout=120, env={**child_env, **env},
+        )
 
     @pytest.mark.parametrize(
         "argv, code",
         (
-            (["eval", "--op", "rl-der", "--alpha", "0.5", "--fn", "exp:lambda=1", "--t", "1",
-              "--method", "both"], 0),
+            (EVAL_BOTH, 0),
             (["eval", "--op", "rl-der", "--alpha", "nan", "--fn", "exp:lambda=1", "--t", "1"], 3),
         ),
         ids=("both", "domain-error"),
     )
     def test_run_exits_with_main_status_and_frozen_heap(self, argv, code, capsys):
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True, timeout=120
-        )
+        result = self._run(self.COLLECTOR, argv)
         assert main(argv) == code
         expected = capsys.readouterr()
         assert result.returncode == code
         assert result.stdout == expected.out
         assert result.stderr == expected.err + "False True\n"
+
+    # a second OpenBLAS thread only spins between the small BLAS calls of a command
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    @pytest.mark.parametrize("argv", (EVAL_BOTH, ["verify", "--suite", "lemmas"]), ids=("both", "verify"))
+    def test_run_keeps_blas_on_one_thread(self, argv):
+        result = self._run(f"{self.BLAS_SETTING}, {self.THREADS}", argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "1 1"
+
+    def test_run_keeps_the_users_blas_setting(self):
+        result = self._run(self.BLAS_SETTING, self.EVAL_BOTH, OPENBLAS_NUM_THREADS="2")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "2"
+
+    # a program that embeds the library keeps its own threading
+    def test_main_leaves_the_environment_alone(self, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert main(self.EVAL_BOTH) == 0
+        assert main(["verify", "--suite", "lemmas"]) == 0
+        assert dict(os.environ) == before
 
 
 class TestHelp:

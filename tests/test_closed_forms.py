@@ -6,6 +6,7 @@ quadrature cross-checks live in test_oracle.py and the verification suites.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -426,6 +427,45 @@ class TestDispatch:
         result = cf.closed_eval(OperatorKind.RL_INTEGRAL, 0.5, Exp(1.0), 1.0)
         assert result.method == "closed-form"
         assert result.abs_err_estimate < 1e-13
+
+
+class TestPowerLogErrorBound:
+    # small alpha and t near 1: log t + psi(nu) - psi(a+nu) cancels, and 8 eps |value|
+    # fell 10- to 250-fold below the true error
+    @pytest.mark.parametrize(
+        "op, alpha, nu, t",
+        (
+            ("rl-int", 0.02168, 0.92015, 1.04093),
+            ("rl-int", 0.02, 0.9, 1.04),
+            ("rl-int", 0.03, 0.95, 1.05),
+            ("rl-int", 0.01, 0.8, 1.02),
+            ("rl-der", 0.02, 0.9, 0.96),
+            ("rl-der", 0.03, 1.0, 0.97),
+            ("rl-der", 0.05, 2.0, 0.98),
+            ("rl-der", 0.01, 0.5, 0.99),
+        ),
+    )
+    def test_bound_covers_cancelling_bracket(self, op, alpha, nu, t):
+        mpmath = pytest.importorskip("mpmath")
+        result = cf.closed_eval(OperatorKind(op), alpha, PowerLog(nu), t)
+        a = alpha if op == "rl-int" else -alpha
+        with mpmath.workdps(40):
+            a, nu, t = mpmath.mpf(a), mpmath.mpf(nu), mpmath.mpf(t)
+            exact = (
+                t ** (a + nu - 1) * mpmath.gamma(nu) / mpmath.gamma(a + nu)
+                * (mpmath.log(t) + mpmath.digamma(nu) - mpmath.digamma(a + nu))
+            )
+            error = abs(mpmath.mpf(result.value) - exact)
+        assert error <= result.abs_err_estimate <= 1e3 * max(error, 1e-16 * abs(result.value))
+
+    # every term of the bracket has one sign, so its magnitude is their sum
+    @pytest.mark.parametrize(
+        "op, alpha, nu, t",
+        (("rl-der", 1.5, 2.0, 2.0), ("rl-int", 1.5, 0.5, 0.5), ("rl-der", 0.5, 0.3, 0.5)),
+    )
+    def test_bound_is_few_ulp_of_value_without_cancellation(self, op, alpha, nu, t):
+        result = cf.closed_eval(OperatorKind(op), alpha, PowerLog(nu), t)
+        assert result.abs_err_estimate == 8.0 * sys.float_info.epsilon * abs(result.value)
 
 
 class TestGammaRatioPoleInteraction:
