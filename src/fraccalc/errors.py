@@ -2,7 +2,15 @@
 
 
 class FracCalcError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    An oracle call over a sequence of t that refuses some of its points
+    raises the error of the first refused point, with outcomes set to one
+    entry per point: its result, or the error that a call at that point
+    alone raises.  On every other error outcomes is None.
+    """
+
+    outcomes: list | None = None
 
 
 class DomainError(FracCalcError, ValueError):

@@ -15,11 +15,18 @@ defining integrals.  The machinery:
 * fractional derivatives apply an order-m central difference with Richardson
   extrapolation to the (m - alpha)-order integral, mirroring the defining
   composition instead of differentiating under the integral sign; all
-  stencil points of all Richardson levels are rows of one shared ladder;
+  stencil points of all Richardson levels of every t are rows of one
+  shared ladder;
 * the Weyl tail over (-inf, 0) is mapped to (0, 1) by u = s t/(1-s); for the
   derivative the whole difference stencil is combined into one kernel before
   integrating, which keeps the tail absolutely convergent for every order
   (no truncation cutoff needed) and cancels the divergent bulk exactly.
+
+Every *_quad function takes t as one point or as a sequence of points; the
+points of a sequence are rows of the same ladders, and each row stops on its
+own rung or is refused on its own.  Inside the module a row is a (value,
+error estimate) pair, or the FracCalcError that refused it; EvalResults are
+built only for the caller.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, StencilError
+from .errors import ConvergenceError, DomainError, FracCalcError, StencilError
 from .model import (
     _EPS,
     DEFAULT_CONFIG,
@@ -310,6 +317,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 RowFn = Callable[[np.ndarray, Sequence], np.ndarray]  # (points, parameter rows) -> a block per row
+# a ladder row's (value, error estimate), or the error that refused it
+Row = "tuple[float, float] | FracCalcError"
 
 
 def _row_ladder(
@@ -321,14 +330,14 @@ def _row_ladder(
     params: Sequence,
     cfg: QuadConfig,
     floors: Sequence[float] | None = None,
-) -> list[tuple[float, float]] | None:
+) -> list[tuple[float, float] | None]:
     """Climb rules of n, 2n, ... <= n_max nodes for all rows of params at once.
 
     rule(n) is a rule (points, weights); phi(points, p) evaluates the rows p of
     params there, one block per row; reduce(weights, block) integrates a block.
     Each row stops at its first rung within max(target_rel_tol * |current|,
     its floor) of the one before, and its error estimate is that difference
-    plus rounding.  None when the rungs run out first.
+    plus rounding.  A row still climbing when the rungs run out is None.
     """
     done: list = [None] * len(params)
     rows = range(len(params))
@@ -354,40 +363,65 @@ def _row_ladder(
             params = params[climbing]
         previous = current
         n *= 2
-    return None
+    return done
+
+
+def _refuse(done: list, message: str, width: int) -> list[Row]:
+    """The rows of a ladder, each row that ran out of rungs (None) refused with message.
+
+    Each run of width rows stands for one call at one t, which stops at the
+    first stage that refuses any of its rows: a refused row refuses its run.
+    """
+    refused = ConvergenceError(message)
+    runs = (done[i : i + width] for i in range(0, len(done), width))
+    return [row for run in runs for row in ([refused] * len(run) if None in run else run)]
 
 
 def _jacobi_ladder(
-    phi: RowFn, params: Sequence, a: float, b: float, cfg: QuadConfig, floors: list | None = None
-) -> list[tuple[float, float]]:
+    phi: RowFn,
+    params: Sequence,
+    a: float,
+    b: float,
+    cfg: QuadConfig,
+    floors: list | None = None,
+    width: int = 1,
+) -> list[Row]:
     """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
     floors, one per row, are absolute tolerances: agreement within a row's floor
-    counts as convergence.
+    counts as convergence.  Runs of width rows are refused together (see _refuse).
     """
     rule = lambda n: gauss_jacobi_01(n, a, b)
     # ndarray.dot: the C routine behind np.dot, bit for bit, without its Python-level dispatch
     done = _row_ladder(rule, 16, cfg.max_nodes, np.ndarray.dot, phi, params, cfg, floors)
-    if done is None:
-        raise ConvergenceError(
-            f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
-        )
+    if None in done:
+        message = f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
+        done = _refuse(done, message, width)
     return done
 
 
 def _panel_gauss_ladder(
-    fn: RowFn, params: Sequence, lo: float, hi: float, cfg: QuadConfig, floors: list, panel_len: float = 10.0
-) -> list[tuple[float, float]]:
+    fn: RowFn,
+    params: Sequence,
+    lo: float,
+    hi: float,
+    cfg: QuadConfig,
+    floors: list,
+    width: int,
+    panel_len: float = 10.0,
+) -> list[Row]:
     """Composite Gauss-Legendre on [lo, hi], per-panel order doubling; points are (1, panels, n).
 
-    floors, one per row, are absolute tolerances as in _jacobi_ladder.
+    floors, one per row, are absolute tolerances, and width is the run of
+    rows refused together, as in _jacobi_ladder.
     """
     first_rung, budget = 8, 4 * cfg.max_nodes
+    message = f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]"
     # checked before the panels are built: a long interval (hi up to inf) has
     # more panels than the budget can give first_rung nodes each
     span = (hi - lo) / panel_len
     if not span <= budget // first_rung:
-        raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
+        return [ConvergenceError(message)] * len(params)
     n_panels = max(1, int(math.ceil(span)))
     edges = np.linspace(lo, hi, n_panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -400,9 +434,69 @@ def _panel_gauss_ladder(
     # np.add.reduce(axis=None) is what np.sum calls, without its Python-level dispatch
     reduce = lambda w, block: np.add.reduce(w * block, axis=None)
     done = _row_ladder(rule, first_rung, budget // n_panels, reduce, fn, params, cfg, floors)
-    if done is None:
-        raise ConvergenceError(f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]")
-    return done
+    return _refuse(done, message, width) if None in done else done
+
+
+# ---------------------------------------------------------------------------
+# rows of many points, and the results the caller sees
+
+
+def _points(name: str, t: float | Sequence[float]) -> tuple[list, bool]:
+    """t as a list of points, and whether it came as one number.
+
+    One point that is not finite and positive refuses the whole call, with
+    the message a call at that point alone gives.
+    """
+    # np.ndim of a list would build an array from it
+    scalar = isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0)
+    points = [t] if scalar else list(t)
+    for x in points:
+        if not math.isfinite(x) or x <= 0.0:
+            raise DomainError(f"{name} requires t > 0, got {x!r}")
+    return points, scalar
+
+
+class _GroupedPoints(list):
+    """Points that the oracle passes to rl_integral_quad for its own use.
+
+    For these points rl_integral_quad returns rows, not EvalResults, and
+    takes each run of width points for one call at one t (see _refuse): a
+    derivative passes the stencil points of each of its t as one run.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, points: list[float], width: int) -> None:
+        super().__init__(points)
+        self.width = width
+
+
+def _results(rows: list[Row], scalar: bool) -> EvalResult | list[EvalResult]:
+    """The EvalResults of rows, one per point of t, for the caller.
+
+    A refused point, or one whose estimate no EvalResult accepts, raises its
+    error when t is one number.  A sequence of t raises the error of its
+    first such point, with outcomes set (see FracCalcError).
+    """
+    if scalar:
+        [row] = rows
+        if isinstance(row, FracCalcError):
+            raise row
+        return EvalResult(row[0], "oracle", row[1])
+    outcomes: list = []
+    for row in rows:
+        if not isinstance(row, FracCalcError):
+            try:
+                row = EvalResult(row[0], "oracle", row[1])
+            except DomainError as exc:
+                row = exc
+        outcomes.append(row)
+    refused = [row for row in outcomes if isinstance(row, FracCalcError)]
+    if refused:
+        error = type(refused[0])(*refused[0].args)
+        error.outcomes = outcomes
+        raise error
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +510,33 @@ def rl_integral_quad(
     After tau = t s the definition reads
     t**alpha / gamma(alpha) * integral_0^1 (1-s)**(alpha-1) f(t s) ds,
     so the kernel weight is exactly a Jacobi weight at s = 1; the declared
-    origin exponent of f supplies the weight at s = 0.  A sequence of t gives
-    a list of results, its points being rows of the same ladders.
+    origin exponent of f supplies the weight at s = 0.  A sequence of t
+    gives a list of results, its points being rows of the same ladders.
+    When the ladders refuse some of its points, the call raises the error of
+    the first one, with every point's result or error in its outcomes (see
+    FracCalcError).
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"rl_integral_quad requires alpha > 0, got {alpha!r}")
-    scalar = isinstance(t, float) or np.ndim(t) == 0
-    points = [t] if scalar else list(t)
-    prefactors = []
-    for x in points:
-        if not math.isfinite(x) or x <= 0.0:
-            raise DomainError(f"rl_integral_quad requires t > 0, got {x!r}")
-        prefactors.append(x**alpha / math.gamma(alpha))
+    points, scalar = _points("rl_integral_quad", t)
+    grouped = isinstance(t, _GroupedPoints)
+    width = t.width if grouped else 1
+    gamma = math.gamma(alpha)
+    prefactors = [x**alpha / gamma for x in points]
     ts = np.array(points)[:, None]
     p = f.power_at_zero
     if not f.log_at_zero:
         if p == 0.0:
-            rows = _jacobi_ladder(lambda s, tc: f.value(tc * s), ts, alpha - 1.0, 0.0, cfg)
+            rows = _jacobi_ladder(lambda s, tc: f.value(tc * s), ts, alpha - 1.0, 0.0, cfg, width=width)
         else:
             rows = _jacobi_ladder(
-                lambda s, tc: f.value(tc * s) * s ** (-p), ts, alpha - 1.0, p, cfg
+                lambda s, tc: f.value(tc * s) * s ** (-p), ts, alpha - 1.0, p, cfg, width=width
             )
     else:
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
-        upper = _jacobi_ladder(
-            lambda u, tc: f.value(tc * (0.5 + 0.5 * u)), ts, alpha - 1.0, 0.0, cfg
+        rows = _jacobi_ladder(
+            lambda u, tc: f.value(tc * (0.5 + 0.5 * u)), ts, alpha - 1.0, 0.0, cfg, width=width
         )
         scale_hi = 0.5**alpha
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
@@ -455,11 +550,24 @@ def rl_integral_quad(
 
         # the lower piece changes sign where t s = 1 and can cancel to nearly 0, so it
         # needs accuracy relative to the whole integral, not to itself
-        floors = [cfg.target_rel_tol * scale_hi * abs(v) for v, _ in upper]
-        lowers = _panel_gauss_ladder(lower, ts[:, :, None], 0.0, x_cut, cfg, floors)
-        rows = [(scale_hi * v + vl, scale_hi * e + el) for (v, e), (vl, el) in zip(upper, lowers)]
-    results = [EvalResult(c * v, "oracle", c * e) for c, (v, e) in zip(prefactors, rows)]
-    return results[0] if scalar else results
+        live = [i for i, row in enumerate(rows) if not isinstance(row, FracCalcError)]
+        if live:
+            floors = [cfg.target_rel_tol * scale_hi * abs(rows[i][0]) for i in live]
+            live_ts = ts if len(live) == len(ts) else ts[live]
+            # whole runs are live, so runs of width rows stay aligned
+            lowers = _panel_gauss_ladder(lower, live_ts[:, :, None], 0.0, x_cut, cfg, floors, width)
+            rows = list(rows)
+            for i, low in zip(live, lowers):
+                if isinstance(low, FracCalcError):
+                    rows[i] = low
+                else:
+                    (v, e), (vl, el) = rows[i], low
+                    rows[i] = (scale_hi * v + vl, scale_hi * e + el)
+    rows = [
+        row if isinstance(row, FracCalcError) else (c * row[0], c * row[1])
+        for c, row in zip(prefactors, rows)
+    ]
+    return rows if grouped else _results(rows, scalar)
 
 
 def _central_stencil(m: int) -> tuple[list[float], list[float]]:
@@ -487,16 +595,18 @@ def _stencil_derivative(
     name: str,
     f: Integrand | FunctionFamily,
     alpha: float,
-    t: float,
+    t: float | Sequence[float],
     cfg: QuadConfig,
-    tail: Callable[..., list[tuple[float, float]]] | None = None,
-) -> EvalResult:
+    tail: Callable[..., list] | None = None,
+) -> EvalResult | list[EvalResult]:
     """Order-alpha derivative as the order-m difference of an order (m - alpha) integral.
 
     m is the smallest integer above alpha.  The differenced integral is the
-    one of f from 0, taken at every stencil point of every level in a single
-    rl_integral_quad call, plus, when given, a tail term: tail(beta, coeffs,
-    points, steps) returns, for each level i, sum_k coeffs[k] * T(points[i][k])
+    one of f from 0, taken at every stencil point of every level of every t
+    in a single rl_integral_quad call, plus, when given, a tail term:
+    tail(beta, coeffs, stencils) takes one (t, steps, points) per t, points
+    holding the stencil of each level, and returns per t either the error
+    that refused it or, for each level i, sum_k coeffs[k] * T(points[i][k])
     for the order-beta tail T, and its error.  The differences over a
     symmetric stencil of base width FD_STEP_FACTOR * t are
     Richardson-extrapolated over RICHARDSON_LEVELS step halvings.
@@ -508,45 +618,76 @@ def _stencil_derivative(
             f"{name} requires non-integer alpha (got {alpha!r}); "
             "integer orders are plain derivatives"
         )
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"{name} requires t > 0, got {t!r}")
+    points, scalar = _points(name, t)
     m = int(math.floor(alpha)) + 1
     beta_order = m - alpha
     coeffs, offsets = _central_stencil(m)
-    h0 = FD_STEP_FACTOR * t
-    if t - m * h0 <= 0.0:
-        raise StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={t!r}")
-    steps = [h0 / 2.0**i for i in range(RICHARDSON_LEVELS)]
-    points = [[t + o * h for o in offsets] for h in steps]
-    integrals = rl_integral_quad(f, beta_order, [x for level in points for x in level], cfg)
-    tails = tail(beta_order, coeffs, points, steps) if tail is not None else None
+    rows: list = []
+    stencils = {}  # (t, steps, points of each level) by row, for each t whose stencil fits
+    flat = []
+    for x in points:
+        h0 = FD_STEP_FACTOR * x
+        if x - m * h0 <= 0.0:
+            rows.append(StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={x!r}"))
+            continue
+        steps = [h0 / 2.0**i for i in range(RICHARDSON_LEVELS)]
+        levels = [[x + o * h for o in offsets] for h in steps]
+        stencils[len(rows)] = (x, steps, levels)
+        for level in levels:
+            flat += level
+        rows.append(None)
+    if stencils:
+        width = (m + 1) * RICHARDSON_LEVELS
+        integrals = rl_integral_quad(f, beta_order, _GroupedPoints(flat, width), cfg)
+        # the rows of each t are refused together, so a refused t shows on its first row
+        blocks = {i: integrals[k * width : (k + 1) * width] for k, i in enumerate(stencils)}
+        live = [i for i, block in blocks.items() if not isinstance(block[0], FracCalcError)]
+        tails = {}
+        if tail is not None and live:
+            tails = dict(zip(live, tail(beta_order, coeffs, [stencils[i] for i in live])))
+        for i, block in blocks.items():
+            levels = tails.get(i)
+            if isinstance(block[0], FracCalcError):
+                rows[i] = block[0]
+            elif isinstance(levels, FracCalcError):
+                rows[i] = levels
+            else:
+                rows[i] = _difference(coeffs, stencils[i][1], block, levels)
+    return _results(rows, scalar)
+
+
+def _difference(
+    coeffs: list[float], steps: list[float], integrals: list, tails: list | None
+) -> tuple[float, float]:
+    """The extrapolated difference of one t, and its error, from its stencil rows."""
+    m = len(coeffs) - 1
     worst_quad_err = 0.0
     samples = []
     for i, h in enumerate(steps):
         total = 0.0
-        for c, g in zip(coeffs, integrals[i * (m + 1) : (i + 1) * (m + 1)]):
-            worst_quad_err = max(worst_quad_err, g.abs_err_estimate)
-            total += c * g.value
+        for c, (g, err) in zip(coeffs, integrals[i * (m + 1) : (i + 1) * (m + 1)]):
+            worst_quad_err = max(worst_quad_err, err)
+            total += c * g
         if tails is not None:
             tail_value, tail_err = tails[i]
             worst_quad_err = max(worst_quad_err, tail_err)
             total += tail_value
         samples.append(total / h**m)
     value, spread = _richardson(samples)
-    h_min = h0 / 2.0 ** (RICHARDSON_LEVELS - 1)
-    noise = 2.0**m * worst_quad_err / h_min**m
-    return EvalResult(value, "oracle", spread + noise + 64.0 * _EPS * abs(value))
+    noise = 2.0**m * worst_quad_err / steps[-1] ** m
+    return value, spread + noise + 64.0 * _EPS * abs(value)
 
 
 def rl_derivative_quad(
-    f: Integrand | FunctionFamily, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> EvalResult:
+    f: Integrand | FunctionFamily, alpha: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
+) -> EvalResult | list[EvalResult]:
     """Order-alpha fractional derivative from 0 by differencing the integral.
 
     With m the smallest integer above alpha, evaluates the order (m - alpha)
     integral on a symmetric stencil of base width FD_STEP_FACTOR * t and
     applies the order-m central difference, Richardson-extrapolated over
-    RICHARDSON_LEVELS step halvings.
+    RICHARDSON_LEVELS step halvings.  A sequence of t gives a list, as in
+    rl_integral_quad.
     """
     return _stencil_derivative("rl_derivative_quad", f, alpha, t, cfg)
 
@@ -554,16 +695,18 @@ def rl_derivative_quad(
 # ---------------------------------------------------------------------------
 # tails over (0, inf), and the Weyl (lower limit -inf) operators for |t|**(-delta)
 
-def _tail_integrand(t: float, kernel: RowFn, beta_exp: float, w_right: float) -> RowFn:
+def _tail_integrand(kernel: RowFn, beta_exp: float, w_right: float) -> RowFn:
     """integral_0^inf kernel(u, rows) u**beta_exp du as a Jacobi-weighted integral on (0, 1).
 
-    u = s t/(1-s) maps (0, 1) onto (0, inf).  The returned integrand is
+    u = s t/(1-s) maps (0, 1) onto (0, inf), t being the first column of each
+    row, so one integrand serves rows of many t.  The returned integrand is
     divided by the weight (1-s)**w_right s**beta_exp, which the rule of the
     caller supplies; w_right is the decay exponent of the whole integrand at
     s = 1, and each caller computes it from its own exponents.
     """
 
-    def phi(s: np.ndarray, rows: Sequence) -> np.ndarray:
+    def phi(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        t = rows[:, :1]
         one_minus = 1.0 - s
         u = s * t / one_minus
         du = t / one_minus**2
@@ -573,34 +716,34 @@ def _tail_integrand(t: float, kernel: RowFn, beta_exp: float, w_right: float) ->
 
 
 def tail_power_quad(
-    a_exp: float, beta_exp: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> EvalResult:
+    a_exp: float, beta_exp: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
+) -> EvalResult | list[EvalResult]:
     """Direct numerical value of integral_0^inf (t+u)**a_exp u**beta_exp du.
 
     After u = s t/(1-s) the endpoint exponents are -a_exp-beta_exp-2 at s=1
-    and beta_exp at s=0.
+    and beta_exp at s=0.  A sequence of t gives a list, as in
+    rl_integral_quad.
     """
     if not a_exp < -beta_exp - 1.0 < 0.0:
         raise DomainError(
             f"tail_power_quad requires a_exp < -beta_exp-1 < 0, got a_exp={a_exp!r}, beta_exp={beta_exp!r}"
         )
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"tail_power_quad requires t > 0, got {t!r}")
+    points, scalar = _points("tail_power_quad", t)
     w_right = -a_exp - beta_exp - 2.0
-    phi = _tail_integrand(t, lambda u, ts: (ts + u) ** a_exp, beta_exp, w_right)
-    [(value, err)] = _jacobi_ladder(phi, np.array([[t]]), w_right, beta_exp, cfg)
-    return EvalResult(value, "oracle", err)
+    phi = _tail_integrand(lambda u, ts: (ts + u) ** a_exp, beta_exp, w_right)
+    return _results(_jacobi_ladder(phi, np.array(points)[:, None], w_right, beta_exp, cfg), scalar)
 
 
 def weyl_integral_quad(
-    delta: float, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> EvalResult:
+    delta: float, alpha: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
+) -> EvalResult | list[EvalResult]:
     """Weyl fractional integral of |tau|**(-delta) at t > 0, formula-free.
 
     Split at 0: the (0, t) part is the lower-limit-zero integral of
     tau**(-delta); the (-inf, 0) part becomes, via u = -tau, the tail
     integral of (t+u)**(alpha-1) u**(-delta), with exponents delta-alpha-1
-    at s=1 (tail decay) and -delta at s=0.
+    at s=1 (tail decay) and -delta at s=0.  A sequence of t gives a list,
+    as in rl_integral_quad.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_integral_quad requires delta in (0,1), got {delta!r}")
@@ -609,19 +752,23 @@ def weyl_integral_quad(
             f"weyl_integral_quad requires 0 < alpha < delta for tail convergence, "
             f"got alpha={alpha!r}, delta={delta!r}"
         )
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"weyl_integral_quad requires t > 0, got {t!r}")
-    near = rl_integral_quad(AbsPower(delta), alpha, t, cfg)
-    w_right = delta - alpha - 1.0
-    phi = _tail_integrand(t, lambda u, ts: (ts + u) ** (alpha - 1.0), -delta, w_right)
-    [(tail, tail_err)] = _jacobi_ladder(phi, np.array([[t]]), w_right, -delta, cfg)
-    c = 1.0 / math.gamma(alpha)
-    return EvalResult(near.value + c * tail, "oracle", near.abs_err_estimate + c * tail_err)
+    points, scalar = _points("weyl_integral_quad", t)
+    rows = rl_integral_quad(AbsPower(delta), alpha, _GroupedPoints(points, 1), cfg)
+    live = [i for i, row in enumerate(rows) if not isinstance(row, FracCalcError)]
+    if live:
+        w_right = delta - alpha - 1.0
+        phi = _tail_integrand(lambda u, ts: (ts + u) ** (alpha - 1.0), -delta, w_right)
+        tails = _jacobi_ladder(phi, np.array([points[i] for i in live])[:, None], w_right, -delta, cfg)
+        c = 1.0 / math.gamma(alpha)
+        for i, tail in zip(live, tails):
+            (v, e) = rows[i]
+            rows[i] = tail if isinstance(tail, FracCalcError) else (v + c * tail[0], e + c * tail[1])
+    return _results(rows, scalar)
 
 
 def weyl_derivative_quad(
-    delta: float, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
-) -> EvalResult:
+    delta: float, alpha: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
+) -> EvalResult | list[EvalResult]:
     """Weyl fractional derivative of |tau|**(-delta) at t > 0, formula-free.
 
     Differences the order (m - alpha) Weyl integral over the same stencil as
@@ -630,40 +777,46 @@ def weyl_derivative_quad(
     the stencil kernel sum_k c_k (x_k + u)**(beta-1) *inside* the integral
     cancels the divergent bulk analytically (the kernel decays like
     h**m u**(beta-1-m)), so the tail is evaluated as a single absolutely
-    convergent Jacobi-weighted integral for every admissible order.
+    convergent Jacobi-weighted integral for every admissible order.  A
+    sequence of t gives a list, as in rl_integral_quad.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_quad requires delta in (0,1), got {delta!r}")
     w_right = alpha + delta - 1.0
 
-    def tail(
-        beta_order: float, coeffs: list[float], points: list[list[float]], steps: list[float]
-    ) -> list[tuple[float, float]]:
-        # one row per Richardson level: its step, the low end of its stencil, its points
-        levels = np.array([[h, min(level), *level] for h, level in zip(steps, points)])
+    def tail(beta_order: float, coeffs: list[float], stencils: list[tuple]) -> list:
+        # one row per Richardson level of each t: t, the step, the low end of the stencil, its points
+        levels = np.array(
+            [[x, h, min(level), *level] for x, steps, points in stencils for h, level in zip(steps, points)]
+        )
 
         def kernel(u: np.ndarray, rows: np.ndarray, unsigned: bool = False) -> np.ndarray:
             if len(coeffs) == 2 and not unsigned:
                 # m = 1: first difference of A**(beta-1) via expm1/log1p, no cancellation
-                a_low = rows[:, 1:2] + u
+                a_low = rows[:, 2:3] + u
                 return a_low ** (beta_order - 1.0) * np.expm1(
-                    (beta_order - 1.0) * np.log1p(rows[:, :1] / a_low)
+                    (beta_order - 1.0) * np.log1p(rows[:, 1:2] / a_low)
                 )
             total = 0.0
             for k, c in enumerate(coeffs):
                 weight = abs(c) if unsigned else c
-                total = total + weight * (rows[:, k + 2 : k + 3] + u) ** (beta_order - 1.0)
+                total = total + weight * (rows[:, k + 3 : k + 4] + u) ** (beta_order - 1.0)
             return total
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
         nodes, weights = gauss_jacobi_01(32, w_right, -delta)
-        scales = _tail_integrand(t, partial(kernel, unsigned=True), -delta, w_right)(nodes, levels)
+        scales = _tail_integrand(partial(kernel, unsigned=True), -delta, w_right)(nodes, levels)
         floors = [64.0 * _EPS * abs(float(np.dot(weights, row))) for row in scales]
         prefactor = 1.0 / math.gamma(beta_order)
-        phi = _tail_integrand(t, kernel, -delta, w_right)
-        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors)
+        phi = _tail_integrand(kernel, -delta, w_right)
+        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors, RICHARDSON_LEVELS)
         # the floor is evaluation noise that the ladder's differences need not show
-        return [(prefactor * value, prefactor * (err + floor)) for (value, err), floor in zip(rows, floors)]
+        rows = [
+            row if isinstance(row, FracCalcError) else (prefactor * row[0], prefactor * (row[1] + floor))
+            for row, floor in zip(rows, floors)
+        ]
+        per_t = [rows[i : i + RICHARDSON_LEVELS] for i in range(0, len(rows), RICHARDSON_LEVELS)]
+        return [levels[0] if isinstance(levels[0], FracCalcError) else levels for levels in per_t]
 
     return _stencil_derivative("weyl_derivative_quad", AbsPower(delta), alpha, t, cfg, tail)
 

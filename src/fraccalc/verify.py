@@ -1,12 +1,17 @@
 """Executable verification: identity suites, oracle cross-checks, falsification.
 
-Every suite walks a fixed parameter grid, evaluates one check per grid point,
+Every suite walks a fixed parameter grid, makes one check per grid point,
 and collects CheckRecords into a VerificationReport.  A check that raises
 inside its stated domain becomes a *failed* record (with the error noted),
 never a crash; grid points outside a formula's domain are recorded as
 skipped.  Report content is deterministic for fixed inputs; wall time is
 measured but excluded from the CSV rendering so repeated runs are
 byte-identical.
+
+The oracle checks of one operator, argument and order differ only in t.  The
+first of them to run evaluates the whole t-group in one sequence call, and
+within one run_suite call each oracle value is computed once and shared by
+every check, in any suite, that asks for it.
 
 Closed forms are always resolved late through the module object so that the
 mutation-sensitivity tests can patch a single formula and watch the matching
@@ -25,7 +30,19 @@ from typing import Callable
 from . import closed_forms as cf
 from . import specfun as sf
 from .errors import DomainError, FracCalcError, UnknownSuiteError
-from .model import DEFAULT_CONFIG, AbsPower, Exp, OperatorKind, Power, PowerLog, QuadConfig, _fmt, _Record, _set
+from .model import (
+    DEFAULT_CONFIG,
+    AbsPower,
+    EvalResult,
+    Exp,
+    OperatorKind,
+    Power,
+    PowerLog,
+    QuadConfig,
+    _fmt,
+    _Record,
+    _set,
+)
 from .oracle import (
     _central_stencil,
     _richardson,
@@ -181,6 +198,38 @@ class _Check(_Record):
         _set(self, "skip_reason", skip_reason)
 
 
+class _Run:
+    """One run_suite call: its config and the oracle outcomes it has computed.
+
+    An oracle check asks for its point with the t-group it belongs to.  The
+    first ask for a point evaluates every point of its group not known yet
+    in one sequence call; a refused point keeps the error that a call at
+    that point alone raises, and only its own check fails.
+    """
+
+    __slots__ = ("cfg", "_known")
+
+    def __init__(self, cfg: QuadConfig) -> None:
+        self.cfg = cfg
+        self._known: dict[tuple, dict[float, EvalResult | Exception]] = {}
+
+    def oracle(self, quad: Callable, args: tuple, t: float, group: tuple[float, ...]) -> EvalResult:
+        """quad(*args, t, cfg), from the one call that evaluates its t-group."""
+        known = self._known.setdefault((quad, *args), {})
+        if t not in known:
+            todo = [x for x in group if x not in known]
+            try:
+                outcomes = quad(*args, todo, self.cfg)
+            except (FracCalcError, OverflowError) as exc:
+                # an error with no outcomes is one that a call at any point of the group raises
+                outcomes = getattr(exc, "outcomes", None) or [exc] * len(todo)
+            known.update(zip(todo, outcomes))
+        outcome = known[t]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
 def falsification_margin(
     delta: float, alpha: float, t: float, cfg: QuadConfig = DEFAULT_CONFIG
 ) -> FalsificationMargin:
@@ -190,9 +239,14 @@ def falsification_margin(
     of that formula and clearly away from the rival; anything else is
     inconclusive.
     """
+    return _arbitrate(delta, alpha, t, lambda: weyl_derivative_quad(delta, alpha, t, cfg))
+
+
+def _arbitrate(delta: float, alpha: float, t: float, oracle: Callable[[], EvalResult]) -> FalsificationMargin:
+    """falsification_margin, with the oracle value from oracle()."""
     corrected = cf.weyl_derivative_abspower(alpha, delta, t)
     literature = cf.weyl_power_literature(alpha, delta, t)
-    est = weyl_derivative_quad(delta, alpha, t, cfg)
+    est = oracle()
     oracle_value, oracle_err = est.value, est.abs_err_estimate
     corr_hit = abs(oracle_value - corrected) <= 10.0 * oracle_err
     lit_hit = abs(oracle_value - literature) <= 10.0 * oracle_err
@@ -209,7 +263,7 @@ def falsification_margin(
 # suite builders
 
 
-def _suite_specfun(cfg: QuadConfig) -> tuple[str, list[_Check]]:
+def _suite_specfun(run: _Run) -> tuple[str, list[_Check]]:
     checks: list[_Check] = []
 
     def reflection() -> tuple:
@@ -327,7 +381,7 @@ _RL_SUITES = (("rl-power", Power, GAMMAS), ("rl-exp", Exp, LAMBDAS), ("rl-log", 
 
 
 def _suite_rl(
-    suite: str, family_type: type, params: tuple[float, ...], cfg: QuadConfig
+    suite: str, family_type: type, params: tuple[float, ...], run: _Run
 ) -> tuple[str, list[_Check]]:
     key = family_type.key
     checks: list[_Check] = []
@@ -346,7 +400,7 @@ def _suite_rl(
                             f"{suite}/{op}/alpha={alpha:g}/{key}={p:g}/t={t:g}",
                             inputs,
                             lambda a=alpha, t=t, fam=family, k=kind, q=quad: (
-                                q(fam, a, t, cfg).value,
+                                run.oracle(q, (fam, a), t, TS).value,
                                 cf.closed_value(k, a, fam, t),
                             ),
                             tol,
@@ -356,7 +410,7 @@ def _suite_rl(
     return f"alpha in {ALPHAS}; {key} in {params}; t in {TS}", checks
 
 
-def _suite_weyl(cfg: QuadConfig) -> tuple[str, list[_Check]]:
+def _suite_weyl(run: _Run) -> tuple[str, list[_Check]]:
     checks: list[_Check] = []
     for delta in DELTAS:
         for alpha in ALPHAS:
@@ -367,7 +421,7 @@ def _suite_weyl(cfg: QuadConfig) -> tuple[str, list[_Check]]:
                         f"weyl/int/delta={delta:g}/alpha={alpha:g}/t={t:g}",
                         inputs,
                         lambda d=delta, a=alpha, t=t: (
-                            weyl_integral_quad(d, a, t, cfg).value,
+                            run.oracle(weyl_integral_quad, (d, a), t, TS).value,
                             cf.weyl_integral_abspower(a, d, t),
                         ),
                         TOL_INTEGRAL,
@@ -380,7 +434,7 @@ def _suite_weyl(cfg: QuadConfig) -> tuple[str, list[_Check]]:
                         f"weyl/der/delta={delta:g}/alpha={alpha:g}/t={t:g}",
                         inputs,
                         lambda d=delta, a=alpha, t=t: (
-                            weyl_derivative_quad(d, a, t, cfg).value,
+                            run.oracle(weyl_derivative_quad, (d, a), t, TS).value,
                             cf.weyl_derivative_abspower(a, d, t),
                         ),
                         TOL_DERIVATIVE,
@@ -399,7 +453,7 @@ _D_EQUALS_I_NEG = (
 )
 
 
-def _suite_d_equals_i_neg(cfg: QuadConfig) -> tuple[str, list[_Check]]:
+def _suite_d_equals_i_neg(run: _Run) -> tuple[str, list[_Check]]:
     """Derivative closed forms vs the integral expressions taken at -alpha."""
     checks: list[_Check] = []
     for alpha in ALPHAS:
@@ -422,14 +476,17 @@ def _suite_d_equals_i_neg(cfg: QuadConfig) -> tuple[str, list[_Check]]:
     return f"alpha in {ALPHAS}; all family parameters; t in {TS}", checks
 
 
-def _suite_falsification(cfg: QuadConfig) -> tuple[str, list[_Check]]:
+def _suite_falsification(run: _Run) -> tuple[str, list[_Check]]:
     checks: list[_Check] = []
     for delta in DELTAS:
         for alpha in FALSIFICATION_ALPHAS:
             for t in FALSIFICATION_TS:
 
                 def thunk(d=delta, a=alpha, t=t) -> tuple:
-                    margin = falsification_margin(d, a, t, cfg)
+                    # every point is one of the weyl suite's too, which 'all' runs first
+                    margin = _arbitrate(
+                        d, a, t, lambda: run.oracle(weyl_derivative_quad, (d, a), t, FALSIFICATION_TS)
+                    )
                     note = (
                         f"verdict={margin.verdict} literature={margin.literature:.6g} "
                         f"oracle_err={margin.oracle_err:.3g}"
@@ -462,7 +519,7 @@ def _fd_nth_derivative(fn: Callable[[float], float], n: int, t: float) -> float:
     return _richardson(samples)[0]
 
 
-def _suite_lemmas(cfg: QuadConfig) -> tuple[str, list[_Check]]:
+def _suite_lemmas(run: _Run) -> tuple[str, list[_Check]]:
     checks: list[_Check] = []
     a_exps = (-1.5, -1.8, -2.0, -2.6)
     b_exps = (-0.5, -0.3, 0.0, 0.6)
@@ -476,7 +533,7 @@ def _suite_lemmas(cfg: QuadConfig) -> tuple[str, list[_Check]]:
                         f"lemmas/tail-power/a={a_exp:g}/b={b_exp:g}/t={t:g}",
                         {"a_exp": a_exp, "beta_exp": b_exp, "t": t},
                         lambda a=a_exp, b=b_exp, t=t: (
-                            tail_power_quad(a, b, t, cfg).value,
+                            run.oracle(tail_power_quad, (a, b), t, TS).value,
                             cf.tail_power_integral(a, b, t),
                         ),
                         TOL_TAIL_POWER,
@@ -557,7 +614,7 @@ def _suite_lemmas(cfg: QuadConfig) -> tuple[str, list[_Check]]:
     return spec, checks
 
 
-_SUITE_BUILDERS: dict[str, Callable[[QuadConfig], tuple[str, list[_Check]]]] = {
+_SUITE_BUILDERS: dict[str, Callable[[_Run], tuple[str, list[_Check]]]] = {
     "specfun": _suite_specfun,
     **{suite: partial(_suite_rl, suite, family, grid) for suite, family, grid in _RL_SUITES},
     "weyl": _suite_weyl,
@@ -597,11 +654,12 @@ def _execute(check: _Check) -> CheckRecord | SkippedCheck:
 def run_suite(name: str, cfg: QuadConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Run one named suite (or 'all') over the default grid."""
     started = time.perf_counter()
+    run = _Run(cfg)
     if name == "all":
         parts = []
         checks: list[_Check] = []
         for sub_name, builder in _SUITE_BUILDERS.items():
-            spec, sub_checks = builder(cfg)
+            spec, sub_checks = builder(run)
             parts.append(f"{sub_name}: {spec}")
             checks.extend(sub_checks)
         grid_spec = " | ".join(parts)
@@ -611,7 +669,7 @@ def run_suite(name: str, cfg: QuadConfig = DEFAULT_CONFIG) -> VerificationReport
             raise UnknownSuiteError(
                 f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
             )
-        grid_spec, checks = builder(cfg)
+        grid_spec, checks = builder(run)
     records: list[CheckRecord] = []
     skipped: list[SkippedCheck] = []
     for check in checks:

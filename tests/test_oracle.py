@@ -170,14 +170,22 @@ VECTOR_KINDS = {
 VECTOR_TS = (1.0, 40.0, 0.5, 5.0)
 
 
-def _rule_sizes(monkeypatch, f, alpha, t):
-    """Node counts of every rule one single-point call asks for, in order."""
+def _outcome(call):
+    """What call() returns, or the error it raises."""
+    try:
+        return call()
+    except (ConvergenceError, DomainError) as exc:
+        return exc
+
+
+def _rule_sizes(monkeypatch, call):
+    """Node counts of every rule that call() asks for, in order; call may raise."""
     sizes = []
     jacobi, legendre = orc.gauss_jacobi_01, orc._gauss_legendre
     with monkeypatch.context() as patch:
         patch.setattr(orc, "gauss_jacobi_01", lambda n, a, b: sizes.append(n) or jacobi(n, a, b))
         patch.setattr(orc, "_gauss_legendre", lambda n: sizes.append(n) or legendre(n))
-        orc.rl_integral_quad(f, alpha, t, CFG)
+        _outcome(call)
     return sizes
 
 
@@ -186,7 +194,7 @@ class TestRlIntegralQuadVector:
     def test_rows_equal_single_point_calls(self, kind, monkeypatch):
         f = VECTOR_KINDS[kind]
         # the rows converge on different rungs, so the batch must stop each on its own
-        rungs = [_rule_sizes(monkeypatch, f, 0.5, t) for t in VECTOR_TS]
+        rungs = [_rule_sizes(monkeypatch, lambda: orc.rl_integral_quad(f, 0.5, t, CFG)) for t in VECTOR_TS]
         assert len({len(r) for r in rungs}) > 1
         singles = [orc.rl_integral_quad(f, 0.5, t, CFG) for t in VECTOR_TS]
         assert orc.rl_integral_quad(f, 0.5, list(VECTOR_TS), CFG) == singles
@@ -231,6 +239,109 @@ class TestStencilBatching:
         calls.clear()
         orc.weyl_derivative_quad(0.5, alpha, 2.0, CFG)
         assert calls == [rows]
+
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.5, 2.5))
+    def test_one_integral_call_for_every_t(self, alpha, monkeypatch):
+        calls = []
+        real = orc.rl_integral_quad
+
+        def counting(f, beta, t, cfg=CFG):
+            calls.append(len(t))
+            return real(f, beta, t, cfg)
+
+        monkeypatch.setattr(orc, "rl_integral_quad", counting)
+        rows = (math.floor(alpha) + 2) * orc.RICHARDSON_LEVELS
+        orc.rl_derivative_quad(Exp(1.0), alpha, [0.5, 2.0, 8.0], CFG)
+        assert calls == [3 * rows]
+        calls.clear()
+        orc.weyl_derivative_quad(0.5, alpha, [0.5, 2.0, 8.0], CFG)
+        assert calls == [3 * rows]
+
+
+def _same(got, want):
+    """Equal results, or errors of one type and message."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+SPREAD_TS = (0.5, 2.0, 8.0, 40.0)
+# |t|**(-delta) and the power tail are homogeneous in t, so their integrands
+# differ between points only by rounding; a tolerance near rounding level makes
+# the points climb different rungs, and makes some of them refuse
+HOMOGENEOUS_TS = (0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 8.0)
+NEAR_ROUNDING = {tol: QuadConfig(tol, 256) for tol in (2e-16, 5e-16, 1e-15)}
+# (function, its arguments before t, config, points)
+SEQUENCE_CASES = {
+    "rl-der m=1": (orc.rl_derivative_quad, (Exp(1.0), 0.5), CFG, SPREAD_TS),
+    "rl-der m=2": (orc.rl_derivative_quad, (Exp(1.0), 1.5), CFG, SPREAD_TS),
+    "rl-der m=3": (orc.rl_derivative_quad, (Exp(1.0), 2.5), CFG, SPREAD_TS),
+    "weyl-der m=1": (orc.weyl_derivative_quad, (0.5, 0.25), NEAR_ROUNDING[2e-16], HOMOGENEOUS_TS),
+    "weyl-der m=2": (orc.weyl_derivative_quad, (0.6, 1.5), NEAR_ROUNDING[2e-16], HOMOGENEOUS_TS),
+    "weyl-der m=3": (orc.weyl_derivative_quad, (0.8, 2.5), NEAR_ROUNDING[2e-16], HOMOGENEOUS_TS),
+    "weyl-int": (orc.weyl_integral_quad, (0.5, 0.25), NEAR_ROUNDING[5e-16], HOMOGENEOUS_TS),
+    "tail-power": (orc.tail_power_quad, (-1.7, -0.3), NEAR_ROUNDING[1e-15], HOMOGENEOUS_TS),
+}
+
+
+class TestSequenceOfT:
+    @pytest.mark.parametrize("case", sorted(SEQUENCE_CASES))
+    def test_sequence_equals_one_point_calls(self, case, monkeypatch):
+        quad, args, cfg, ts = SEQUENCE_CASES[case]
+        # the points converge on different rungs, so the batch must stop each on its own
+        assert len({len(_rule_sizes(monkeypatch, lambda: quad(*args, t, cfg))) for t in ts}) > 1
+        singles = [_outcome(lambda: quad(*args, t, cfg)) for t in ts]
+        refused = [r for r in singles if isinstance(r, Exception)]
+        batch = _outcome(lambda: quad(*args, list(ts), cfg))
+        if not refused:
+            assert batch == singles
+            assert quad(*args, np.array(ts), cfg) == singles
+            return
+        # a refused point fails alone: the call raises the first refusal and
+        # carries every point's own outcome
+        assert _same(batch, refused[0])
+        assert len(batch.outcomes) == len(ts)
+        assert all(_same(got, want) for got, want in zip(batch.outcomes, singles))
+
+    def test_some_cases_refuse_points(self):
+        quad, args, cfg, ts = SEQUENCE_CASES["weyl-der m=2"]
+        outcomes = [_outcome(lambda: quad(*args, t, cfg)) for t in ts]
+        assert any(isinstance(r, ConvergenceError) for r in outcomes)
+        assert any(not isinstance(r, Exception) for r in outcomes)
+
+    def test_refused_rl_integral_point_keeps_the_others(self):
+        f, cfg = VECTOR_KINDS["p=0"], QuadConfig(max_nodes=32)
+        with pytest.raises(ConvergenceError) as info:
+            orc.rl_integral_quad(f, 0.5, [1.0, 40.0, 2.0], cfg)
+        first, refused, last = info.value.outcomes
+        assert first == orc.rl_integral_quad(f, 0.5, 1.0, cfg)
+        assert last == orc.rl_integral_quad(f, 0.5, 2.0, cfg)
+        assert _same(refused, _outcome(lambda: orc.rl_integral_quad(f, 0.5, 40.0, cfg)))
+
+    def test_stencil_error_is_per_point(self):
+        # m = 11 steps of FD_STEP_FACTOR * t reach past the origin at every t
+        with pytest.raises(StencilError) as info:
+            orc.rl_derivative_quad(Exp(1.0), 10.5, [1.0, 2.0], CFG)
+        for t, got in zip((1.0, 2.0), info.value.outcomes):
+            assert _same(got, _outcome(lambda: orc.rl_derivative_quad(Exp(1.0), 10.5, t, CFG)))
+
+    @pytest.mark.parametrize("bad", (-1.0, 0.0, math.nan, math.inf))
+    @pytest.mark.parametrize(
+        "name, call",
+        (
+            ("rl_derivative_quad", lambda t: orc.rl_derivative_quad(Exp(1.0), 0.5, t, CFG)),
+            ("weyl_derivative_quad", lambda t: orc.weyl_derivative_quad(0.5, 0.25, t, CFG)),
+            ("weyl_integral_quad", lambda t: orc.weyl_integral_quad(0.5, 0.25, t, CFG)),
+            ("tail_power_quad", lambda t: orc.tail_power_quad(-1.7, -0.3, t, CFG)),
+        ),
+    )
+    def test_any_bad_point_is_domain_error(self, name, call, bad):
+        with pytest.raises(DomainError) as single:
+            call(bad)
+        with pytest.raises(DomainError) as batch:
+            call([1.0, bad, 2.0])
+        assert str(batch.value) == str(single.value) == f"{name} requires t > 0, got {bad!r}"
 
 
 class TestFamiliesAsIntegrands:

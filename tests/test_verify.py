@@ -2,12 +2,13 @@
 
 import json
 import math
+from collections import defaultdict
 
 import pytest
 
 from fraccalc import closed_forms as cf
 from fraccalc import verify
-from fraccalc.errors import DomainError, UnknownSuiteError
+from fraccalc.errors import DomainError, FracCalcError, UnknownSuiteError
 from fraccalc.oracle import QuadConfig
 from fraccalc.verify import (
     CheckRecord,
@@ -210,3 +211,88 @@ class TestConfigPropagation:
     def test_suite_accepts_custom_config(self):
         report = run_suite("lemmas", cfg=QuadConfig(target_rel_tol=1e-9))
         assert report.n_fail == 0
+
+
+ORACLE_NAMES = (
+    "rl_integral_quad", "rl_derivative_quad", "weyl_integral_quad", "weyl_derivative_quad", "tail_power_quad",
+)
+
+
+def _one_point_call(record, cfg):
+    """The call at the record's point alone of the oracle function behind it; None for other checks."""
+    suite, op = record.check_id.split("/")[:2]
+    x = record.inputs
+    families = {name: family for name, family, _ in verify._RL_SUITES}
+    if suite in families:
+        family = families[suite]
+        quad = verify.rl_integral_quad if op == "int" else verify.rl_derivative_quad
+        return lambda: quad(family(x[family.key]), x["alpha"], x["t"], cfg)
+    if suite == "weyl":
+        quad = verify.weyl_integral_quad if op == "int" else verify.weyl_derivative_quad
+        return lambda: quad(x["delta"], x["alpha"], x["t"], cfg)
+    if suite == "literature-falsification":
+        return lambda: verify.weyl_derivative_quad(x["delta"], x["alpha"], x["t"], cfg)
+    if op == "tail-power":
+        return lambda: verify.tail_power_quad(x["a_exp"], x["beta_exp"], x["t"], cfg)
+    return None
+
+
+class TestOracleBatching:
+    """verify evaluates each t-group in one call and shares values across suites."""
+
+    def test_records_equal_one_point_calls_where_points_are_refused(self):
+        cfg = QuadConfig(target_rel_tol=1e-15, max_nodes=256)
+        report = run_suite("all", cfg)
+        assert report.n_fail == 116
+        # t-groups where some points are refused and the others pass
+        outcomes = defaultdict(set)
+        for record in report.records:
+            if record.check_id.startswith("rl-log/"):
+                outcomes[record.check_id.rsplit("/", 1)[0]].add(record.passed)
+        assert sum(len(seen) == 2 for seen in outcomes.values()) == 31
+        compared = 0
+        for record in report.records:
+            call = _one_point_call(record, cfg)
+            if call is None:
+                continue
+            compared += 1
+            try:
+                value = call().value
+            except FracCalcError as exc:
+                assert record.note == f"{type(exc).__name__}: {exc}", record.check_id
+                assert math.isnan(record.lhs)
+            else:
+                assert record.lhs.hex() == value.hex(), record.check_id
+        assert compared == 939
+
+    def test_each_oracle_point_is_evaluated_once(self, monkeypatch):
+        points = []
+        for name in ORACLE_NAMES:
+
+            def counting(*args, name=name, real=getattr(verify, name)):
+                *lead, ts, cfg = args
+                points.extend((name, *lead, t) for t in (ts if isinstance(ts, list) else [ts]))
+                return real(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        report = run_suite("all")
+        assert len(points) == len(set(points))
+        # every oracle check but those of literature-falsification, whose
+        # points the weyl suite evaluates, has a point of its own
+        oracle_records = [r for r in report.records if _one_point_call(r, QuadConfig()) is not None]
+        falsification = [r for r in report.records if r.check_id.startswith("literature-falsification/")]
+        assert len(points) == len(oracle_records) - len(falsification) == 864
+
+    def test_falsification_alone_equals_its_part_of_all(self):
+        whole = run_suite("all")
+        inside = [r for r in whole.records if r.check_id.startswith("literature-falsification/")]
+        assert run_suite("literature-falsification").records == inside
+
+    def test_a_run_keeps_no_values_for_the_next(self, monkeypatch):
+        calls = []
+        real = verify.tail_power_quad
+        monkeypatch.setattr(verify, "tail_power_quad", lambda *args: calls.append(args) or real(*args))
+        run_suite("lemmas")
+        first = len(calls)
+        run_suite("lemmas")
+        assert first > 0 and len(calls) == 2 * first
