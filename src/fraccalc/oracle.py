@@ -32,6 +32,7 @@ built only for the caller.
 from __future__ import annotations
 
 import math
+import threading
 from functools import partial
 from typing import Callable, Sequence
 
@@ -109,7 +110,13 @@ class Integrand(_Record):
 # ---------------------------------------------------------------------------
 # quadrature rules
 
+# gauss_jacobi_01 keeps at most this many rules and drops the oldest past it.
+# The keys are float (n, a, b), so a sweep over alpha in a long-lived process
+# builds new rules without end (about 2.6 per sweep evaluation); the verify
+# grid needs about 200, so neither verify nor a grid ever drops one.
+JACOBI_CACHE_MAX_RULES = 4096
 _jacobi_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
+_jacobi_cache_lock = threading.Lock()  # held to insert and evict, not to look up
 _legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -140,7 +147,10 @@ def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]
             raise ConvergenceError(
                 f"Newton iteration settled on no Gauss-Jacobi rule of {n} nodes (a={a!r}, b={b!r})"
             )
-    _jacobi_cache[key] = result
+    with _jacobi_cache_lock:
+        _jacobi_cache[key] = result
+        if len(_jacobi_cache) > JACOBI_CACHE_MAX_RULES:
+            del _jacobi_cache[next(iter(_jacobi_cache))]  # dicts keep insertion order
     return result
 
 
@@ -320,12 +330,26 @@ RowFn = Callable[[np.ndarray, Sequence], np.ndarray]  # (points, parameter rows)
 # a ladder row's (value, error estimate), or the error that refused it
 Row = "tuple[float, float] | FracCalcError"
 
+# The integral of each row of a (rows, n) block under a Gauss-Jacobi rule's
+# weights.  np.vecdot calls the BLAS ddot of np.dot once per row, so each value
+# is that row's np.dot bit for bit; blocks @ weights (gemv) sums in another order.
+_jacobi_sums = np.vecdot
+
+
+def _panel_sums(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The integral of each row of a (rows, panels, n) block under (panels, n) weights.
+
+    The two contiguous inner axes coalesce into one pairwise sum per row, the
+    sum that np.sum (np.add.reduce, axis=None) gives one row's (panels, n) block.
+    """
+    return np.add.reduce(weights * blocks, axis=(1, 2))
+
 
 def _row_ladder(
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]],
     n: int,
     n_max: int,
-    reduce: Callable[[np.ndarray, np.ndarray], float],
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
     phi: RowFn,
     params: Sequence,
     cfg: QuadConfig,
@@ -334,35 +358,37 @@ def _row_ladder(
     """Climb rules of n, 2n, ... <= n_max nodes for all rows of params at once.
 
     rule(n) is a rule (points, weights); phi(points, p) evaluates the rows p of
-    params there, one block per row; reduce(weights, block) integrates a block.
+    params there, one block per row, stacked along the first axis;
+    reduce(blocks, weights) integrates every block in one call, one value per
+    row, each bit for bit what integrating its block alone gives.
     Each row stops at its first rung within max(target_rel_tol * |current|,
     its floor) of the one before, and its error estimate is that difference
     plus rounding.  A row still climbing when the rungs run out is None.
     """
     done: list = [None] * len(params)
     rows = range(len(params))
-    previous: list[float] = []
+    previous = None  # one value per row still climbing, from the rung below
     while n <= n_max:
         points, weights = rule(n)
-        values = phi(points, params)
+        values = reduce(phi(points, params), weights).tolist()
+        n *= 2
+        if previous is None:  # the first rung has nothing to agree with
+            previous = values
+            continue
         current, climbing = [], []
-        for j, row in enumerate(rows):
-            value = float(reduce(weights, values[j]))
-            if previous:
-                diff = abs(value - previous[j])
-                floor = floors[row] if floors else 0.0
-                if diff <= max(cfg.target_rel_tol * abs(value), floor):
-                    done[row] = (value, diff + 16.0 * _EPS * abs(value))
-                    continue
-            current.append(value)
-            climbing.append(j)
+        for j, (row, value, below) in enumerate(zip(rows, values, previous)):
+            diff = abs(value - below)
+            if diff <= max(cfg.target_rel_tol * abs(value), floors[row] if floors else 0.0):
+                done[row] = (value, diff + 16.0 * _EPS * abs(value))
+            else:
+                current.append(value)
+                climbing.append(j)
         if not climbing:
             return done
         if len(climbing) < len(rows):
             rows = [rows[j] for j in climbing]
             params = params[climbing]
         previous = current
-        n *= 2
     return done
 
 
@@ -392,8 +418,7 @@ def _jacobi_ladder(
     counts as convergence.  Runs of width rows are refused together (see _refuse).
     """
     rule = lambda n: gauss_jacobi_01(n, a, b)
-    # ndarray.dot: the C routine behind np.dot, bit for bit, without its Python-level dispatch
-    done = _row_ladder(rule, 16, cfg.max_nodes, np.ndarray.dot, phi, params, cfg, floors)
+    done = _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, floors)
     if None in done:
         message = f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
         done = _refuse(done, message, width)
@@ -431,9 +456,7 @@ def _panel_gauss_ladder(
         x, w = _gauss_legendre(n)
         return (centers + half * x)[None], half * w
 
-    # np.add.reduce(axis=None) is what np.sum calls, without its Python-level dispatch
-    reduce = lambda w, block: np.add.reduce(w * block, axis=None)
-    done = _row_ladder(rule, first_rung, budget // n_panels, reduce, fn, params, cfg, floors)
+    done = _row_ladder(rule, first_rung, budget // n_panels, _panel_sums, fn, params, cfg, floors)
     return _refuse(done, message, width) if None in done else done
 
 
@@ -806,7 +829,7 @@ def weyl_derivative_quad(
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
         nodes, weights = gauss_jacobi_01(32, w_right, -delta)
         scales = _tail_integrand(partial(kernel, unsigned=True), -delta, w_right)(nodes, levels)
-        floors = [64.0 * _EPS * abs(float(np.dot(weights, row))) for row in scales]
+        floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, weights).tolist()]
         prefactor = 1.0 / math.gamma(beta_order)
         phi = _tail_integrand(kernel, -delta, w_right)
         rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors, RICHARDSON_LEVELS)

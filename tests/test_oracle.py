@@ -6,6 +6,8 @@ re-derived in test_closed_forms.py from independent routes.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from fraccalc import oracle as orc
 from fraccalc.errors import ConvergenceError, DomainError, StencilError
-from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog
+from fraccalc.model import _EPS, AbsPower, Exp, OperatorKind, Power, PowerLog
 from fraccalc.oracle import Integrand, QuadConfig
 from fraccalc.verify import ATOL_DERIVATIVE, TOL_DERIVATIVE
 
@@ -115,6 +117,134 @@ class TestGaussJacobiRule:
     def test_bad_exponents(self):
         with pytest.raises(DomainError):
             orc.gauss_jacobi_01(8, -1.0, 0.0)
+
+
+class TestJacobiRuleCache:
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """A fresh, empty rule cache, so that the test neither sees nor evicts the others' rules."""
+        fresh = {}
+        monkeypatch.setattr(orc, "_jacobi_cache", fresh)
+        return fresh
+
+    def test_stays_at_its_bound_over_distinct_alphas(self, cache):
+        bound = orc.JACOBI_CACHE_MAX_RULES
+        first = orc.gauss_jacobi_01(2, -0.5, 0.0)
+        kept = tuple(x.copy() for x in first)
+        for i in range(1, bound + 500):
+            orc.gauss_jacobi_01(2, -0.5 + i * 1e-6, 0.0)
+            assert len(cache) <= bound
+        assert len(cache) == bound
+        # the oldest rules went first; the newest are still there
+        assert (2, -0.5, 0.0) not in cache
+        assert (2, -0.5 + (bound + 499) * 1e-6, 0.0) in cache
+        rebuilt = orc.gauss_jacobi_01(2, -0.5, 0.0)
+        assert rebuilt is not first
+        for new, old in zip(rebuilt, kept):
+            assert new.tobytes() == old.tobytes()
+
+    def test_a_hit_is_the_cached_rule_and_keeps_its_age(self, cache, monkeypatch):
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 3)
+        oldest = orc.gauss_jacobi_01(4, 0.1, 0.0)
+        orc.gauss_jacobi_01(4, 0.2, 0.0)
+        orc.gauss_jacobi_01(4, 0.3, 0.0)
+        assert orc.gauss_jacobi_01(4, 0.1, 0.0) is oldest
+        # the hit did not make the rule younger: the next new rule evicts it
+        orc.gauss_jacobi_01(4, 0.4, 0.0)
+        assert list(cache) == [(4, 0.2, 0.0), (4, 0.3, 0.0), (4, 0.4, 0.0)]
+
+    def test_threads_building_rules_keep_the_bound(self, cache, monkeypatch):
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 16)
+        errors = []
+
+        def build(k):
+            try:
+                for i in range(300):
+                    orc.gauss_jacobi_01(2, 0.1 * k + i * 1e-6, 0.0)
+            except Exception as exc:  # reported below: a lost eviction raises KeyError here
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == 16
+
+
+def _one_row_ladder(rule, n, n_max, integrate, block, tol, floor):
+    """The ladder of one row, one reduction per rung: (value, estimate, nodes) or None."""
+    below = None
+    while n <= n_max:
+        points, weights = rule(n)
+        value = float(integrate(weights, block(points)))
+        if below is not None:
+            diff = abs(value - below)
+            if diff <= max(tol * abs(value), floor):
+                return value, diff + 16.0 * _EPS * abs(value), n
+        below = value
+        n *= 2
+    return None
+
+
+def _wide_block(row, shape):
+    """A seeded block of one row: random signs and magnitudes over eight decades
+    about a scale of the row's own, shrinking 1e-3-fold per doubling of the nodes,
+    so that each row's rungs converge."""
+    scale = 10.0 ** np.random.default_rng(row).uniform(-50, 50) * 1e-3 ** math.log2(shape[-1])
+    rng = np.random.default_rng([row, shape[-1]])
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape) * scale
+
+
+class TestRowReductions:
+    """Every row of a ladder is what the same row gives alone, one reduction per rung."""
+
+    def _ladders(self, rows, rule, n, n_max, reduce, integrate, shape):
+        """The ladder of all rows at once, and each row's alone; shape(points) is a row's block shape."""
+        ids = np.arange(float(rows))[:, None]
+        # floors between 1e-12 and 1e-3 of each row's first value: the rows stop on different rungs
+        rng = np.random.default_rng(rows)
+        points, weights = rule(n)
+        floors = [
+            abs(float(integrate(weights, _wide_block(r, shape(points))))) * 10.0 ** -rng.uniform(3, 12)
+            for r in range(rows)
+        ]
+        phi = lambda points, p: np.stack([_wide_block(int(r), shape(points)) for r in p[:, 0]])
+        done = orc._row_ladder(rule, n, n_max, reduce, phi, ids, CFG, floors)
+        alone = [
+            _one_row_ladder(rule, n, n_max, integrate, lambda points: _wide_block(r, shape(points)),
+                            CFG.target_rel_tol, floors[r])
+            for r in range(rows)
+        ]
+        assert None not in alone
+        if rows > 1:
+            assert len({nodes for _, _, nodes in alone}) > 1
+        return done, [(value, estimate) for value, estimate, _ in alone]
+
+    @pytest.mark.parametrize("rows", (1, 3, 48))
+    def test_jacobi_rows_are_their_own_dot(self, rows):
+        rule = lambda n: orc.gauss_jacobi_01(n, -0.5, 0.3)
+        done, alone = self._ladders(rows, rule, 16, 1024, orc._jacobi_sums, np.ndarray.dot, np.shape)
+        assert done == alone
+
+    @pytest.mark.parametrize("rows", (1, 3, 48))
+    def test_panel_rows_are_their_own_pairwise_sum(self, rows):
+        # 40 panels: rows that climb to 256 nodes hold 10240 values, past numpy's buffer of 8192
+        def rule(n):
+            x, w = np.polynomial.legendre.leggauss(n)
+            half = np.linspace(0.5, 3.0, 40)[:, None]
+            return (half * x)[None], half * w
+
+        sum_alone = lambda w, block: np.add.reduce(w * block, axis=None)
+        done, alone = self._ladders(rows, rule, 8, 4096, orc._panel_sums, sum_alone, lambda p: p.shape[1:])
+        assert done == alone
 
 
 class TestRlIntegralQuad:
