@@ -4,9 +4,9 @@ This module never touches the closed forms: every value comes from the
 defining integrals.  The machinery:
 
 * Gauss-Jacobi rules (Golub-Welsch on the symmetric tridiagonal recurrence
-  matrix up to DENSE_RULE_MAX_NODES nodes, Newton iteration on the zeros of
-  the Jacobi polynomial above) absorb the algebraic endpoint weights that the
-  convolution kernel (t - tau)**(alpha-1) and the power-type integrands force;
+  matrix, up to JACOBI_MAX_NODES nodes) absorb the algebraic endpoint weights
+  that the convolution kernel (t - tau)**(alpha-1) and the power-type
+  integrands force;
 * node counts climb a doubling ladder until two successive estimates agree,
   and the last successive difference is the reported error estimate;
 * integrands with a logarithmic factor at the origin are split at the
@@ -42,6 +42,7 @@ from .errors import ConvergenceError, DomainError, FracCalcError, StencilError
 from .model import (
     _EPS,
     DEFAULT_CONFIG,
+    JACOBI_MAX_NODES,
     AbsPower,
     EvalResult,
     FunctionFamily,
@@ -62,16 +63,6 @@ __all__ = [
     "weyl_derivative_quad",
     "weyl_integral_quad",
 ]
-
-# Gauss-Jacobi rules of up to this many nodes come from the dense eigenproblem
-# (O(n**2) memory, O(n**3) time: 7 ms at 256 nodes); larger ones from Newton
-# iteration in O(n) memory.  verify --suite all builds rules of 16 and 32 nodes.
-DENSE_RULE_MAX_NODES = 256
-# From the asymptotic starting values Newton takes 4 passes with exponents near
-# 0 and 9 with exponents of 10 (measured up to 4096 nodes), the last step
-# between 1e-16 and 2e-14 relative to the distance from the endpoint.
-_NEWTON_MAX_PASSES = 12
-_NEWTON_REL_TOL = 1e-13
 
 # The base central-difference step, as a fraction of t, and the number of
 # Richardson step halvings.  The step must stay large enough that evaluation
@@ -100,7 +91,7 @@ class Integrand(_Record):
     def __init__(
         self, value: Callable[[np.ndarray], np.ndarray], power_at_zero: float = 0.0, log_at_zero: bool = False
     ) -> None:
-        if power_at_zero <= -1.0:
+        if not power_at_zero > -1.0:  # false for nan as well
             raise DomainError(f"integrand must be integrable at 0: power_at_zero > -1, got {power_at_zero!r}")
         _set(self, "value", value)
         _set(self, "power_at_zero", power_at_zero)
@@ -121,32 +112,17 @@ _legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1.
-
-    Rules of up to DENSE_RULE_MAX_NODES nodes come from _golub_welsch, larger
-    ones from _newton_jacobi, which needs O(n) memory where the eigenproblem
-    needs O(n**2).  Newton starts from the asymptotic zeros and, where those
-    miss (exponents above about 10), from bisected ones.
-    """
+    """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1, n <= JACOBI_MAX_NODES."""
     key = (n, a, b)
     cached = _jacobi_cache.get(key)
     if cached is not None:
         return cached
-    if n < 1:
-        raise DomainError(f"rule size must be >= 1, got {n!r}")
-    if a <= -1.0 or b <= -1.0:
+    # checked before the O(n**2) matrix is built
+    if not 1 <= n <= JACOBI_MAX_NODES:
+        raise DomainError(f"rule size must be in [1, {JACOBI_MAX_NODES}], got {n!r}")
+    if not (a > -1.0 and b > -1.0):  # false for nan as well
         raise DomainError(f"Jacobi exponents must exceed -1, got a={a!r}, b={b!r}")
-    if n <= DENSE_RULE_MAX_NODES:
-        result = _golub_welsch(n, a, b)
-    else:
-        recurrence = _EdgeRecurrence(n, a, b)
-        result = _newton_jacobi(recurrence, _asymptotic_zeros(recurrence))
-        if result is None:
-            result = _newton_jacobi(recurrence, _bisected_zeros(recurrence))
-        if result is None:
-            raise ConvergenceError(
-                f"Newton iteration settled on no Gauss-Jacobi rule of {n} nodes (a={a!r}, b={b!r})"
-            )
+    result = _golub_welsch(n, a, b)
     with _jacobi_cache_lock:
         _jacobi_cache[key] = result
         if len(_jacobi_cache) > JACOBI_CACHE_MAX_RULES:
@@ -184,137 +160,6 @@ def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     # map [-1, 1] -> [0, 1]
     nodes = (x + 1.0) / 2.0
     weights = mu0 * vec[0, :] ** 2 * 2.0 ** (-s - 1.0)
-    return nodes, weights
-
-
-class _EdgeRecurrence:
-    """P_n^(a,b) in the distance y of its zeros from the nearer endpoint.
-
-    Row 0 holds the (n+1)//2 zeros nearest x = 1, row 1 the others, nearest
-    x = -1.  With e the exponent at a row's endpoint, f the other one,
-    s = a + b, P = P^(e,f) and Q = P^(e+1,f), each divided by its value at
-    that endpoint, P_n comes from the two-term recurrences
-        (k+s+1)(k+e+1) Q_k = (2k+s+1)(e+1) P_k + k(k+f) Q_{k-1},
-        P_{k+1} = P_k - y (2k+s+2)/(2e+2) Q_k.
-    y enters them only as a factor, so rounding moves each zero by a small
-    multiple of itself: the zeros next to an endpoint keep their relative
-    accuracy, which the three-term recurrence in x = 1 - y loses (about 1e-10
-    at n = 2048, a = -0.9).
-    """
-
-    def __init__(self, n: int, a: float, b: float) -> None:
-        s = a + b
-        self.n, self.a, self.b = n, a, b
-        self.e = np.array([[a], [b]])  # one exponent per row
-        self.f = np.array([[b], [a]])
-        k = np.arange(1.0, n)[:, None, None]
-        den = (k + s + 1.0) * (k + self.e + 1.0)
-        # q carries Q_k (2k+s+2)/(2e+2) in place of Q_k
-        self.p_coef = list(
-            (2.0 * k + s + 2.0) / (2.0 * self.e + 2.0) * (2.0 * k + s + 1.0) * (self.e + 1.0) / den
-        )
-        self.q_coef = list((2.0 * k + s + 2.0) / (2.0 * k + s) * k * (k + self.f) / den)
-        self.q0 = (s + 2.0) / (2.0 * self.e + 2.0)
-
-    def values(
-        self, y: np.ndarray, count_sign_changes: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """(P_{n-1}, P_n) at the distances y, or the sign changes along P_0 ... P_n.
-
-        By the Sturm property of orthogonal polynomials the sign changes count
-        the zeros of P_n within distance y of the row's endpoint.
-        """
-        p_prev, p, q = np.ones_like(y), 1.0 - self.q0 * y, self.q0 * np.ones_like(y)
-        t = np.empty_like(y)
-        negative = p < 0.0
-        changes = negative.astype(np.int64)
-        for k, (pc, qc) in enumerate(zip(self.p_coef, self.q_coef), start=1):
-            q *= qc
-            q += np.multiply(pc, p, out=t)
-            p_prev, p = p, p - np.multiply(y, q, out=t)
-            if count_sign_changes:
-                now = p < 0.0
-                changes += now != negative
-                negative = now
-                if k % 64 == 0:  # only signs matter: keep far-side values in range
-                    scale = 1.0 / (np.abs(p) + np.abs(q))
-                    p *= scale
-                    q *= scale
-        return changes if count_sign_changes else (p_prev, p)
-
-
-def _asymptotic_zeros(rec: _EdgeRecurrence) -> np.ndarray:
-    """Starting distances from the interior asymptotics of the zeros (Gatteschi-Pittaluga).
-
-    Close enough for Newton when both exponents are below about 10.
-    """
-    e, f = rec.e, rec.f
-    rho2 = 2.0 * rec.n + rec.a + rec.b + 1.0
-    c = (2.0 * np.arange(1.0, (rec.n + 1) // 2 + 1) + e - 0.5) * math.pi / rho2
-    theta = c + ((0.25 - e * e) / np.tan(0.5 * c) - (0.25 - f * f) * np.tan(0.5 * c)) / rho2**2
-    return 2.0 * np.sin(0.5 * theta) ** 2
-
-
-def _bisected_zeros(rec: _EdgeRecurrence) -> np.ndarray:
-    """Starting distances by bisection of log y on the sign-change counts, for any exponents.
-
-    Zero r of a row (r = 1, 2, ...) lies where the count first reaches r; each
-    pass halves every bracket, 17 passes from (1e-30, 2) to a width of 1e-3.
-    """
-    m = (rec.n + 1) // 2
-    rank = np.arange(1, m + 1)
-    lo = np.full((2, m), math.log(1e-30))
-    hi = np.full((2, m), math.log(2.0))
-    with np.errstate(all="ignore"):
-        while np.max(hi - lo) > 1e-3:
-            mid = 0.5 * (lo + hi)
-            below = rec.values(np.exp(mid), count_sign_changes=True) >= rank
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-    return np.exp(0.5 * (lo + hi))
-
-
-def _newton_jacobi(rec: _EdgeRecurrence, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rule of gauss_jacobi_01 by Newton iteration from the starting distances y, in O(n) memory.
-
-    After Hale and Townsend (SIAM J. Sci. Comput. 35, 2013): polish the zeros
-    of P_n by Newton, take the weights from P_n'.  P_n' comes from
-        (1-x**2) P_n' = n((e-f)/(2n+s) - x) P_n + 2n(n+f)/(2n+s) P_{n-1}
-    in the variables of _EdgeRecurrence, and the weights, proportional to
-    1/((1-x**2) P_n'**2), are scaled to the exact mass B(a+1, b+1).  None
-    when the iteration does not settle on n distinct zeros.
-    """
-    n, a, b = rec.n, rec.a, rec.b
-    s = a + b
-    m = (n + 1) // 2
-    y = y.copy()
-    y[1, n - m :] = y[1, 0]  # padding when n is odd, dropped below
-    shift = (rec.e - rec.f) / (2.0 * n + s)
-    slope = 2.0 * n * (n + rec.f) / (2.0 * n + s)
-    with np.errstate(all="ignore"):  # a diverging iteration is caught below
-        for _ in range(_NEWTON_MAX_PASSES):
-            p_prev, p = rec.values(y)
-            # (1 - x**2) P_n' at x = 1 - y; the weights take it from the last pass,
-            # whose step is below _NEWTON_REL_TOL
-            slope_n = n * (shift - (1.0 - y)) * p + slope * p_prev
-            step = p * (y * (2.0 - y)) / slope_n
-            y = y + step
-            if np.max(np.abs(step) / y) < _NEWTON_REL_TOL:
-                break
-        else:
-            return None
-        # P_n^(b,a)(1) / P_n^(a,b)(1) puts both rows on one normalisation
-        j = np.arange(1.0, n + 1)
-        ratio = np.exp(math.fsum(np.log1p(b / j)) - math.fsum(np.log1p(a / j)))
-        v = y * (2.0 - y) / (slope_n * np.array([[1.0], [ratio]])) ** 2
-        nodes = np.concatenate([0.5 * y[1, : n - m], 1.0 - 0.5 * y[0, ::-1]])
-        v = np.concatenate([v[1, : n - m], v[0, ::-1]])
-        mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
-        weights = mass / np.sum(v) * v
-    if not (0.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)):
-        return None
-    if not np.all(np.isfinite(weights) & (weights > 0.0)):
-        return None
     return nodes, weights
 
 
@@ -425,6 +270,13 @@ def _jacobi_ladder(
     return done
 
 
+# Nodes over all panels of _panel_gauss_ladder's largest rung.  Its rules come
+# from leggauss, not gauss_jacobi_01, and the powerlog lower piece climbs to
+# 2048 nodes per panel at tight tolerances (1e-15 on the verify grid), so
+# max_nodes, which bounds the Jacobi rules, does not bound these.
+PANEL_NODE_BUDGET = 8192
+
+
 def _panel_gauss_ladder(
     fn: RowFn,
     params: Sequence,
@@ -440,12 +292,12 @@ def _panel_gauss_ladder(
     floors, one per row, are absolute tolerances, and width is the run of
     rows refused together, as in _jacobi_ladder.
     """
-    first_rung, budget = 8, 4 * cfg.max_nodes
+    first_rung = 8
     message = f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]"
     # checked before the panels are built: a long interval (hi up to inf) has
     # more panels than the budget can give first_rung nodes each
     span = (hi - lo) / panel_len
-    if not span <= budget // first_rung:
+    if not span <= PANEL_NODE_BUDGET // first_rung:
         return [ConvergenceError(message)] * len(params)
     n_panels = max(1, int(math.ceil(span)))
     edges = np.linspace(lo, hi, n_panels + 1)
@@ -456,7 +308,7 @@ def _panel_gauss_ladder(
         x, w = _gauss_legendre(n)
         return (centers + half * x)[None], half * w
 
-    done = _row_ladder(rule, first_rung, budget // n_panels, _panel_sums, fn, params, cfg, floors)
+    done = _row_ladder(rule, first_rung, PANEL_NODE_BUDGET // n_panels, _panel_sums, fn, params, cfg, floors)
     return _refuse(done, message, width) if None in done else done
 
 

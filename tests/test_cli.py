@@ -224,7 +224,7 @@ class TestVerifyCommand:
 
     def test_config_overrides_apply(self, tmp_path):
         config = tmp_path / "quad.cfg"
-        config.write_text("# quadrature knobs\ntarget_rel_tol = 1e-9\nmax_nodes = 1024\n")
+        config.write_text("# quadrature knobs\ntarget_rel_tol = 1e-9\nmax_nodes = 128\n")
         assert main(["verify", "--suite", "lemmas", "--config", str(config), "--format",
                      "csv", "--out", str(tmp_path / "r.csv")]) == 0
 
@@ -405,7 +405,7 @@ print(sorted(name for name, module in sys.modules.items() if module is not None 
 
     def _run(self, mode, watched, tmp_path):
         good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
-        good.write_text("target_rel_tol = 1e-9\nmax_nodes = 1024\n")
+        good.write_text("target_rel_tol = 1e-9\nmax_nodes = 128\n")
         bad.write_text("bogus_knob = 3\n")
         result = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, mode, watched, str(good), str(bad)],

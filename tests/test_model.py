@@ -173,8 +173,8 @@ RECORDS = (
     ),
     (
         QuadConfig,
-        (("target_rel_tol", 1e-9), ("max_nodes", 1024)),
-        "QuadConfig(target_rel_tol=1e-09, max_nodes=1024)",
+        (("target_rel_tol", 1e-9), ("max_nodes", 128)),
+        "QuadConfig(target_rel_tol=1e-09, max_nodes=128)",
     ),
     (
         Integrand,
@@ -268,9 +268,9 @@ class TestRecords:
 
     def test_defaults(self):
         assert QuadConfig() == DEFAULT_CONFIG
-        assert QuadConfig(1e-10, 2048) == DEFAULT_CONFIG
-        assert QuadConfig(max_nodes=1024) != DEFAULT_CONFIG
-        assert repr(QuadConfig()) == "QuadConfig(target_rel_tol=1e-10, max_nodes=2048)"
+        assert QuadConfig(1e-10, 256) == DEFAULT_CONFIG
+        assert QuadConfig(max_nodes=128) != DEFAULT_CONFIG
+        assert repr(QuadConfig()) == "QuadConfig(target_rel_tol=1e-10, max_nodes=256)"
         assert repr(Integrand(abs)) == (
             "Integrand(value=<built-in function abs>, power_at_zero=0.0, log_at_zero=False)"
         )
@@ -290,9 +290,14 @@ class TestRecords:
             (lambda: EvalResult(1.0, "oracle", -1.0), "abs_err_estimate must be finite and nonnegative, got -1.0"),
             (lambda: EvalResult(1.0, "oracle", float("inf")), "abs_err_estimate must be finite and nonnegative, got inf"),
             (lambda: QuadConfig(0.0), "target_rel_tol must be > 0, got 0.0"),
-            (lambda: QuadConfig(max_nodes=8), "max_nodes must be in [16, 4096], got 8"),
-            (lambda: QuadConfig(max_nodes=8192), "max_nodes must be in [16, 4096], got 8192"),
+            (lambda: QuadConfig(max_nodes=8), "max_nodes must be a power of two in [16, 256], got 8"),
+            (lambda: QuadConfig(max_nodes=512), "max_nodes must be a power of two in [16, 256], got 512"),
+            (lambda: QuadConfig(max_nodes=100), "max_nodes must be a power of two in [16, 256], got 100"),
+            (lambda: QuadConfig(max_nodes=16.5), "max_nodes must be a power of two in [16, 256], got 16.5"),
+            (lambda: QuadConfig(max_nodes=True), "max_nodes must be a power of two in [16, 256], got True"),
             (lambda: Integrand(abs, -1.0), "integrand must be integrable at 0: power_at_zero > -1, got -1.0"),
+            # nan passed power_at_zero <= -1, and rl_integral_quad on it raised numpy's LinAlgError
+            (lambda: Integrand(abs, float("nan")), "integrand must be integrable at 0: power_at_zero > -1, got nan"),
         ],
     )
     def test_validation_messages(self, build, message):
