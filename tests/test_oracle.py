@@ -62,18 +62,47 @@ class TestGaussJacobiRule:
             assert np.allclose(mine_x, (ref_x + 1.0) / 2.0, rtol=1e-12, atol=1e-14)
             assert np.allclose(mine_w, ref_w * 2.0 ** (-a - b - 1.0), rtol=weight_rtol, atol=1e-16)
 
-    # the largest rule there is
-    @pytest.mark.parametrize("n", (JACOBI_MAX_NODES,))
+    # the largest rule there is, and above it the oracle's ladder, which stops there
+    @pytest.mark.parametrize("n", (JACOBI_MAX_NODES, 257, 1024, 2048))
     @pytest.mark.parametrize("a", (-0.9, 0.0, 1.5))
     @pytest.mark.parametrize("b", (-0.9, 0.0, 1.5))
     def test_polynomial_exactness_large_n(self, n, a, b):
         # integral_0^1 (1-s)^a s^(k+b) ds = B(k+b+1, a+1); k = 2n-1 leans on the nodes
         # next to s = 1, k = 0 on all weights
-        nodes, weights = orc.gauss_jacobi_01(n, a, b)
-        for k in (0, 1, n, 2 * n - 1):
-            estimate = float(np.dot(weights, nodes**k))
+        degrees = (0, 1, n, 2 * n - 1)
+        if n <= JACOBI_MAX_NODES:
+            nodes, weights = orc.gauss_jacobi_01(n, a, b)
+            rows = [(float(np.dot(weights, nodes**k)), 0.0) for k in degrees]
+        else:
+            # no rule has n nodes: each degree is the ladder's value or its refusal
+            rows = orc._jacobi_ladder(lambda s, k: s**k, np.array(degrees, float)[:, None], a, b, CFG)
+        for k, row in zip(degrees, rows):
+            if isinstance(row, ConvergenceError):
+                # the largest rule is exact up to degree 2 * JACOBI_MAX_NODES - 1
+                assert k >= 2 * JACOBI_MAX_NODES
+                continue
             exact = math.exp(math.lgamma(k + b + 1.0) + math.lgamma(a + 1.0) - math.lgamma(k + a + b + 2.0))
-            assert estimate == pytest.approx(exact, rel=1e-11)
+            assert row[0] == pytest.approx(exact, rel=1e-11)
+
+    # the cap on gauss_jacobi_01 is one of memory: above it the dense construction
+    # still gives the zeros of P_n, the rule a large-rule path would have to match
+    @pytest.mark.parametrize("n", (257, 512))
+    @pytest.mark.parametrize("a, b", ((-0.9, 0.3), (0.0, 0.0), (1.5, -0.9), (4.0, 2.5), (30.0, 0.5)))
+    def test_newton_rule_matches_dense(self, n, a, b):
+        from scipy.special import eval_jacobi, roots_jacobi
+
+        # Newton on P_n^(a,b) over [-1, 1], from scipy's nodes; P_n' = (n+a+b+1)/2 P_(n-1)^(a+1,b+1)
+        x = roots_jacobi(n, a, b)[0]
+        for _ in range(3):
+            x = x - eval_jacobi(n, a, b, x) / ((n + a + b + 1.0) / 2.0 * eval_jacobi(n - 1, a + 1.0, b + 1.0, x))
+        dense_x, dense_w = orc._golub_welsch(n, a, b)
+        assert np.max(np.abs((x + 1.0) / 2.0 - dense_x)) <= 1e-15
+        assert np.all(np.diff(dense_x) > 0.0)
+        # the weights only by their mass: the weight formula at a double node next to an
+        # endpoint of exponent -0.9 is off by 1e-10 relative (against 40-digit mpmath, where
+        # the dense weights are within 3e-12), so it is no reference for them
+        mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+        assert float(np.sum(dense_w)) == pytest.approx(mass, rel=1e-13)
 
     def test_bad_exponents(self):
         with pytest.raises(DomainError):
