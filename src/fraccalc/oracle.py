@@ -8,7 +8,13 @@ defining integrals.  The machinery:
   that the convolution kernel (t - tau)**(alpha-1) and the power-type
   integrands force;
 * node counts climb a doubling ladder until two successive estimates agree,
-  and the last successive difference is the reported error estimate;
+  and the last successive difference is the reported error estimate; the
+  first rung cannot stop a ladder, so the integrand is evaluated on the first
+  two rungs' points in one call;
+* rules are cached (at most JACOBI_CACHE_MAX_RULES of each kind), and with
+  each rule the arrays that depend on its nodes alone: the powers of s and
+  1 - s that divide its weight out of an integrand, the maps of the two log
+  pieces, and its points joined to the next rung's;
 * integrands with a logarithmic factor at the origin are split at the
   midpoint, and the lower piece is mapped by s = exp(-x)/2, which turns
   log s into a polynomial factor and leaves an analytic integrand;
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +99,8 @@ class Integrand(_Record):
     ) -> None:
         if not power_at_zero > -1.0:  # false for nan as well
             raise DomainError(f"integrand must be integrable at 0: power_at_zero > -1, got {power_at_zero!r}")
+        if power_at_zero == math.inf:
+            raise DomainError(f"power_at_zero must be finite, got {power_at_zero!r}")
         _set(self, "value", value)
         _set(self, "power_at_zero", power_at_zero)
         _set(self, "log_at_zero", log_at_zero)
@@ -104,30 +112,139 @@ class Integrand(_Record):
 # gauss_jacobi_01 keeps at most this many rules and drops the oldest past it.
 # The keys are float (n, a, b), so a sweep over alpha in a long-lived process
 # builds new rules without end (about 2.6 per sweep evaluation); the verify
-# grid needs about 200, so neither verify nor a grid ever drops one.
+# grid needs about 200, so neither verify nor a grid ever drops one.  The
+# panel rules of _panel_gauss_ladder have a cache of their own under the same
+# bound, because their interval ends at x_cut, which is continuous in nu.  A
+# panel rule holds up to PANEL_NODE_BUDGET nodes, so that cache also keeps no
+# more nodes than this many rules of JACOBI_MAX_NODES nodes.
 JACOBI_CACHE_MAX_RULES = 4096
-_jacobi_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-_jacobi_cache_lock = threading.Lock()  # held to insert and evict, not to look up
+
+
+class _RuleCache(dict):
+    """Rules by key, oldest first, and the nodes they hold (see _keep)."""
+
+    nodes = 0
+
+
+_jacobi_cache: _RuleCache = _RuleCache()  # by (n, a, b)
+_panel_cache: _RuleCache = _RuleCache()  # by (lo, hi, panel_len, n)
+_rule_cache_lock = threading.Lock()  # held to insert into and evict from either cache, not to look up
 _legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+class _Nodes:
+    """A rule's points, and the arrays that depend on the points alone.
+
+    Each array is computed on first use (threads that race compute the same
+    bytes, and one copy stays).  A cached rule keeps its _Nodes, so every
+    ladder that climbs through the rule shares the arrays, and evicting the
+    rule drops them.  a and b are the rule's Jacobi exponents: s**(-b) and
+    (1-s)**(-a) divide its weight out of an integrand.  A panel rule has none.
+    """
+
+    def __init__(self, points: np.ndarray, a: float = 0.0, b: float = 0.0) -> None:
+        self.points = points
+        self.a = a
+        self.b = b
+
+    @cached_property
+    def s_pow_neg_b(self) -> np.ndarray:
+        return self.points ** (-self.b)
+
+    @cached_property
+    def one_minus(self) -> np.ndarray:
+        return 1.0 - self.points
+
+    @cached_property
+    def one_minus_sq(self) -> np.ndarray:
+        return self.one_minus**2
+
+    @cached_property
+    def one_minus_pow_neg_a(self) -> np.ndarray:
+        return self.one_minus ** (-self.a)
+
+    @cached_property
+    def upper_half(self) -> np.ndarray:  # s = 1/2 + u/2 on the upper log piece
+        return 0.5 + 0.5 * self.points
+
+    @cached_property
+    def half_exp_neg(self) -> np.ndarray:  # s = exp(-x)/2 on the lower log piece
+        return 0.5 * np.exp(-self.points)
+
+
+class _Rule:
+    """One rung of a ladder: its _Nodes and weights; pair is (points, weights)."""
+
+    __slots__ = ("nodes", "weights", "pair", "_joined")
+
+    def __init__(self, nodes: _Nodes, weights: np.ndarray) -> None:
+        self.nodes = nodes
+        self.weights = weights
+        self.pair = (nodes.points, weights)
+        self._joined = None
+
+    def joined(self, upper: _Rule) -> _Nodes:
+        """The _Nodes of this rung's points followed by upper's along the last axis.
+
+        upper is always the next rung of the same ladder, so the joined nodes
+        are kept with this rule.
+        """
+        joined = self._joined
+        if joined is None:
+            points = np.concatenate((self.nodes.points, upper.nodes.points), axis=-1)
+            joined = self._joined = _Nodes(points, self.nodes.a, self.nodes.b)
+        return joined
+
+
+def _keep(cache: _RuleCache, key: tuple, rule: _Rule) -> None:
+    """Insert rule under key, and drop the oldest rules while the cache holds more
+    than JACOBI_CACHE_MAX_RULES rules or the nodes of as many rules of
+    JACOBI_MAX_NODES nodes."""
+    with _rule_cache_lock:
+        old = cache.pop(key, None)  # not None when another thread built the same rule
+        if old is not None:
+            cache.nodes -= old.nodes.points.size
+        cache[key] = rule
+        cache.nodes += rule.nodes.points.size
+        while len(cache) > JACOBI_CACHE_MAX_RULES or cache.nodes > JACOBI_CACHE_MAX_RULES * JACOBI_MAX_NODES:
+            cache.nodes -= cache.pop(next(iter(cache))).nodes.points.size  # dicts keep insertion order
+
+
 def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1, n <= JACOBI_MAX_NODES."""
+    """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1, n <= JACOBI_MAX_NODES.
+
+    DomainError where the construction has no rule in floating point: its
+    zeroth moment 2**(a+b+1) B(a+1, b+1) overflows past about a + b = 1030
+    when one exponent is near 0, and its recurrence past about 1e77.
+    """
     key = (n, a, b)
     cached = _jacobi_cache.get(key)
     if cached is not None:
-        return cached
+        return cached.pair
     # checked before the O(n**2) matrix is built
     if not 1 <= n <= JACOBI_MAX_NODES:
         raise DomainError(f"rule size must be in [1, {JACOBI_MAX_NODES}], got {n!r}")
-    if not (a > -1.0 and b > -1.0):  # false for nan as well
-        raise DomainError(f"Jacobi exponents must exceed -1, got a={a!r}, b={b!r}")
-    result = _golub_welsch(n, a, b)
-    with _jacobi_cache_lock:
-        _jacobi_cache[key] = result
-        if len(_jacobi_cache) > JACOBI_CACHE_MAX_RULES:
-            del _jacobi_cache[next(iter(_jacobi_cache))]  # dicts keep insertion order
-    return result
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):  # false for nan as well
+        raise DomainError(f"Jacobi exponents must exceed -1 and be finite, got a={a!r}, b={b!r}")
+    try:
+        # a recurrence that overflows, or divides inf by inf, gives no finite rule
+        with np.errstate(over="raise", invalid="raise"):
+            nodes, weights = _golub_welsch(n, a, b)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # FloatingPointError and math's OverflowError
+        raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: {exc}") from None
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+        raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: not finite")
+    rule = _Rule(_Nodes(nodes, a, b), weights)
+    _keep(_jacobi_cache, key, rule)
+    return rule.pair
+
+
+def _jacobi_rule(n: int, a: float, b: float) -> _Rule:
+    """The cached rule of gauss_jacobi_01(n, a, b), looked up through that function once."""
+    points, weights = gauss_jacobi_01(n, a, b)
+    rule = _jacobi_cache.get((n, a, b))
+    # None once another thread has evicted the rule: its arrays then serve one ladder
+    return rule if rule is not None else _Rule(_Nodes(points, a, b), weights)
 
 
 def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +288,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-RowFn = Callable[[np.ndarray, Sequence], np.ndarray]  # (points, parameter rows) -> a block per row
+RowFn = Callable[[_Nodes, Sequence], np.ndarray]  # (nodes, parameter rows) -> a block per row
 # a ladder row's (value, error estimate), or the error that refused it
 Row = "tuple[float, float] | FracCalcError"
 
@@ -184,14 +301,15 @@ _jacobi_sums = np.vecdot
 def _panel_sums(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The integral of each row of a (rows, panels, n) block under (panels, n) weights.
 
-    The two contiguous inner axes coalesce into one pairwise sum per row, the
-    sum that np.sum (np.add.reduce, axis=None) gives one row's (panels, n) block.
+    The two contiguous inner axes of the product coalesce into one pairwise sum
+    per row, the sum that np.sum (np.add.reduce, axis=None) gives one row's
+    (panels, n) block.  The product is a new array, so blocks may be a slice.
     """
     return np.add.reduce(weights * blocks, axis=(1, 2))
 
 
 def _row_ladder(
-    rule: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    rule: Callable[[int], _Rule],
     n: int,
     n_max: int,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -202,10 +320,13 @@ def _row_ladder(
 ) -> list[tuple[float, float] | None]:
     """Climb rules of n, 2n, ... <= n_max nodes for all rows of params at once.
 
-    rule(n) is a rule (points, weights); phi(points, p) evaluates the rows p of
-    params there, one block per row, stacked along the first axis;
-    reduce(blocks, weights) integrates every block in one call, one value per
-    row, each bit for bit what integrating its block alone gives.
+    rule(n) is a _Rule; phi(nodes, p) evaluates the rows p of params at the
+    _Nodes nodes, one block per row, stacked along the first axis, each point
+    on its own; reduce(blocks, weights) integrates every block in one call,
+    one value per row, each bit for bit what integrating its block alone gives.
+    The first rung has nothing to agree with, so it never stops a row: phi
+    evaluates it together with the second rung, on their points joined along
+    the last axis, and each rung's slice of the block is reduced on its own.
     Each row stops at its first rung within max(target_rel_tol * |current|,
     its floor) of the one before, and its error estimate is that difference
     plus rounding.  A row still climbing when the rungs run out is None.
@@ -214,12 +335,19 @@ def _row_ladder(
     rows = range(len(params))
     previous = None  # one value per row still climbing, from the rung below
     while n <= n_max:
-        points, weights = rule(n)
-        values = reduce(phi(points, params), weights).tolist()
+        rung = rule(n)
+        if previous is not None:
+            block = phi(rung.nodes, params)
+        elif 2 * n > n_max:  # a lone rung, which cannot stop a row
+            return done
+        else:  # the first two rungs, in one call of phi
+            upper = rule(2 * n)
+            joined = phi(rung.joined(upper), params)
+            previous = reduce(joined[..., :n], rung.weights).tolist()
+            rung, block = upper, joined[..., n:]
+            n *= 2
+        values = reduce(block, rung.weights).tolist()
         n *= 2
-        if previous is None:  # the first rung has nothing to agree with
-            previous = values
-            continue
         current, climbing = [], []
         for j, (row, value, below) in enumerate(zip(rows, values, previous)):
             diff = abs(value - below)
@@ -262,7 +390,7 @@ def _jacobi_ladder(
     floors, one per row, are absolute tolerances: agreement within a row's floor
     counts as convergence.  Runs of width rows are refused together (see _refuse).
     """
-    rule = lambda n: gauss_jacobi_01(n, a, b)
+    rule = lambda n: _jacobi_rule(n, a, b)
     done = _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, floors)
     if None in done:
         message = f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
@@ -300,16 +428,28 @@ def _panel_gauss_ladder(
     if not span <= PANEL_NODE_BUDGET // first_rung:
         return [ConvergenceError(message)] * len(params)
     n_panels = max(1, int(math.ceil(span)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-
-    def rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-        x, w = _gauss_legendre(n)
-        return (centers + half * x)[None], half * w
-
+    rule = lambda n: _panel_rule(lo, hi, panel_len, n_panels, n)
     done = _row_ladder(rule, first_rung, PANEL_NODE_BUDGET // n_panels, _panel_sums, fn, params, cfg, floors)
     return _refuse(done, message, width) if None in done else done
+
+
+def _panel_rule(lo: float, hi: float, panel_len: float, n_panels: int, n: int) -> _Rule:
+    """Gauss-Legendre of n nodes on each of the n_panels panels of [lo, hi]; points are (1, panels, n).
+
+    Each rung looks up its Legendre rule, as a Jacobi rung looks up its rule
+    through gauss_jacobi_01; the panels' points and weights are cached by
+    (lo, hi, panel_len, n).
+    """
+    x, w = _gauss_legendre(n)
+    key = (lo, hi, panel_len, n)
+    rule = _panel_cache.get(key)
+    if rule is None:
+        edges = np.linspace(lo, hi, n_panels + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        rule = _Rule(_Nodes((centers + half * x)[None]), half * w)
+        _keep(_panel_cache, key, rule)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +542,16 @@ def rl_integral_quad(
     p = f.power_at_zero
     if not f.log_at_zero:
         if p == 0.0:
-            rows = _jacobi_ladder(lambda s, tc: f.value(tc * s), ts, alpha - 1.0, 0.0, cfg, width=width)
+            phi = lambda nodes, tc: f.value(tc * nodes.points)
+            rows = _jacobi_ladder(phi, ts, alpha - 1.0, 0.0, cfg, width=width)
         else:
-            rows = _jacobi_ladder(
-                lambda s, tc: f.value(tc * s) * s ** (-p), ts, alpha - 1.0, p, cfg, width=width
-            )
+            phi = lambda nodes, tc: f.value(tc * nodes.points) * nodes.s_pow_neg_b
+            rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, width=width)
     else:
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
         rows = _jacobi_ladder(
-            lambda u, tc: f.value(tc * (0.5 + 0.5 * u)), ts, alpha - 1.0, 0.0, cfg, width=width
+            lambda nodes, tc: f.value(tc * nodes.upper_half), ts, alpha - 1.0, 0.0, cfg, width=width
         )
         scale_hi = 0.5**alpha
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
@@ -419,8 +559,8 @@ def rl_integral_quad(
         # (p + 1 rounds to 0 when nu is below about 1e-16: the cut is then infinite)
         x_cut = max(30.0, 42.0 / (p + 1.0)) if p > -1.0 else math.inf
 
-        def lower(x: np.ndarray, tc: np.ndarray) -> np.ndarray:
-            s = 0.5 * np.exp(-x)
+        def lower(nodes: _Nodes, tc: np.ndarray) -> np.ndarray:
+            s = nodes.half_exp_neg
             return (1.0 - s) ** (alpha - 1.0) * f.value(tc * s) * s
 
         # the lower piece changes sign where t s = 1 and can cancel to nearly 0, so it
@@ -570,22 +710,21 @@ def rl_derivative_quad(
 # ---------------------------------------------------------------------------
 # tails over (0, inf), and the Weyl (lower limit -inf) operators for |t|**(-delta)
 
-def _tail_integrand(kernel: RowFn, beta_exp: float, w_right: float) -> RowFn:
+def _tail_integrand(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], beta_exp: float) -> RowFn:
     """integral_0^inf kernel(u, rows) u**beta_exp du as a Jacobi-weighted integral on (0, 1).
 
     u = s t/(1-s) maps (0, 1) onto (0, inf), t being the first column of each
     row, so one integrand serves rows of many t.  The returned integrand is
-    divided by the weight (1-s)**w_right s**beta_exp, which the rule of the
-    caller supplies; w_right is the decay exponent of the whole integrand at
-    s = 1, and each caller computes it from its own exponents.
+    divided by the weight (1-s)**a s**b of the rule it is evaluated on, which
+    the caller picks: b is beta_exp, and a the decay exponent of the whole
+    integrand at s = 1, which each caller computes from its own exponents.
     """
 
-    def phi(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def phi(nodes: _Nodes, rows: np.ndarray) -> np.ndarray:
         t = rows[:, :1]
-        one_minus = 1.0 - s
-        u = s * t / one_minus
-        du = t / one_minus**2
-        return kernel(u, rows) * u**beta_exp * du * one_minus ** (-w_right) * s ** (-beta_exp)
+        u = nodes.points * t / nodes.one_minus
+        du = t / nodes.one_minus_sq
+        return kernel(u, rows) * u**beta_exp * du * nodes.one_minus_pow_neg_a * nodes.s_pow_neg_b
 
     return phi
 
@@ -605,7 +744,7 @@ def tail_power_quad(
         )
     points, scalar = _points("tail_power_quad", t)
     w_right = -a_exp - beta_exp - 2.0
-    phi = _tail_integrand(lambda u, ts: (ts + u) ** a_exp, beta_exp, w_right)
+    phi = _tail_integrand(lambda u, ts: (ts + u) ** a_exp, beta_exp)
     return _results(_jacobi_ladder(phi, np.array(points)[:, None], w_right, beta_exp, cfg), scalar)
 
 
@@ -632,7 +771,7 @@ def weyl_integral_quad(
     live = [i for i, row in enumerate(rows) if not isinstance(row, FracCalcError)]
     if live:
         w_right = delta - alpha - 1.0
-        phi = _tail_integrand(lambda u, ts: (ts + u) ** (alpha - 1.0), -delta, w_right)
+        phi = _tail_integrand(lambda u, ts: (ts + u) ** (alpha - 1.0), -delta)
         tails = _jacobi_ladder(phi, np.array([points[i] for i in live])[:, None], w_right, -delta, cfg)
         c = 1.0 / math.gamma(alpha)
         for i, tail in zip(live, tails):
@@ -679,11 +818,11 @@ def weyl_derivative_quad(
             return total
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
-        nodes, weights = gauss_jacobi_01(32, w_right, -delta)
-        scales = _tail_integrand(partial(kernel, unsigned=True), -delta, w_right)(nodes, levels)
-        floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, weights).tolist()]
+        rule = _jacobi_rule(32, w_right, -delta)
+        scales = _tail_integrand(partial(kernel, unsigned=True), -delta)(rule.nodes, levels)
+        floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, rule.weights).tolist()]
         prefactor = 1.0 / math.gamma(beta_order)
-        phi = _tail_integrand(kernel, -delta, w_right)
+        phi = _tail_integrand(kernel, -delta)
         rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors, RICHARDSON_LEVELS)
         # the floor is evaluation noise that the ladder's differences need not show
         rows = [

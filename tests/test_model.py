@@ -298,6 +298,8 @@ class TestRecords:
             (lambda: Integrand(abs, -1.0), "integrand must be integrable at 0: power_at_zero > -1, got -1.0"),
             # nan passed power_at_zero <= -1, and rl_integral_quad on it raised numpy's LinAlgError
             (lambda: Integrand(abs, float("nan")), "integrand must be integrable at 0: power_at_zero > -1, got nan"),
+            # inf reached eigh as a Jacobi exponent, and numpy's LinAlgError
+            (lambda: Integrand(abs, float("inf")), "power_at_zero must be finite, got inf"),
         ],
     )
     def test_validation_messages(self, build, message):

@@ -5,10 +5,12 @@ module; every expected value here is either elementary or a frozen constant
 re-derived in test_closed_forms.py from independent routes.
 """
 
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -75,7 +77,8 @@ class TestGaussJacobiRule:
             rows = [(float(np.dot(weights, nodes**k)), 0.0) for k in degrees]
         else:
             # no rule has n nodes: each degree is the ladder's value or its refusal
-            rows = orc._jacobi_ladder(lambda s, k: s**k, np.array(degrees, float)[:, None], a, b, CFG)
+            phi = lambda nodes, k: nodes.points**k
+            rows = orc._jacobi_ladder(phi, np.array(degrees, float)[:, None], a, b, CFG)
         for k, row in zip(degrees, rows):
             if isinstance(row, ConvergenceError):
                 # the largest rule is exact up to degree 2 * JACOBI_MAX_NODES - 1
@@ -114,6 +117,27 @@ class TestGaussJacobiRule:
         with pytest.raises(DomainError, match="exponents must exceed -1"):
             orc.gauss_jacobi_01(16, a, b)
 
+    # these reached numpy's LinAlgError (eigh of inf and nan entries) or math's
+    # OverflowError (the zeroth moment), neither of them a FracCalcError
+    @pytest.mark.parametrize("a, b", ((math.inf, 0.0), (0.0, math.inf), (1e300, 0.0), (0.0, 1e100), (1e4, 0.0)))
+    def test_unbuildable_exponents_are_domain_errors(self, a, b):
+        with pytest.raises(DomainError):
+            orc.gauss_jacobi_01(16, a, b)
+
+    @pytest.mark.parametrize("p", (math.inf, 1e300))
+    def test_integrand_with_unbuildable_origin_power(self, p):
+        with pytest.raises(DomainError):
+            orc.rl_integral_quad(Integrand(np.cos, power_at_zero=p), 0.5, 1.0)
+
+    # the largest exponents whose rules build: the checks change none of their bytes
+    @pytest.mark.parametrize("a, b", ((400.0, 0.0), (1030.0, 0.0), (1030.0, 1.5), (400.0, 400.0)))
+    def test_large_exponents_that_build_are_unchanged(self, a, b):
+        nodes, weights = orc.gauss_jacobi_01(16, a, b)
+        ref_nodes, ref_weights = orc._golub_welsch(16, a, b)
+        assert nodes.tobytes() == ref_nodes.tobytes() and weights.tobytes() == ref_weights.tobytes()
+        mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+        assert float(np.sum(weights)) == pytest.approx(mass, rel=1e-12)
+
     def test_rule_above_the_ceiling_is_refused_before_allocating(self):
         with pytest.raises(DomainError, match=f"rule size must be in \\[1, {JACOBI_MAX_NODES}\\], got 257"):
             orc.gauss_jacobi_01(JACOBI_MAX_NODES + 1, 0.0, 0.0)
@@ -131,7 +155,7 @@ class TestJacobiRuleCache:
     @pytest.fixture
     def cache(self, monkeypatch):
         """A fresh, empty rule cache, so that the test neither sees nor evicts the others' rules."""
-        fresh = {}
+        fresh = orc._RuleCache()
         monkeypatch.setattr(orc, "_jacobi_cache", fresh)
         return fresh
 
@@ -186,12 +210,109 @@ class TestJacobiRuleCache:
         assert errors == []
         assert len(cache) == 16
 
+    def test_derived_arrays_go_with_their_rule(self, cache, monkeypatch):
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 2)
+        rule, upper = orc._jacobi_rule(16, -0.5, 0.3), orc._jacobi_rule(32, -0.5, 0.3)
+        nodes, joined = rule.nodes, rule.joined(upper)
+        s = nodes.points
+        derived = {
+            "s_pow_neg_b": s**-0.3,
+            "one_minus": 1.0 - s,
+            "one_minus_sq": (1.0 - s) ** 2,
+            "one_minus_pow_neg_a": (1.0 - s) ** 0.5,
+            "upper_half": 0.5 + 0.5 * s,
+        }
+        for name, want in derived.items():
+            assert getattr(nodes, name).tobytes() == want.tobytes()
+        assert joined.points.tobytes() == np.concatenate((s, upper.nodes.points)).tobytes()
+        # a later lookup shares the arrays
+        again = orc._jacobi_rule(16, -0.5, 0.3)
+        assert again.nodes.s_pow_neg_b is nodes.s_pow_neg_b and again.joined(upper) is joined
+        refs = [weakref.ref(getattr(nodes, name)) for name in derived]
+        refs += [weakref.ref(joined.points), weakref.ref(joined.s_pow_neg_b), weakref.ref(nodes.points)]
+        del rule, upper, nodes, joined, s, again
+        orc.gauss_jacobi_01(16, 0.1, 0.0)
+        orc.gauss_jacobi_01(16, 0.2, 0.0)
+        assert list(cache) == [(16, 0.1, 0.0), (16, 0.2, 0.0)]
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_panel_arrays_go_with_their_rule(self, monkeypatch):
+        panels = orc._RuleCache()
+        monkeypatch.setattr(orc, "_panel_cache", panels)
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 2)
+        rule = orc._panel_rule(0.0, 30.0, 10.0, 3, 8)
+        assert rule.nodes.points.shape == (1, 3, 8) and rule.weights.shape == (3, 8)
+        assert rule.nodes.half_exp_neg.tobytes() == (0.5 * np.exp(-rule.nodes.points)).tobytes()
+        assert orc._panel_rule(0.0, 30.0, 10.0, 3, 8) is rule
+        refs = [weakref.ref(rule.nodes.points), weakref.ref(rule.nodes.half_exp_neg), weakref.ref(rule.weights)]
+        del rule
+        orc._panel_rule(0.0, 31.0, 10.0, 4, 8)
+        orc._panel_rule(0.0, 32.0, 10.0, 4, 8)
+        assert (0.0, 30.0, 10.0, 8) not in panels
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
+
+    def test_powerlog_sweep_keeps_panel_rules_at_the_bound(self, cache, monkeypatch):
+        # the lower log piece runs on [0, 42/nu] for nu below 1.4: every nu is a new interval
+        panels = orc._RuleCache()
+        monkeypatch.setattr(orc, "_panel_cache", panels)
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 32)
+        for nu in np.linspace(0.3, 1.3, 40):
+            orc.rl_integral_quad(PowerLog(float(nu)), 0.5, 2.0, CFG)
+            assert len(panels) <= 32 and len(cache) <= 32
+        assert len(panels) == 32
+        assert len({hi for _, hi, _, _ in panels}) > 4
+
+    def test_panel_cache_keeps_to_the_nodes_of_full_jacobi_rules(self, monkeypatch):
+        # a panel rule holds up to PANEL_NODE_BUDGET nodes: rules of many nodes go sooner
+        panels = orc._RuleCache()
+        monkeypatch.setattr(orc, "_panel_cache", panels)
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 8)
+        for i in range(20):
+            orc._panel_rule(0.0, 100.0 + i, 10.0, 11, 64)  # 704 nodes
+            assert panels.nodes == sum(rule.nodes.points.size for rule in panels.values())
+            assert panels.nodes <= 8 * JACOBI_MAX_NODES
+        assert list(panels) == [(0.0, 118.0, 10.0, 64), (0.0, 119.0, 10.0, 64)]
+
+    def test_threads_sharing_derived_arrays(self, cache, monkeypatch):
+        monkeypatch.setattr(orc, "_panel_cache", orc._RuleCache())
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 16)
+        errors = []
+
+        def build(k):
+            try:
+                for i in range(100):
+                    a = 0.1 * (i % 7) + 1e-6 * k
+                    rule = orc._jacobi_rule(16, a, 0.3)
+                    joined = rule.joined(orc._jacobi_rule(32, a, 0.3))
+                    assert joined.s_pow_neg_b.tobytes() == (joined.points**-0.3).tobytes()
+                    assert rule.nodes.one_minus_pow_neg_a.tobytes() == ((1.0 - rule.nodes.points) ** -a).tobytes()
+                    panel = orc._panel_rule(0.0, 30.0 + i % 5, 10.0, 4, 8)
+                    assert panel.nodes.half_exp_neg.tobytes() == (0.5 * np.exp(-panel.nodes.points)).tobytes()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == 16
+
 
 def _one_row_ladder(rule, n, n_max, integrate, block, tol, floor):
     """The ladder of one row, one reduction per rung: (value, estimate, nodes) or None."""
     below = None
     while n <= n_max:
-        points, weights = rule(n)
+        points, weights = rule(n).pair
         value = float(integrate(weights, block(points)))
         if below is not None:
             diff = abs(value - below)
@@ -211,6 +332,24 @@ def _wide_block(row, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape) * scale
 
 
+def _rung_blocks(row, shape):
+    """_wide_block of each rung in a block of shape.  Rungs have a power of two of
+    points along the last axis, so 3n points there are the rungs n and 2n joined."""
+    size = shape[-1]
+    if size & (size - 1) == 0:
+        return _wide_block(row, shape)
+    rungs = (size // 3, 2 * size // 3)
+    return np.concatenate([_wide_block(row, (*shape[:-1], k)) for k in rungs], axis=-1)
+
+
+def _panel_rule(n):
+    """n Gauss-Legendre nodes on each of 40 panels: rows that climb to 256 nodes
+    hold 10240 values, past numpy's buffer of 8192."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = np.linspace(0.5, 3.0, 40)[:, None]
+    return orc._Rule(orc._Nodes((half * x)[None]), half * w)
+
+
 class TestRowReductions:
     """Every row of a ladder is what the same row gives alone, one reduction per rung."""
 
@@ -219,12 +358,12 @@ class TestRowReductions:
         ids = np.arange(float(rows))[:, None]
         # floors between 1e-12 and 1e-3 of each row's first value: the rows stop on different rungs
         rng = np.random.default_rng(rows)
-        points, weights = rule(n)
+        points, weights = rule(n).pair
         floors = [
             abs(float(integrate(weights, _wide_block(r, shape(points))))) * 10.0 ** -rng.uniform(3, 12)
             for r in range(rows)
         ]
-        phi = lambda points, p: np.stack([_wide_block(int(r), shape(points)) for r in p[:, 0]])
+        phi = lambda nodes, p: np.stack([_rung_blocks(int(r), shape(nodes.points)) for r in p[:, 0]])
         done = orc._row_ladder(rule, n, n_max, reduce, phi, ids, CFG, floors)
         alone = [
             _one_row_ladder(rule, n, n_max, integrate, lambda points: _wide_block(r, shape(points)),
@@ -238,22 +377,121 @@ class TestRowReductions:
 
     @pytest.mark.parametrize("rows", (1, 3, 48))
     def test_jacobi_rows_are_their_own_dot(self, rows):
-        rule = lambda n: orc.gauss_jacobi_01(n, -0.5, 0.3)
+        rule = lambda n: orc._jacobi_rule(n, -0.5, 0.3)
         # from 4 nodes, so that every row stops by the largest rule (16 to 256 nodes here)
         done, alone = self._ladders(rows, rule, 4, JACOBI_MAX_NODES, orc._jacobi_sums, np.ndarray.dot, np.shape)
         assert done == alone
 
     @pytest.mark.parametrize("rows", (1, 3, 48))
     def test_panel_rows_are_their_own_pairwise_sum(self, rows):
-        # 40 panels: rows that climb to 256 nodes hold 10240 values, past numpy's buffer of 8192
-        def rule(n):
-            x, w = np.polynomial.legendre.leggauss(n)
-            half = np.linspace(0.5, 3.0, 40)[:, None]
-            return (half * x)[None], half * w
-
         sum_alone = lambda w, block: np.add.reduce(w * block, axis=None)
-        done, alone = self._ladders(rows, rule, 8, 4096, orc._panel_sums, sum_alone, lambda p: p.shape[1:])
+        done, alone = self._ladders(rows, _panel_rule, 8, 4096, orc._panel_sums, sum_alone, lambda p: p.shape[1:])
         assert done == alone
+
+
+def _rung_by_rung(rule, n, n_max, reduce, phi, params, floors=None):
+    """The ladder with one call of phi per rung: (rows, the rung each row stopped on)."""
+    done, stops = [None] * len(params), [None] * len(params)
+    rows, previous, rung = list(range(len(params))), None, 1
+    while n <= n_max and rows:
+        rung_rule = rule(n)
+        values = reduce(phi(rung_rule.nodes, params), rung_rule.weights).tolist()
+        if previous is not None:
+            for row, value, below in zip(rows, values, previous):
+                diff = abs(value - below)
+                if diff <= max(CFG.target_rel_tol * abs(value), floors[row] if floors else 0.0):
+                    done[row], stops[row] = (value, diff + 16.0 * _EPS * abs(value)), rung
+            climbing = [j for j, row in enumerate(rows) if done[row] is None]
+            rows, params, values = [rows[j] for j in climbing], params[climbing], [values[j] for j in climbing]
+        previous, n, rung = values, 2 * n, rung + 1
+    return done, stops
+
+
+# integrands of a row parameter c, harder as c grows: a Jacobi one that divides
+# out the weight s**0.3, and a panel one on the lower log piece's s = exp(-x)/2
+_JACOBI_RULE = lambda n: orc._jacobi_rule(n, -0.5, 0.3)
+_JACOBI_PHI = lambda nodes, c: np.power(c * nodes.points, 0.3) * np.cos(c * nodes.points) * nodes.s_pow_neg_b
+_PANEL_RULE = lambda n: orc._panel_rule(0.0, 40.0, 1.0, 40, n)
+_PANEL_PHI = lambda nodes, c: np.cos(c * nodes.half_exp_neg) * nodes.half_exp_neg
+# case -> (rule, first rung, last rung, reduce, phi, the parameter rows of a list of c)
+FUSED_CASES = {
+    "jacobi": (_JACOBI_RULE, 16, JACOBI_MAX_NODES, orc._jacobi_sums, _JACOBI_PHI, lambda c: np.array(c)[:, None]),
+    "panel": (
+        _PANEL_RULE, 8, orc.PANEL_NODE_BUDGET // 40, orc._panel_sums, _PANEL_PHI, lambda c: np.array(c)[:, None, None]
+    ),
+}
+# row parameters: one row stopping on rung 2, one on a later rung, one refused, and mixes
+FUSED_ROWS = {
+    "rung 2": {"jacobi": [3.0], "panel": [0.1]},
+    "later rung": {"jacobi": [300.0], "panel": [30.0]},
+    "refused": {"jacobi": [1e4], "panel": [1e4]},
+    "3 rows": {"jacobi": [0.1, 100.0, 1e4], "panel": [1.0, 100.0, 1e4]},
+    "48 rows": {"jacobi": list(np.logspace(-1, 4, 48)), "panel": list(np.logspace(-1, 4, 48))},
+}
+
+
+class TestFusedLadder:
+    """The first two rungs share one integrand call; every row is what a rung-by-rung ladder gives."""
+
+    def _run(self, case, c, n_max=None, floors=None):
+        rule, n, top, reduce, phi, params = FUSED_CASES[case]
+        n_max = top if n_max is None else n_max
+        shapes = []
+        counted = lambda nodes, p: shapes.append(nodes.points.shape[-1]) or phi(nodes, p)
+        done = orc._row_ladder(rule, n, n_max, reduce, counted, params(c), CFG, floors)
+        want, stops = _rung_by_rung(rule, n, n_max, reduce, phi, params(c), floors)
+        assert done == want
+        return shapes, stops
+
+    @pytest.mark.parametrize("rows", sorted(FUSED_ROWS))
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_rows_equal_the_rung_by_rung_ladder(self, case, rows):
+        c = FUSED_ROWS[rows][case]
+        shapes, stops = self._run(case, c)
+        _, n, top = FUSED_CASES[case][:3]
+        climbed = max(stop or (top // n).bit_length() for stop in stops)  # a refused row climbs every rung
+        # rungs n and 2n in one call, then one call per rung
+        assert shapes == [3 * n] + [2**k * n for k in range(2, climbed)]
+        if rows == "rung 2":
+            assert stops == [2]
+        if rows == "later rung":
+            assert stops[0] > 2
+        if rows in ("refused", "3 rows", "48 rows"):
+            assert None in stops
+        if rows == "48 rows":
+            assert {2, 3, 4} <= set(stops)
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_floors_stop_rows_as_rung_by_rung(self, case):
+        c = FUSED_ROWS["48 rows"][case]
+        floors = list(np.logspace(-14, -2, 48))
+        shapes, stops = self._run(case, c, floors=floors)
+        assert 2 in stops and len(set(stops)) > 2
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_lone_rung_fuses_nothing(self, case):
+        # n_max < 2n: one rung, which has nothing to agree with, so no row stops
+        n = FUSED_CASES[case][1]
+        shapes, stops = self._run(case, FUSED_ROWS["3 rows"][case], n_max=2 * n - 1)
+        assert shapes == [] and stops == [None] * 3
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_two_rungs_are_one_call(self, case):
+        n = FUSED_CASES[case][1]
+        shapes, stops = self._run(case, FUSED_ROWS["3 rows"][case], n_max=2 * n)
+        assert shapes == [3 * n] and stops[0] == 2 and None in stops
+
+    def test_gauss_jacobi_01_once_per_rung_in_order(self, monkeypatch):
+        # rows stopping on rungs 2 to 5 and one refused: every rung from 16 to 256 once
+        c = FUSED_ROWS["48 rows"]["jacobi"]
+        sizes = []
+        jacobi = orc.gauss_jacobi_01
+        monkeypatch.setattr(orc, "gauss_jacobi_01", lambda n, a, b: sizes.append((n, a, b)) or jacobi(n, a, b))
+        orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], -0.5, 0.3, CFG)
+        assert sizes == [(16 * 2**k, -0.5, 0.3) for k in range(5)]
+        sizes.clear()
+        orc._jacobi_ladder(_JACOBI_PHI, np.array([[3.0]]), -0.5, 0.3, CFG)
+        assert sizes == [(16, -0.5, 0.3), (32, -0.5, 0.3)]
 
 
 class TestRlIntegralQuad:
