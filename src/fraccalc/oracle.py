@@ -114,14 +114,12 @@ class Integrand(_Record):
 # builds new rules without end (about 2.6 per sweep evaluation); the verify
 # grid needs about 200, so neither verify nor a grid ever drops one.  The
 # panel rules of _panel_gauss_ladder have a cache of their own under the same
-# bound, because their interval ends at x_cut, which is continuous in nu.  A
-# panel rule holds up to PANEL_NODE_BUDGET nodes, so that cache also keeps no
-# more nodes than this many rules of JACOBI_MAX_NODES nodes.
+# bound and PANEL_CACHE_MAX_NODES.
 JACOBI_CACHE_MAX_RULES = 4096
 
 
 class _RuleCache(dict):
-    """Rules by key, oldest first, and the nodes they hold (see _keep)."""
+    """Rules by key, oldest first, and the points they hold (see _keep)."""
 
     nodes = 0
 
@@ -196,17 +194,16 @@ class _Rule:
         return joined
 
 
-def _keep(cache: _RuleCache, key: tuple, rule: _Rule) -> None:
+def _keep(cache: _RuleCache, key: tuple, rule: _Rule, max_nodes: float = math.inf) -> None:
     """Insert rule under key, and drop the oldest rules while the cache holds more
-    than JACOBI_CACHE_MAX_RULES rules or the nodes of as many rules of
-    JACOBI_MAX_NODES nodes."""
+    than JACOBI_CACHE_MAX_RULES rules or more than max_nodes points."""
     with _rule_cache_lock:
         old = cache.pop(key, None)  # not None when another thread built the same rule
         if old is not None:
             cache.nodes -= old.nodes.points.size
         cache[key] = rule
         cache.nodes += rule.nodes.points.size
-        while len(cache) > JACOBI_CACHE_MAX_RULES or cache.nodes > JACOBI_CACHE_MAX_RULES * JACOBI_MAX_NODES:
+        while len(cache) > JACOBI_CACHE_MAX_RULES or cache.nodes > max_nodes:
             cache.nodes -= cache.pop(next(iter(cache))).nodes.points.size  # dicts keep insertion order
 
 
@@ -338,7 +335,7 @@ def _row_ladder(
         rung = rule(n)
         if previous is not None:
             block = phi(rung.nodes, params)
-        elif 2 * n > n_max:  # a lone rung, which cannot stop a row
+        elif 2 * n > n_max:  # a lone rung cannot stop a row; it is looked up as every rung is
             return done
         else:  # the first two rungs, in one call of phi
             upper = rule(2 * n)
@@ -404,6 +401,14 @@ def _jacobi_ladder(
 # max_nodes, which bounds the Jacobi rules, does not bound these.
 PANEL_NODE_BUDGET = 8192
 
+# The panel cache keeps no more points than this.  The lower log piece runs on
+# [0, 42/nu], which moves with nu below 1.4, so a sweep over nu builds panel
+# rules that it never uses again, while the verify grid reuses 12 (2640 points;
+# 24 of 36688 points at target_rel_tol = 1e-15).  The bound counts points alone:
+# with their weights, derived arrays and joined points, the rules at the bound
+# hold about 1.7 MB.
+PANEL_CACHE_MAX_NODES = 8 * PANEL_NODE_BUDGET
+
 
 def _panel_gauss_ladder(
     fn: RowFn,
@@ -423,9 +428,9 @@ def _panel_gauss_ladder(
     first_rung = 8
     message = f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]"
     # checked before the panels are built: a long interval (hi up to inf) has
-    # more panels than the budget can give first_rung nodes each
+    # more panels than the budget can give two rungs, the fewest that can stop a row
     span = (hi - lo) / panel_len
-    if not span <= PANEL_NODE_BUDGET // first_rung:
+    if not span <= PANEL_NODE_BUDGET // (2 * first_rung):
         return [ConvergenceError(message)] * len(params)
     n_panels = max(1, int(math.ceil(span)))
     rule = lambda n: _panel_rule(lo, hi, panel_len, n_panels, n)
@@ -438,7 +443,7 @@ def _panel_rule(lo: float, hi: float, panel_len: float, n_panels: int, n: int) -
 
     Each rung looks up its Legendre rule, as a Jacobi rung looks up its rule
     through gauss_jacobi_01; the panels' points and weights are cached by
-    (lo, hi, panel_len, n).
+    (lo, hi, panel_len, n), under PANEL_CACHE_MAX_NODES.
     """
     x, w = _gauss_legendre(n)
     key = (lo, hi, panel_len, n)
@@ -448,7 +453,7 @@ def _panel_rule(lo: float, hi: float, panel_len: float, n_panels: int, n: int) -
         centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         rule = _Rule(_Nodes((centers + half * x)[None]), half * w)
-        _keep(_panel_cache, key, rule)
+        _keep(_panel_cache, key, rule, PANEL_CACHE_MAX_NODES)
     return rule
 
 

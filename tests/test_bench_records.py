@@ -34,10 +34,11 @@ def test_record_names_only_declared_workloads_and_metrics(path):
     record = json.loads(path.read_text())
     workloads, end_to_end, per_layer = _declared()
     assert record["workloads"]
-    # end-to-end figures under "workloads", per-layer ones from traced runs under "trace"
-    for section, metrics in (("workloads", end_to_end), ("trace", per_layer)):
+    # end-to-end figures under "workloads", per-layer ones from traced runs under "trace",
+    # and end-to-end figures of a workload that perfbench runs but does not gate under "ungated"
+    for section, metrics in (("workloads", end_to_end), ("trace", per_layer), ("ungated", end_to_end)):
         for workload, runs in record.get(section, {}).items():
-            assert workload in workloads
+            assert (workload in workloads) == (section != "ungated")
             assert runs["pairs"] == len(runs["seeds"]) > 0
             assert runs["seconds"] > 0
             assert runs["metrics"]

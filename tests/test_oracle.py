@@ -260,20 +260,27 @@ class TestJacobiRuleCache:
         monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 32)
         for nu in np.linspace(0.3, 1.3, 40):
             orc.rl_integral_quad(PowerLog(float(nu)), 0.5, 2.0, CFG)
-            assert len(panels) <= 32 and len(cache) <= 32
+            assert len(panels) <= 32 and len(cache) <= 32 and panels.nodes <= orc.PANEL_CACHE_MAX_NODES
         assert len(panels) == 32
         assert len({hi for _, hi, _, _ in panels}) > 4
 
-    def test_panel_cache_keeps_to_the_nodes_of_full_jacobi_rules(self, monkeypatch):
+    def test_panel_cache_keeps_to_its_node_bound(self, monkeypatch):
         # a panel rule holds up to PANEL_NODE_BUDGET nodes: rules of many nodes go sooner
         panels = orc._RuleCache()
         monkeypatch.setattr(orc, "_panel_cache", panels)
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 8)
+        monkeypatch.setattr(orc, "PANEL_CACHE_MAX_NODES", 2048)
         for i in range(20):
             orc._panel_rule(0.0, 100.0 + i, 10.0, 11, 64)  # 704 nodes
             assert panels.nodes == sum(rule.nodes.points.size for rule in panels.values())
-            assert panels.nodes <= 8 * JACOBI_MAX_NODES
+            assert panels.nodes <= 2048
         assert list(panels) == [(0.0, 118.0, 10.0, 64), (0.0, 119.0, 10.0, 64)]
+
+    def test_jacobi_cache_has_no_node_bound(self, cache, monkeypatch):
+        # a full Jacobi cache holds at most JACOBI_CACHE_MAX_RULES rules of JACOBI_MAX_NODES
+        monkeypatch.setattr(orc, "PANEL_CACHE_MAX_NODES", 64)
+        for i in range(4):
+            orc.gauss_jacobi_01(JACOBI_MAX_NODES, 0.1 * i, 0.0)
+        assert len(cache) == 4 and cache.nodes == 4 * JACOBI_MAX_NODES
 
     def test_threads_sharing_derived_arrays(self, cache, monkeypatch):
         monkeypatch.setattr(orc, "_panel_cache", orc._RuleCache())
@@ -896,6 +903,21 @@ class TestPowerLogTinyNu:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    # 513 and 1024 panels leave the budget room for one rung of 8 nodes each,
+    # which cannot stop a row; 512 panels leave room for two
+    @pytest.mark.parametrize("hi", (5130.0, 10240.0))
+    def test_one_rung_of_panels_is_refused_before_building(self, hi, monkeypatch):
+        monkeypatch.setattr(orc, "_panel_rule", lambda *args: pytest.fail("panel rule built"))
+        fn = lambda nodes, p: pytest.fail("integrand evaluated")
+        rows = orc._panel_gauss_ladder(fn, np.ones((2, 1, 1)), 0.0, hi, CFG, [0.0, 0.0], 1)
+        assert [str(row) for row in rows] == [f"composite Gauss ladder exhausted its budget on [0.0, {hi}]"] * 2
+        assert all(isinstance(row, ConvergenceError) for row in rows)
+
+    def test_two_rungs_of_panels_are_climbed(self):
+        fn = lambda nodes, p: np.ones_like(p * nodes.points)
+        rows = orc._panel_gauss_ladder(fn, np.ones((1, 1, 1)), 0.0, 5120.0, CFG, [0.0], 1)
+        assert rows[0][0] == pytest.approx(5120.0, rel=1e-12)
 
     @pytest.mark.parametrize("nu", ("1e-7", "1e-9", "1e-300"))
     def test_cli_exits_four(self, nu, capsys):
