@@ -11,13 +11,17 @@ defining integrals.  The machinery:
   and the last successive difference is the reported error estimate; the
   first rung cannot stop a ladder, so the integrand is evaluated on the first
   two rungs' points in one call;
-* rules are cached (at most JACOBI_CACHE_MAX_RULES of each kind), and with
-  each rule the arrays that depend on its nodes alone: the powers of s and
-  1 - s that divide its weight out of an integrand, the maps of the two log
-  pieces, and its points joined to the next rung's;
+* rules are cached (at most JACOBI_CACHE_MAX_RULES Jacobi rules; the panel
+  rules by node count alone), and with each rule the arrays that depend on
+  its nodes alone: the powers of s and 1 - s that divide its weight out of an
+  integrand, the maps of the two log pieces, and its points joined to the
+  next rung's;
 * integrands with a logarithmic factor at the origin are split at the
   midpoint, and the lower piece is mapped by s = exp(-x)/2, which turns
-  log s into a polynomial factor and leaves an analytic integrand;
+  log s into a polynomial factor and leaves an analytic integrand: fixed
+  Gauss-Legendre panels take x in [0, 40], the same for every integrand, and
+  past 40, where f is its declared origin form to rounding, the piece is
+  integrated in closed form;
 * fractional derivatives apply an order-m central difference with Richardson
   extrapolation to the (m - alpha)-order integral, mirroring the defining
   composition instead of differentiating under the integral sign; all
@@ -113,21 +117,13 @@ class Integrand(_Record):
 # The keys are float (n, a, b), so a sweep over alpha in a long-lived process
 # builds new rules without end (about 2.6 per sweep evaluation); the verify
 # grid needs about 200, so neither verify nor a grid ever drops one.  The
-# panel rules of _panel_gauss_ladder have a cache of their own under the same
-# bound and PANEL_CACHE_MAX_NODES.
+# panel rules of _panel_gauss_ladder are keyed by n alone, one per rung of
+# their ladder, and need no bound.
 JACOBI_CACHE_MAX_RULES = 4096
 
-
-class _RuleCache(dict):
-    """Rules by key, oldest first, and the points they hold (see _keep)."""
-
-    nodes = 0
-
-
-_jacobi_cache: _RuleCache = _RuleCache()  # by (n, a, b)
-_panel_cache: _RuleCache = _RuleCache()  # by (lo, hi, panel_len, n)
-_rule_cache_lock = threading.Lock()  # held to insert into and evict from either cache, not to look up
-_legendre_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_jacobi_cache: dict = {}  # rules by (n, a, b), oldest first
+_panel_cache: dict = {}  # rules by n
+_rule_cache_lock = threading.Lock()  # held to insert into and evict from the Jacobi cache, not to look up
 
 
 class _Nodes:
@@ -194,19 +190,6 @@ class _Rule:
         return joined
 
 
-def _keep(cache: _RuleCache, key: tuple, rule: _Rule, max_nodes: float = math.inf) -> None:
-    """Insert rule under key, and drop the oldest rules while the cache holds more
-    than JACOBI_CACHE_MAX_RULES rules or more than max_nodes points."""
-    with _rule_cache_lock:
-        old = cache.pop(key, None)  # not None when another thread built the same rule
-        if old is not None:
-            cache.nodes -= old.nodes.points.size
-        cache[key] = rule
-        cache.nodes += rule.nodes.points.size
-        while len(cache) > JACOBI_CACHE_MAX_RULES or cache.nodes > max_nodes:
-            cache.nodes -= cache.pop(next(iter(cache))).nodes.points.size  # dicts keep insertion order
-
-
 def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1, n <= JACOBI_MAX_NODES.
 
@@ -232,7 +215,10 @@ def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: not finite")
     rule = _Rule(_Nodes(nodes, a, b), weights)
-    _keep(_jacobi_cache, key, rule)
+    with _rule_cache_lock:
+        _jacobi_cache[key] = rule
+        while len(_jacobi_cache) > JACOBI_CACHE_MAX_RULES:
+            del _jacobi_cache[next(iter(_jacobi_cache))]  # dicts keep insertion order
     return rule.pair
 
 
@@ -275,14 +261,6 @@ def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     nodes = (x + 1.0) / 2.0
     weights = mu0 * vec[0, :] ** 2 * 2.0 ** (-s - 1.0)
     return nodes, weights
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _legendre_cache.get(n)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(n)
-        _legendre_cache[n] = cached
-    return cached
 
 
 RowFn = Callable[[_Nodes, Sequence], np.ndarray]  # (nodes, parameter rows) -> a block per row
@@ -395,66 +373,84 @@ def _jacobi_ladder(
     return done
 
 
-# Nodes over all panels of _panel_gauss_ladder's largest rung.  Its rules come
-# from leggauss, not gauss_jacobi_01, and the powerlog lower piece climbs to
-# 2048 nodes per panel at tight tolerances (1e-15 on the verify grid), so
-# max_nodes, which bounds the Jacobi rules, does not bound these.
+# The lower log piece, in x with s = exp(-x)/2, is integrated by LOG_PANELS
+# fixed Gauss-Legendre panels on [0, LOG_HEAD_END] and in closed form past it
+# (_log_tails).  The panels are the same for every integrand, so their rules
+# are cached by n alone.  PANEL_NODE_BUDGET is the nodes over all panels of
+# the ladder's largest rung: at target_rel_tol = 1e-15 (the verify grid) the
+# piece climbs to 2048 nodes per panel, and max_nodes, which bounds the
+# Jacobi rules, does not bound these.
+LOG_HEAD_END = 40.0
+LOG_PANELS = 4
 PANEL_NODE_BUDGET = 8192
 
-# The panel cache keeps no more points than this.  The lower log piece runs on
-# [0, 42/nu], which moves with nu below 1.4, so a sweep over nu builds panel
-# rules that it never uses again, while the verify grid reuses 12 (2640 points;
-# 24 of 36688 points at target_rel_tol = 1e-15).  The bound counts points alone:
-# with their weights, derived arrays and joined points, the rules at the bound
-# hold about 1.7 MB.
-PANEL_CACHE_MAX_NODES = 8 * PANEL_NODE_BUDGET
 
-
-def _panel_gauss_ladder(
-    fn: RowFn,
-    params: Sequence,
-    lo: float,
-    hi: float,
-    cfg: QuadConfig,
-    floors: list,
-    width: int,
-    panel_len: float = 10.0,
-) -> list[Row]:
-    """Composite Gauss-Legendre on [lo, hi], per-panel order doubling; points are (1, panels, n).
+def _panel_gauss_ladder(fn: RowFn, params: Sequence, cfg: QuadConfig, floors: list, width: int) -> list[Row]:
+    """Composite Gauss-Legendre on [0, LOG_HEAD_END], per-panel order doubling; points are (1, panels, n).
 
     floors, one per row, are absolute tolerances, and width is the run of
     rows refused together, as in _jacobi_ladder.
     """
-    first_rung = 8
-    message = f"composite Gauss ladder exhausted its budget on [{lo}, {hi}]"
-    # checked before the panels are built: a long interval (hi up to inf) has
-    # more panels than the budget can give two rungs, the fewest that can stop a row
-    span = (hi - lo) / panel_len
-    if not span <= PANEL_NODE_BUDGET // (2 * first_rung):
-        return [ConvergenceError(message)] * len(params)
-    n_panels = max(1, int(math.ceil(span)))
-    rule = lambda n: _panel_rule(lo, hi, panel_len, n_panels, n)
-    done = _row_ladder(rule, first_rung, PANEL_NODE_BUDGET // n_panels, _panel_sums, fn, params, cfg, floors)
-    return _refuse(done, message, width) if None in done else done
+    done = _row_ladder(_panel_rule, 8, PANEL_NODE_BUDGET // LOG_PANELS, _panel_sums, fn, params, cfg, floors)
+    if None in done:
+        done = _refuse(done, f"composite Gauss ladder exhausted its budget of {PANEL_NODE_BUDGET} nodes", width)
+    return done
 
 
-def _panel_rule(lo: float, hi: float, panel_len: float, n_panels: int, n: int) -> _Rule:
-    """Gauss-Legendre of n nodes on each of the n_panels panels of [lo, hi]; points are (1, panels, n).
+def _panel_rule(n: int) -> _Rule:
+    """Gauss-Legendre of n nodes on each of the LOG_PANELS panels of [0, LOG_HEAD_END]; points are (1, panels, n).
 
-    Each rung looks up its Legendre rule, as a Jacobi rung looks up its rule
-    through gauss_jacobi_01; the panels' points and weights are cached by
-    (lo, hi, panel_len, n), under PANEL_CACHE_MAX_NODES.
+    Each rung looks up its rule here, as a Jacobi rung looks up its rule
+    through gauss_jacobi_01.  The rules are cached by n.
     """
-    x, w = _gauss_legendre(n)
-    key = (lo, hi, panel_len, n)
-    rule = _panel_cache.get(key)
+    rule = _panel_cache.get(n)
     if rule is None:
-        edges = np.linspace(lo, hi, n_panels + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        rule = _Rule(_Nodes((centers + half * x)[None]), half * w)
-        _keep(_panel_cache, key, rule, PANEL_CACHE_MAX_NODES)
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * LOG_HEAD_END / LOG_PANELS
+        centers = np.arange(half, LOG_HEAD_END, 2.0 * half)[:, None]
+        rule = _Rule(_Nodes((centers + half * x)[None]), np.tile(half * w, (LOG_PANELS, 1)))
+        rule = _panel_cache.setdefault(n, rule)  # the rule of the first thread to build it
     return rule
+
+
+# s at the head's end and 30 further, where _log_tails samples f
+_TAIL_S = (0.5 * math.exp(-LOG_HEAD_END), 0.5 * math.exp(-LOG_HEAD_END - 30.0))
+_LOG_TAIL_S2 = math.log(_TAIL_S[1])
+_LOG_TINY = -1022.0 * math.log(2.0)  # of the smallest normal double
+
+
+def _log_tails(f: Integrand | FunctionFamily, ts: list[float]) -> list[tuple[float, float]]:
+    """The lower log piece past x = LOG_HEAD_END at each t of ts: (value, error estimate).
+
+    There s < 2.2e-18, so (1-s)**(alpha-1) is 1 in double, and an honest
+    declaration (its remainder O(tau)) makes g(tau) = f(tau) tau**-p equal
+    A + B log tau to rounding.  With tau = t s and c = p + 1 the piece is
+    integral_0^tau1 tau**p g(tau) dtau / t = s1 tau1**p (g1/c - B/c**2),
+    where tau1 = t s1 is the head's end and B = (g1 - g2)/30 is fitted from
+    f at tau1 and at tau2 = t s2, 30 further on, in one call of f for all t.
+
+    f evaluates tau**p with p rounded, which moves the piece by up to 2/c
+    times that rounding, relative to its two terms: the estimate adds it,
+    and the same 16 eps of rounding as a ladder's.  The piece is 0, and f is
+    not sampled, where e**(-40 c) or (t s2)**p is below the normal doubles:
+    c > 1.8 there, so the piece is about e**(-40 c) of the head's, and f at
+    tau2 would have lost its digits.
+    """
+    p = f.power_at_zero
+    c = p + 1.0
+    tails = [(0.0, 0.0)] * len(ts)
+    if c * LOG_HEAD_END > -_LOG_TINY:
+        return tails
+    fit = [i for i, t in enumerate(ts) if p * (math.log(t) + _LOG_TAIL_S2) >= _LOG_TINY]  # t s2 may underflow
+    if fit:
+        s1, s2 = _TAIL_S
+        ratio = (s1 / s2) ** p  # (tau1/tau2)**p: tau1**p g2 = v2 ratio
+        error = 2.0 * math.ulp(p) / c + 16.0 * _EPS
+        samples = f.value(np.array([ts[i] for i in fit])[:, None] * _TAIL_S).tolist()
+        for i, (v1, v2) in zip(fit, samples):
+            level, slope = v1 / c, (v1 - v2 * ratio) / (30.0 * c * c)  # tau1**p times g1/c and B/c**2
+            tails[i] = (s1 * (level - slope), s1 * (abs(level) + abs(slope)) * error)
+    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +549,16 @@ def rl_integral_quad(
             phi = lambda nodes, tc: f.value(tc * nodes.points) * nodes.s_pow_neg_b
             rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, width=width)
     else:
+        if p + 1.0 == 0.0:
+            raise DomainError(f"rl_integral_quad requires power_at_zero + 1 > 0 in floating point, got {p!r}")
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
         rows = _jacobi_ladder(
             lambda nodes, tc: f.value(tc * nodes.upper_half), ts, alpha - 1.0, 0.0, cfg, width=width
         )
         scale_hi = 0.5**alpha
-        # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x);
-        # truncation at X leaves a relative tail below exp(-(p+1) X) ~ 1e-18
-        # (p + 1 rounds to 0 when nu is below about 1e-16: the cut is then infinite)
-        x_cut = max(30.0, 42.0 / (p + 1.0)) if p > -1.0 else math.inf
 
+        # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x)
         def lower(nodes: _Nodes, tc: np.ndarray) -> np.ndarray:
             s = nodes.half_exp_neg
             return (1.0 - s) ** (alpha - 1.0) * f.value(tc * s) * s
@@ -575,14 +570,15 @@ def rl_integral_quad(
             floors = [cfg.target_rel_tol * scale_hi * abs(rows[i][0]) for i in live]
             live_ts = ts if len(live) == len(ts) else ts[live]
             # whole runs are live, so runs of width rows stay aligned
-            lowers = _panel_gauss_ladder(lower, live_ts[:, :, None], 0.0, x_cut, cfg, floors, width)
+            heads = _panel_gauss_ladder(lower, live_ts[:, :, None], cfg, floors, width)
+            tails = _log_tails(f, [points[i] for i in live])
             rows = list(rows)
-            for i, low in zip(live, lowers):
-                if isinstance(low, FracCalcError):
-                    rows[i] = low
+            for i, head, (vt, et) in zip(live, heads, tails):
+                if isinstance(head, FracCalcError):
+                    rows[i] = head
                 else:
-                    (v, e), (vl, el) = rows[i], low
-                    rows[i] = (scale_hi * v + vl, scale_hi * e + el)
+                    (v, e), (vh, eh) = rows[i], head
+                    rows[i] = (scale_hi * v + vh + vt, scale_hi * e + eh + et)
     rows = [
         row if isinstance(row, FracCalcError) else (c * row[0], c * row[1])
         for c, row in zip(prefactors, rows)
