@@ -18,8 +18,8 @@ defining integrals.  The machinery:
   next rung's;
 * integrands with a logarithmic factor at the origin are split at the
   midpoint, and the lower piece is mapped by s = exp(-x)/2, which turns
-  log s into a polynomial factor and leaves an analytic integrand: fixed
-  Gauss-Legendre panels take x in [0, 40], the same for every integrand, and
+  log s into a polynomial factor and leaves an analytic integrand: panels
+  graded toward the kernel's singularity at x = -ln 2 take x in [0, 40], and
   past 40, where f is its declared origin form to rounding, the piece is
   integrated in closed form;
 * fractional derivatives apply an order-m central difference with Richardson
@@ -116,9 +116,8 @@ class Integrand(_Record):
 # gauss_jacobi_01 keeps at most this many rules and drops the oldest past it.
 # The keys are float (n, a, b), so a sweep over alpha in a long-lived process
 # builds new rules without end (about 2.6 per sweep evaluation); the verify
-# grid needs about 200, so neither verify nor a grid ever drops one.  The
-# panel rules of _panel_gauss_ladder are keyed by n alone, one per rung of
-# their ladder, and need no bound.
+# grid needs about 200, so neither verify nor a grid ever drops one.  Panel
+# rules are keyed by n alone, one per rung, and need no bound.
 JACOBI_CACHE_MAX_RULES = 4096
 
 _jacobi_cache: dict = {}  # rules by (n, a, b), oldest first
@@ -373,42 +372,36 @@ def _jacobi_ladder(
     return done
 
 
-# The lower log piece, in x with s = exp(-x)/2, is integrated by LOG_PANELS
-# fixed Gauss-Legendre panels on [0, LOG_HEAD_END] and in closed form past it
-# (_log_tails).  The panels are the same for every integrand, so their rules
-# are cached by n alone.  PANEL_NODE_BUDGET is the nodes over all panels of
-# the ladder's largest rung: at target_rel_tol = 1e-15 (the verify grid) the
-# piece climbs to 2048 nodes per panel, and max_nodes, which bounds the
-# Jacobi rules, does not bound these.
+# The lower log piece, in x with s = exp(-x)/2, is Gauss-Legendre panels on
+# [0, LOG_HEAD_END] and closed form past it (_log_tails).  Its integrand is
+# analytic but at x = -ln 2, where s = 1 and (1-s)**(alpha-1) is singular, and a
+# panel's rule converges like rho**(-2n), rho growing with that point's distance
+# from the panel in half-lengths.  The 8 panels grow geometrically in x + ln 2,
+# each half-length under a quarter of its centre's distance from -ln 2 (rho about
+# 7.9), so that 8 nodes per panel are nearly exact.  Their rules are cached by n.
 LOG_HEAD_END = 40.0
-LOG_PANELS = 4
-PANEL_NODE_BUDGET = 8192
+_PANEL_EDGES = np.geomspace(math.log(2.0), LOG_HEAD_END + math.log(2.0), 9) - math.log(2.0)
 
 
 def _panel_gauss_ladder(fn: RowFn, params: Sequence, cfg: QuadConfig, floors: list, width: int) -> list[Row]:
-    """Composite Gauss-Legendre on [0, LOG_HEAD_END], per-panel order doubling; points are (1, panels, n).
-
-    floors, one per row, are absolute tolerances, and width is the run of
-    rows refused together, as in _jacobi_ladder.
-    """
-    done = _row_ladder(_panel_rule, 8, PANEL_NODE_BUDGET // LOG_PANELS, _panel_sums, fn, params, cfg, floors)
+    """Composite Gauss-Legendre on [0, LOG_HEAD_END] to max_nodes per panel; floors and width as in _jacobi_ladder."""
+    done = _row_ladder(_panel_rule, 8, cfg.max_nodes, _panel_sums, fn, params, cfg, floors)
     if None in done:
-        done = _refuse(done, f"composite Gauss ladder exhausted its budget of {PANEL_NODE_BUDGET} nodes", width)
+        done = _refuse(done, f"composite Gauss ladder exhausted {cfg.max_nodes} nodes per panel", width)
     return done
 
 
 def _panel_rule(n: int) -> _Rule:
-    """Gauss-Legendre of n nodes on each of the LOG_PANELS panels of [0, LOG_HEAD_END]; points are (1, panels, n).
+    """Gauss-Legendre of n nodes on each panel between _PANEL_EDGES; points are (1, panels, n).
 
-    Each rung looks up its rule here, as a Jacobi rung looks up its rule
-    through gauss_jacobi_01.  The rules are cached by n.
+    Each rung looks up its rule here, as a Jacobi rung does through
+    gauss_jacobi_01.  The rules are cached by n.
     """
     rule = _panel_cache.get(n)
     if rule is None:
         x, w = np.polynomial.legendre.leggauss(n)
-        half = 0.5 * LOG_HEAD_END / LOG_PANELS
-        centers = np.arange(half, LOG_HEAD_END, 2.0 * half)[:, None]
-        rule = _Rule(_Nodes((centers + half * x)[None]), np.tile(half * w, (LOG_PANELS, 1)))
+        half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
+        rule = _Rule(_Nodes((_PANEL_EDGES[:-1, None] + half * (1.0 + x))[None]), half * w)
         rule = _panel_cache.setdefault(n, rule)  # the rule of the first thread to build it
     return rule
 
@@ -538,16 +531,18 @@ def rl_integral_quad(
     grouped = isinstance(t, _GroupedPoints)
     width = t.width if grouped else 1
     gamma = math.gamma(alpha)
-    prefactors = [x**alpha / gamma for x in points]
+    try:
+        prefactors = [x**alpha / gamma for x in points]
+    except OverflowError:  # the largest t overflows first
+        raise DomainError(f"rl_integral_quad: t**alpha overflows at t={max(points)!r}, alpha={alpha!r}") from None
     ts = np.array(points)[:, None]
     p = f.power_at_zero
     if not f.log_at_zero:
-        if p == 0.0:
+        if p == 0.0:  # no weight s**p to divide out
             phi = lambda nodes, tc: f.value(tc * nodes.points)
-            rows = _jacobi_ladder(phi, ts, alpha - 1.0, 0.0, cfg, width=width)
         else:
             phi = lambda nodes, tc: f.value(tc * nodes.points) * nodes.s_pow_neg_b
-            rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, width=width)
+        rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, width=width)
     else:
         if p + 1.0 == 0.0:
             raise DomainError(f"rl_integral_quad requires power_at_zero + 1 > 0 in floating point, got {p!r}")
@@ -638,6 +633,7 @@ def _stencil_derivative(
     m = int(math.floor(alpha)) + 1
     beta_order = m - alpha
     coeffs, offsets = _central_stencil(m)
+    tiny, huge = math.exp(_LOG_TINY / m), math.exp(-_LOG_TINY / m)  # the steps h whose h**m is a normal double
     rows: list = []
     stencils = {}  # (t, steps, points of each level) by row, for each t whose stencil fits
     flat = []
@@ -647,6 +643,9 @@ def _stencil_derivative(
             rows.append(StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={x!r}"))
             continue
         steps = [h0 / 2.0**i for i in range(RICHARDSON_LEVELS)]
+        if not tiny < steps[-1] < h0 < huge:  # each level divides by h**m
+            rows.append(DomainError(f"{name}: the step powers h**{m} of the stencil leave the doubles at t={x!r}"))
+            continue
         levels = [[x + o * h for o in offsets] for h in steps]
         stencils[len(rows)] = (x, steps, levels)
         for level in levels:
