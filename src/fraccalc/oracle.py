@@ -339,15 +339,10 @@ def _row_ladder(
     return done
 
 
-def _refuse(done: list, message: str, width: int) -> list[Row]:
-    """The rows of a ladder, each row that ran out of rungs (None) refused with message.
-
-    Each run of width rows stands for one call at one t, which stops at the
-    first stage that refuses any of its rows: a refused row refuses its run.
-    """
+def _refuse(done: list, message: str) -> list[Row]:
+    """The rows of a ladder, each row that ran out of rungs (None) refused with message."""
     refused = ConvergenceError(message)
-    runs = (done[i : i + width] for i in range(0, len(done), width))
-    return [row for run in runs for row in ([refused] * len(run) if None in run else run)]
+    return [refused if row is None else row for row in done]
 
 
 def _jacobi_ladder(
@@ -357,18 +352,17 @@ def _jacobi_ladder(
     b: float,
     cfg: QuadConfig,
     floors: list | None = None,
-    width: int = 1,
 ) -> list[Row]:
     """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
     floors, one per row, are absolute tolerances: agreement within a row's floor
-    counts as convergence.  Runs of width rows are refused together (see _refuse).
+    counts as convergence.  A row that runs out of rungs is refused on its own.
     """
     rule = lambda n: _jacobi_rule(n, a, b)
     done = _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, floors)
     if None in done:
         message = f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
-        done = _refuse(done, message, width)
+        done = _refuse(done, message)
     return done
 
 
@@ -383,11 +377,11 @@ LOG_HEAD_END = 40.0
 _PANEL_EDGES = np.geomspace(math.log(2.0), LOG_HEAD_END + math.log(2.0), 9) - math.log(2.0)
 
 
-def _panel_gauss_ladder(fn: RowFn, params: Sequence, cfg: QuadConfig, floors: list, width: int) -> list[Row]:
-    """Composite Gauss-Legendre on [0, LOG_HEAD_END] to max_nodes per panel; floors and width as in _jacobi_ladder."""
+def _panel_gauss_ladder(fn: RowFn, params: Sequence, cfg: QuadConfig, floors: list) -> list[Row]:
+    """Composite Gauss-Legendre on [0, LOG_HEAD_END] to max_nodes per panel; floors, refusals as in _jacobi_ladder."""
     done = _row_ladder(_panel_rule, 8, cfg.max_nodes, _panel_sums, fn, params, cfg, floors)
     if None in done:
-        done = _refuse(done, f"composite Gauss ladder exhausted {cfg.max_nodes} nodes per panel", width)
+        done = _refuse(done, f"composite Gauss ladder exhausted {cfg.max_nodes} nodes per panel")
     return done
 
 
@@ -466,18 +460,9 @@ def _points(name: str, t: float | Sequence[float]) -> tuple[list, bool]:
 
 
 class _GroupedPoints(list):
-    """Points that the oracle passes to rl_integral_quad for its own use.
+    """Points that the oracle passes to rl_integral_quad for its own use: it returns rows for them, not EvalResults."""
 
-    For these points rl_integral_quad returns rows, not EvalResults, and
-    takes each run of width points for one call at one t (see _refuse): a
-    derivative passes the stencil points of each of its t as one run.
-    """
-
-    __slots__ = ("width",)
-
-    def __init__(self, points: list[float], width: int) -> None:
-        super().__init__(points)
-        self.width = width
+    __slots__ = ()
 
 
 def _results(rows: list[Row], scalar: bool) -> EvalResult | list[EvalResult]:
@@ -529,8 +514,10 @@ def rl_integral_quad(
         raise DomainError(f"rl_integral_quad requires alpha > 0, got {alpha!r}")
     points, scalar = _points("rl_integral_quad", t)
     grouped = isinstance(t, _GroupedPoints)
-    width = t.width if grouped else 1
-    gamma = math.gamma(alpha)
+    try:
+        gamma = math.gamma(alpha)
+    except OverflowError:
+        raise DomainError(f"rl_integral_quad: gamma(alpha) overflows at alpha={alpha!r}") from None
     try:
         prefactors = [x**alpha / gamma for x in points]
     except OverflowError:  # the largest t overflows first
@@ -542,15 +529,13 @@ def rl_integral_quad(
             phi = lambda nodes, tc: f.value(tc * nodes.points)
         else:
             phi = lambda nodes, tc: f.value(tc * nodes.points) * nodes.s_pow_neg_b
-        rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, width=width)
+        rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg)
     else:
         if p + 1.0 == 0.0:
             raise DomainError(f"rl_integral_quad requires power_at_zero + 1 > 0 in floating point, got {p!r}")
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
-        rows = _jacobi_ladder(
-            lambda nodes, tc: f.value(tc * nodes.upper_half), ts, alpha - 1.0, 0.0, cfg, width=width
-        )
+        rows = _jacobi_ladder(lambda nodes, tc: f.value(tc * nodes.upper_half), ts, alpha - 1.0, 0.0, cfg)
         scale_hi = 0.5**alpha
 
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x)
@@ -564,10 +549,8 @@ def rl_integral_quad(
         if live:
             floors = [cfg.target_rel_tol * scale_hi * abs(rows[i][0]) for i in live]
             live_ts = ts if len(live) == len(ts) else ts[live]
-            # whole runs are live, so runs of width rows stay aligned
-            heads = _panel_gauss_ladder(lower, live_ts[:, :, None], cfg, floors, width)
+            heads = _panel_gauss_ladder(lower, live_ts[:, :, None], cfg, floors)
             tails = _log_tails(f, [points[i] for i in live])
-            rows = list(rows)
             for i, head, (vt, et) in zip(live, heads, tails):
                 if isinstance(head, FracCalcError):
                     rows[i] = head
@@ -596,8 +579,6 @@ def _richardson(samples: list[float]) -> tuple[float, float]:
         for i in range(j, levels):
             table[i].append(table[i][j - 1] + (table[i][j - 1] - table[i - 1][j - 1]) / (4.0**j - 1.0))
     value = table[-1][-1]
-    if levels == 1:
-        return value, abs(value) * 1e-8
     spread = abs(table[-1][-1] - table[-1][-2]) + abs(table[-1][-1] - table[-2][-2])
     return value, spread
 
@@ -616,11 +597,13 @@ def _stencil_derivative(
     one of f from 0, taken at every stencil point of every level of every t
     in a single rl_integral_quad call, plus, when given, a tail term:
     tail(beta, coeffs, stencils) takes one (t, steps, points) per t, points
-    holding the stencil of each level, and returns per t either the error
-    that refused it or, for each level i, sum_k coeffs[k] * T(points[i][k])
-    for the order-beta tail T, and its error.  The differences over a
-    symmetric stencil of base width FD_STEP_FACTOR * t are
-    Richardson-extrapolated over RICHARDSON_LEVELS step halvings.
+    holding the stencil of each level, and returns its rows flat,
+    RICHARDSON_LEVELS per t: for level i of a t, sum_k coeffs[k] *
+    T(points[i][k]) for the order-beta tail T and its error, or the error
+    that refused the row.  A t takes the error of its first refused row,
+    its integrals' rows in stencil order before its tail's; otherwise the
+    differences over a symmetric stencil of base width FD_STEP_FACTOR * t
+    are Richardson-extrapolated over RICHARDSON_LEVELS step halvings.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
@@ -652,29 +635,19 @@ def _stencil_derivative(
             flat += level
         rows.append(None)
     if stencils:
-        width = (m + 1) * RICHARDSON_LEVELS
-        integrals = rl_integral_quad(f, beta_order, _GroupedPoints(flat, width), cfg)
-        # the rows of each t are refused together, so a refused t shows on its first row
-        blocks = {i: integrals[k * width : (k + 1) * width] for k, i in enumerate(stencils)}
-        live = [i for i, block in blocks.items() if not isinstance(block[0], FracCalcError)]
-        tails = {}
-        if tail is not None and live:
-            tails = dict(zip(live, tail(beta_order, coeffs, [stencils[i] for i in live])))
-        for i, block in blocks.items():
-            levels = tails.get(i)
-            if isinstance(block[0], FracCalcError):
-                rows[i] = block[0]
-            elif isinstance(levels, FracCalcError):
-                rows[i] = levels
-            else:
-                rows[i] = _difference(coeffs, stencils[i][1], block, levels)
+        integrals = rl_integral_quad(f, beta_order, _GroupedPoints(flat), cfg)
+        tails = tail(beta_order, coeffs, list(stencils.values())) if tail is not None else []
+        n = (m + 1) * RICHARDSON_LEVELS  # integral rows per t
+        for k, (i, (_, steps, _)) in enumerate(stencils.items()):
+            block = integrals[k * n : (k + 1) * n]
+            levels = tails[k * RICHARDSON_LEVELS : (k + 1) * RICHARDSON_LEVELS]
+            refused = [row for row in block + levels if isinstance(row, FracCalcError)]
+            rows[i] = refused[0] if refused else _difference(coeffs, steps, block, levels)
     return _results(rows, scalar)
 
 
-def _difference(
-    coeffs: list[float], steps: list[float], integrals: list, tails: list | None
-) -> tuple[float, float]:
-    """The extrapolated difference of one t, and its error, from its stencil rows."""
+def _difference(coeffs: list[float], steps: list[float], integrals: list, tails: list) -> tuple[float, float]:
+    """The extrapolated difference of one t, and its error, from its stencil rows and its tail rows, if any."""
     m = len(coeffs) - 1
     worst_quad_err = 0.0
     samples = []
@@ -683,7 +656,7 @@ def _difference(
         for c, (g, err) in zip(coeffs, integrals[i * (m + 1) : (i + 1) * (m + 1)]):
             worst_quad_err = max(worst_quad_err, err)
             total += c * g
-        if tails is not None:
+        if tails:
             tail_value, tail_err = tails[i]
             worst_quad_err = max(worst_quad_err, tail_err)
             total += tail_value
@@ -767,7 +740,7 @@ def weyl_integral_quad(
             f"got alpha={alpha!r}, delta={delta!r}"
         )
     points, scalar = _points("weyl_integral_quad", t)
-    rows = rl_integral_quad(AbsPower(delta), alpha, _GroupedPoints(points, 1), cfg)
+    rows = rl_integral_quad(AbsPower(delta), alpha, _GroupedPoints(points), cfg)
     live = [i for i, row in enumerate(rows) if not isinstance(row, FracCalcError)]
     if live:
         w_right = delta - alpha - 1.0
@@ -823,14 +796,12 @@ def weyl_derivative_quad(
         floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, rule.weights).tolist()]
         prefactor = 1.0 / math.gamma(beta_order)
         phi = _tail_integrand(kernel, -delta)
-        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors, RICHARDSON_LEVELS)
+        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors)
         # the floor is evaluation noise that the ladder's differences need not show
-        rows = [
+        return [
             row if isinstance(row, FracCalcError) else (prefactor * row[0], prefactor * (row[1] + floor))
             for row, floor in zip(rows, floors)
         ]
-        per_t = [rows[i : i + RICHARDSON_LEVELS] for i in range(0, len(rows), RICHARDSON_LEVELS)]
-        return [levels[0] if isinstance(levels[0], FracCalcError) else levels for levels in per_t]
 
     return _stencil_derivative("weyl_derivative_quad", AbsPower(delta), alpha, t, cfg, tail)
 

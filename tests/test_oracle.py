@@ -278,7 +278,7 @@ class TestJacobiRuleCache:
             for nu in (1e-9, 0.01, 0.3, 1.0, 2.9):
                 for t in (0.5, 3.0):
                     _outcome(lambda: orc.rl_integral_quad(PowerLog(nu), 0.5, t, cfg))
-            [row] = orc._panel_gauss_ladder(refused, np.array([[[1e4]]]), cfg, [0.0], 1)
+            [row] = orc._panel_gauss_ladder(refused, np.array([[[1e4]]]), cfg, [0.0])
             assert isinstance(row, ConvergenceError) and f"{max_nodes} nodes per panel" in str(row)
             assert max(panels) == max_nodes
         largest = panels[CFG.max_nodes].nodes.points.size
@@ -716,6 +716,44 @@ class TestSequenceOfT:
         assert last == orc.rl_integral_quad(f, 0.5, 2.0, cfg)
         assert _same(refused, _outcome(lambda: orc.rl_integral_quad(f, 0.5, 40.0, cfg)))
 
+    def test_grouped_call_refuses_rows_on_their_own(self):
+        f, cfg = VECTOR_KINDS["p=0"], QuadConfig(max_nodes=32)
+        first, refused, last = orc.rl_integral_quad(f, 0.5, orc._GroupedPoints([1.0, 40.0, 2.0]), cfg)
+        assert isinstance(refused, ConvergenceError)
+        for t, row in ((1.0, first), (2.0, last)):
+            single = orc.rl_integral_quad(f, 0.5, t, cfg)
+            assert row == (single.value, single.abs_err_estimate)
+
+    @pytest.mark.parametrize("sequence", (True, False))
+    def test_derivative_point_takes_its_first_refused_row(self, sequence, monkeypatch):
+        # at t = 2 the integral refuses the rows of its finest level and the tail refuses one
+        # row; at t = 4 only the tail refuses rows, on its two finest levels
+        h = lambda t, level: orc.FD_STEP_FACTOR * t / 2.0**level
+        integral_refused = {2.0 + 0.5 * h(2.0, 2), 2.0 - 0.5 * h(2.0, 2)}
+        tail_refused = {(2.0, h(2.0, 0)), (4.0, h(4.0, 1)), (4.0, h(4.0, 2))}
+        real = orc._jacobi_ladder
+
+        def refusing(phi, params, *args):
+            rows = real(phi, params, *args)
+            for j, row in enumerate(params.tolist()):
+                if (row[0] in integral_refused) if len(row) == 1 else (tuple(row[:2]) in tail_refused):
+                    rows[j] = ConvergenceError(f"row {row[:2]}")
+            return rows
+
+        ts = (1.0, 2.0, 4.0)
+        unrefused = orc.weyl_derivative_quad(0.5, 0.25, 1.0, CFG)
+        monkeypatch.setattr(orc, "_jacobi_ladder", refusing)
+        if sequence:
+            with pytest.raises(ConvergenceError) as info:
+                orc.weyl_derivative_quad(0.5, 0.25, list(ts), CFG)
+            outcomes = info.value.outcomes
+        else:
+            outcomes = [_outcome(lambda: orc.weyl_derivative_quad(0.5, 0.25, t, CFG)) for t in ts]
+        assert outcomes[0] == unrefused
+        # the integral's rows come before the tail's, in stencil order
+        assert str(outcomes[1]) == f"row {[2.0 + 0.5 * h(2.0, 2)]}"
+        assert str(outcomes[2]) == f"row {[4.0, h(4.0, 1)]}"
+
     def test_stencil_error_is_per_point(self):
         # m = 11 steps of FD_STEP_FACTOR * t reach past the origin at every t
         with pytest.raises(StencilError) as info:
@@ -806,6 +844,21 @@ class TestExtremeT:
         assert main([*argv, "--method", "oracle"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("fraccalc: domain error: ") and err.count("\n") == 1 and repr(t) in err
+
+
+class TestGammaOverflow:
+    # gamma(alpha) overflows the doubles past alpha = 171.6
+    def test_rl_integral_quad_raises_domain_error(self):
+        with pytest.raises(DomainError, match=re.escape("alpha=200.0")):
+            orc.rl_integral_quad(Power(0.5), 200.0, 1.0, CFG)
+
+    def test_cli_exits_three_with_one_line(self, capsys):
+        from fraccalc.cli import main
+
+        argv = ["eval", "--op", "rl-int", "--alpha", "200", "--fn", "power:gamma=0.5", "--t", "1", "--method", "oracle"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fraccalc: domain error: ") and err.count("\n") == 1 and "alpha=200.0" in err
 
 
 class TestWeylIntegralQuad:
@@ -1020,7 +1073,7 @@ class TestPowerLogTinyNu:
 
     def test_two_rungs_of_panels_are_climbed(self):
         fn = lambda nodes, p: np.ones_like(p * nodes.points)
-        rows = orc._panel_gauss_ladder(fn, np.ones((1, 1, 1)), CFG, [0.0], 1)
+        rows = orc._panel_gauss_ladder(fn, np.ones((1, 1, 1)), CFG, [0.0])
         assert rows[0][0] == pytest.approx(orc.LOG_HEAD_END, rel=1e-14)
 
 
@@ -1059,8 +1112,14 @@ class TestGradedLogPanels:
     @pytest.mark.parametrize("tol, calls", ((CFG.target_rel_tol, 1), (1e-15, 2)))
     def test_grid_ladders_stop_on_their_first_calls(self, tol, calls, monkeypatch):
         # every powerlog point of the verify grid: the first call evaluates 8 + 16 nodes per panel
+        uppers = []  # per upper-piece Jacobi ladder: the rows it did not refuse
         ladders = []  # per panel ladder: the integrand calls and the rows
-        real = orc._panel_gauss_ladder
+        real, real_upper = orc._panel_gauss_ladder, orc._jacobi_ladder
+
+        def upper(*args):
+            rows = real_upper(*args)
+            uppers.append(sum(not isinstance(row, Exception) for row in rows))
+            return rows
 
         def counted(fn, *args):
             record = [0, None]
@@ -1074,6 +1133,7 @@ class TestGradedLogPanels:
             return record[1]
 
         monkeypatch.setattr(orc, "_panel_gauss_ladder", counted)
+        monkeypatch.setattr(orc, "_jacobi_ladder", upper)
         cfg = QuadConfig(tol)
         kinds = (OperatorKind.RL_INTEGRAL, OperatorKind.RL_DERIVATIVE)
         outcomes = [
@@ -1081,11 +1141,12 @@ class TestGradedLogPanels:
             for kind in kinds for nu, alpha, t in GRID_LOG_POINTS
         ]
         refused = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
-        # only the upper piece refuses points, and only at 1e-15; their lower pieces are not integrated
+        # only the upper piece refuses points, 3 of them and only at 1e-15
         assert all("Gauss-Jacobi" in str(error) for error in refused)
-        assert len(outcomes) == 168 and len(ladders) == len(outcomes) - len(refused)
-        if tol == CFG.target_rel_tol:
-            assert not refused
+        assert len(refused) == (0 if tol == CFG.target_rel_tol else 3)
+        # every point integrates the lower pieces of the rows its upper piece did not refuse
+        assert len(outcomes) == len(uppers) == 168
+        assert [len(rows) for _, rows in ladders] == [n for n in uppers if n]
         assert max(n for n, _ in ladders) <= calls
         assert not any(isinstance(row, Exception) for _, rows in ladders for row in rows)
 
