@@ -54,6 +54,14 @@ def _require_positive_t(t: float) -> float:
     return t
 
 
+def _require_t_and_alpha(formula: str, alpha: float, t: float) -> float:
+    """t as a float, after the checks that every lower-limit-zero formula starts with."""
+    t = _require_positive_t(t)
+    if alpha <= 0.0:
+        raise DomainError(f"{formula} requires alpha > 0, got {alpha!r}")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # signed-order expressions (order a may be negative; derivatives use a = -alpha)
 
@@ -62,9 +70,18 @@ def power_shift_expr(a: float, gamma_exp: float, t: float) -> float:
     return sf.gamma_ratio(1.0 + gamma_exp, 1.0 + gamma_exp + a) * t ** (gamma_exp + a)
 
 
+def exp_shift_eval(a: float, lam: float, t: float) -> tuple[float, float]:
+    """t**a * E_{1,1+a}(lam t), and a bound on its rounding error."""
+    power = t**a
+    series, bound = sf.mittag_leffler_shifted(a, lam * t)
+    value = power * series
+    # the power and the product each round once
+    return value, abs(power) * bound + _EPS * abs(value)
+
+
 def exp_shift_expr(a: float, lam: float, t: float) -> float:
     """t**a * E_{1,1+a}(lam t)."""
-    return t**a * sf.mittag_leffler(1.0, 1.0 + a, lam * t)
+    return exp_shift_eval(a, lam, t)[0]
 
 
 def powerlog_shift_terms(a: float, nu: float, t: float) -> tuple[float, float, float, float]:
@@ -81,10 +98,22 @@ def powerlog_shift_terms(a: float, nu: float, t: float) -> tuple[float, float, f
     return prefactor, math.log(t), sf.digamma(nu), sf.digamma(a + nu)
 
 
+def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
+    """powerlog_shift_expr, and a bound on its rounding error.
+
+    The bracket log t + psi(nu) - psi(a+nu) can cancel (small alpha, t near
+    1), leaving an error of a few ulp of its largest term, not of the result;
+    so the bound is taken on |prefactor| times the sum of the terms'
+    magnitudes, which equals |value| where the terms share a sign.
+    """
+    prefactor, log_t, psi_nu, psi_shifted = powerlog_shift_terms(a, nu, t)
+    scale = abs(prefactor) * (abs(log_t) + abs(psi_nu) + abs(psi_shifted))
+    return prefactor * (log_t + psi_nu - psi_shifted), 8.0 * _EPS * scale
+
+
 def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
     """t**(a+nu-1) * gamma(nu)/gamma(a+nu) * [log t + psi(nu) - psi(a+nu)]."""
-    prefactor, log_t, psi_nu, psi_shifted = powerlog_shift_terms(a, nu, t)
-    return prefactor * (log_t + psi_nu - psi_shifted)
+    return powerlog_shift_eval(a, nu, t)[0]
 
 
 def weyl_power_shift_expr(a: float, delta: float, t: float) -> float:
@@ -98,9 +127,7 @@ def weyl_power_shift_expr(a: float, delta: float, t: float) -> float:
 
 def rl_integral_power(alpha: float, gamma_exp: float, t: float) -> float:
     """Fractional integral of order alpha of t**gamma_exp from 0."""
-    t = _require_positive_t(t)
-    if alpha <= 0.0:
-        raise DomainError(f"rl_integral_power requires alpha > 0, got {alpha!r}")
+    t = _require_t_and_alpha("rl_integral_power", alpha, t)
     if gamma_exp <= -1.0:
         raise DomainError(f"rl_integral_power requires gamma_exp > -1, got {gamma_exp!r}")
     return power_shift_expr(alpha, gamma_exp, t)
@@ -108,17 +135,13 @@ def rl_integral_power(alpha: float, gamma_exp: float, t: float) -> float:
 
 def rl_integral_exp(alpha: float, lam: float, t: float) -> float:
     """Fractional integral of order alpha of exp(lam t) from 0."""
-    t = _require_positive_t(t)
-    if alpha <= 0.0:
-        raise DomainError(f"rl_integral_exp requires alpha > 0, got {alpha!r}")
+    t = _require_t_and_alpha("rl_integral_exp", alpha, t)
     return exp_shift_expr(alpha, lam, t)
 
 
 def rl_integral_powerlog(alpha: float, nu: float, t: float) -> float:
     """Fractional integral of order alpha of t**(nu-1) log t from 0."""
-    t = _require_positive_t(t)
-    if alpha <= 0.0:
-        raise DomainError(f"rl_integral_powerlog requires alpha > 0, got {alpha!r}")
+    t = _require_t_and_alpha("rl_integral_powerlog", alpha, t)
     if nu <= 0.0:
         raise DomainError(f"rl_integral_powerlog requires nu > 0, got {nu!r}")
     return powerlog_shift_expr(alpha, nu, t)
@@ -150,9 +173,7 @@ def rl_derivative_power(alpha: float, gamma_exp: float, t: float) -> float:
     whenever 1+gamma_exp-alpha is a non-positive integer (e.g. the classical
     half-derivative of 1/sqrt(t)).
     """
-    t = _require_positive_t(t)
-    if alpha <= 0.0:
-        raise DomainError(f"rl_derivative_power requires alpha > 0, got {alpha!r}")
+    t = _require_t_and_alpha("rl_derivative_power", alpha, t)
     if gamma_exp <= -1.0:
         raise DomainError(f"rl_derivative_power requires gamma_exp > -1, got {gamma_exp!r}")
     return power_shift_expr(-alpha, gamma_exp, t)
@@ -164,9 +185,7 @@ def rl_derivative_exp(alpha: float, lam: float, t: float) -> float:
     Integer orders are plain differentiation, lam**m * exp(lam t); dispatch
     happens in closed_value, not here.
     """
-    t = _require_positive_t(t)
-    if alpha <= 0.0:
-        raise DomainError(f"rl_derivative_exp requires alpha > 0, got {alpha!r}")
+    t = _require_t_and_alpha("rl_derivative_exp", alpha, t)
     if alpha == math.floor(alpha):
         raise DomainError(f"rl_derivative_exp requires non-integer alpha, got {alpha!r}")
     return exp_shift_expr(-alpha, lam, t)
@@ -178,9 +197,7 @@ def rl_derivative_powerlog(alpha: float, nu: float, t: float) -> float:
     Raises SingularParamError when nu-alpha is a non-positive integer: there
     the formula degenerates to 0*inf and no limit value is assigned.
     """
-    t = _require_positive_t(t)
-    if alpha <= 0.0:
-        raise DomainError(f"rl_derivative_powerlog requires alpha > 0, got {alpha!r}")
+    t = _require_t_and_alpha("rl_derivative_powerlog", alpha, t)
     if alpha == math.floor(alpha):
         raise DomainError(f"rl_derivative_powerlog requires non-integer alpha, got {alpha!r}")
     if nu <= 0.0:
@@ -330,33 +347,66 @@ _PLAIN_DERIVATIVES = {
 }
 
 
+# the families whose error bound comes from the terms of their formula, which
+# closed_eval evaluates through these (value, bound) functions
+_SHIFT_EVALS = {Exp: exp_shift_eval, PowerLog: powerlog_shift_eval}
+
+
+def _operator(kind: OperatorKind, alpha: float, family: FunctionFamily) -> OperatorKind:
+    """kind as an OperatorKind, checked against family, with alpha checked finite."""
+    if type(kind) is not OperatorKind:
+        kind = OperatorKind(kind)
+    kind.check_pairing(family)
+    # before the whole-order test: math.floor raises on nan and inf
+    _check_finite("alpha", alpha)
+    return kind
+
+
+def _is_whole_order(kind: OperatorKind, alpha: float) -> bool:
+    return kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha)
+
+
 def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> float:
     """Evaluate the closed form for an operator applied to a family member.
 
     Weyl kinds accept only the AbsPower family (the two-sided power function);
     the lower-limit-zero kinds accept the other three.
     """
-    kind = OperatorKind(kind)
-    kind.check_pairing(family)
-    # before the whole-order test: math.floor raises on nan and inf
-    _check_finite("alpha", alpha)
-    if kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha):
+    kind = _operator(kind, alpha, family)
+    if _is_whole_order(kind, alpha):
         return _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
     return globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)
 
 
 def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:
-    """closed_value wrapped with a few-ulp error bound.
+    """closed_value with an error bound, both from one evaluation of the formula.
 
-    The power-log bracket log t + psi(nu) - psi(a+nu) can cancel (small alpha,
-    t near 1), leaving an error of a few ulp of its largest term, not of the
-    result; there the bound is taken on |prefactor| times the sum of the
-    terms' magnitudes, which equals |value| where the terms share a sign.
+    The power and Weyl formulas are good to a few ulp of their value.  The
+    exponential and power-log formulas are evaluated through their shift
+    functions (the formula's own checks come first), whose bounds come from
+    the terms of the value: exp_shift_eval's from the Mittag-Leffler series,
+    powerlog_shift_eval's from the bracket before it cancels.  So a patched
+    formula of those two families changes closed_value, not closed_eval.
+    Whole derivative orders m take the plain m-th derivative; for power-log
+    its bound is the bracket's at a = -m, and for exp it counts the rounding
+    of lam t.
     """
-    value = closed_value(kind, alpha, family, t)
-    scale = abs(value)
-    if type(family) is PowerLog:
-        a = -alpha if OperatorKind(kind).is_derivative else alpha
-        prefactor, *terms = powerlog_shift_terms(a, family.nu, t)
-        scale = abs(prefactor) * sum(map(abs, terms))
-    return EvalResult(value=value, method="closed-form", abs_err_estimate=8.0 * _EPS * scale)
+    kind = _operator(kind, alpha, family)
+    shift_eval = _SHIFT_EVALS.get(type(family))
+    if _is_whole_order(kind, alpha):
+        value = _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
+        if type(family) is Exp:
+            # lam**m e**(lam t) moves by |lam t| ulp with the rounding of lam t
+            bound = (abs(family.lam * t) + alpha + 3.0) * 0.5 * _EPS * abs(value)
+        elif type(family) is PowerLog:
+            bound = powerlog_shift_eval(-alpha, family.nu, t)[1]
+        else:
+            bound = 8.0 * _EPS * abs(value)
+    elif shift_eval is not None:
+        formula = _FORMULAS[kind, type(family)]
+        t = _require_t_and_alpha(formula, alpha, t)
+        value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
+    else:
+        value = globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)
+        bound = 8.0 * _EPS * abs(value)
+    return EvalResult(value=value, method="closed-form", abs_err_estimate=bound)

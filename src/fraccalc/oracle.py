@@ -809,6 +809,16 @@ def weyl_derivative_quad(
 # ---------------------------------------------------------------------------
 # dispatch on the operator; the family supplies its own integrand
 
+# named, not bound, and looked up on every call, so that a patched or traced
+# function is the one called
+_QUADS = {
+    OperatorKind.RL_INTEGRAL: "rl_integral_quad",
+    OperatorKind.RL_DERIVATIVE: "rl_derivative_quad",
+    OperatorKind.WEYL_INTEGRAL: "weyl_integral_quad",
+    OperatorKind.WEYL_DERIVATIVE: "weyl_derivative_quad",
+}
+
+
 def oracle_eval(
     kind: OperatorKind,
     alpha: float,
@@ -817,12 +827,8 @@ def oracle_eval(
     cfg: QuadConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
     """Quadrature evaluation of an operator applied to a family member."""
-    kind = OperatorKind(kind)
+    if type(kind) is not OperatorKind:
+        kind = OperatorKind(kind)
     kind.check_pairing(family)
-    if kind is OperatorKind.RL_INTEGRAL:
-        return rl_integral_quad(family, alpha, t, cfg)
-    if kind is OperatorKind.RL_DERIVATIVE:
-        return rl_derivative_quad(family, alpha, t, cfg)
-    if kind is OperatorKind.WEYL_INTEGRAL:
-        return weyl_integral_quad(family.delta, alpha, t, cfg)
-    return weyl_derivative_quad(family.delta, alpha, t, cfg)
+    # the Weyl oracles take the exponent delta, the others the family
+    return globals()[_QUADS[kind]](family.delta if kind.is_weyl else family, alpha, t, cfg)

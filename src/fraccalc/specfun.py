@@ -31,6 +31,7 @@ __all__ = [
     "gamma_ratio",
     "lower_incomplete_gamma",
     "mittag_leffler",
+    "mittag_leffler_shifted",
     "pochhammer",
     "reciprocal_gamma",
     "sinpi",
@@ -138,15 +139,45 @@ def gamma_ratio(p: float, q: float) -> float:
     return sp * sq * math.exp(lp - lq)
 
 
-def digamma(z: float) -> float:
-    """Digamma psi(z) by upward recurrence into the asymptotic regime.
+# psi's positive zero x0, split as _PSI_ZERO + _PSI_ZERO_LO, and the Taylor
+# coefficients psi^(k)(x0)/k! = (-1)**(k+1) zeta(k+1, x0), k = 1..26, highest
+# first (DLMF 5.4(iii) and 5.15.1; from 50-digit mpmath).  Within
+# _PSI_ZERO_RADIUS of x0 the series holds 2 ulp of psi, where the recurrence
+# below loses a few ulp of log z ~ 2.5, up to 1e4 ulp of psi next to x0; the
+# first omitted term is under 5e-17 of psi there.
+_PSI_ZERO = 1.4616321449683622
+_PSI_ZERO_LO = 9.549995429965697e-17
+_PSI_ZERO_RADIUS = 0.35
+_PSI_ZERO_TAYLOR = (
+    0.9676722454476212, -0.4427631689835921, 0.258499760955651,
+    -0.16394270544240652, 0.10782405069126237, -0.07219956125645471,
+    0.04880428816414311, -0.03316112647484736, 0.022597648232218104,
+    -0.01542476590494896, 0.010538791616612175, -0.007204534386356869,
+    0.004926781395729853, -0.003369801655439328, 0.002305126326734928,
+    -0.0015769367714301972, 0.0010788252019162967, -0.0007380709389960052,
+    0.000504953265834602, -0.0003454680251063077, 0.00023635601564027053,
+    -0.00016170622091974803, 0.0001106337276874741, -7.569179582195066e-05,
+    5.178575795222081e-05, -3.5430070947659604e-05,
+)[::-1]
 
-    psi(z+1) = psi(z) + 1/z lifts the argument to z >= 12, where the
-    log-series with Bernoulli coefficients through 1/z^12 is accurate to
-    well under 1e-15 absolute.  Valid for all real z off the poles
-    0, -1, -2, ...
+
+def digamma(z: float) -> float:
+    """Digamma psi(z): a Taylor series near its positive zero, else upward recurrence.
+
+    Within _PSI_ZERO_RADIUS of the zero x0 = 1.46163... the series about x0
+    gives 2 ulp of psi.  Elsewhere psi(z+1) = psi(z) + 1/z lifts the
+    argument to z >= 12, where the log-series with Bernoulli coefficients
+    through 1/z^12 is accurate to well under 1e-15 absolute.  Valid for all
+    real z off the poles 0, -1, -2, ...
     """
     z = _require_finite("z", z)
+    h = z - _PSI_ZERO  # exact near x0
+    if -_PSI_ZERO_RADIUS <= h <= _PSI_ZERO_RADIUS:
+        h -= _PSI_ZERO_LO
+        total = 0.0
+        for coeff in _PSI_ZERO_TAYLOR:
+            total = total * h + coeff
+        return total * h
     if _is_nonpositive_integer(z):
         raise PoleError(f"digamma pole at z={z!r}")
     acc = 0.0
@@ -263,21 +294,7 @@ def _incgamma_unsettled(alpha: float, z: float) -> ConvergenceError:
     )
 
 
-def mittag_leffler(mu: float, nu: float, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{mu,nu}(z) = sum z^k / gamma(mu k + nu).
-
-    Direct compensated (Kahan) summation of the defining series.  Terms whose
-    gamma argument lands on a pole contribute exactly 0.  The summation stops
-    once three consecutive terms fall below 1e-16 of the running sum.
-
-    Restricted to |z| <= ML_Z_MAX with at most ML_MAX_TERMS terms; within that
-    window the relative error is ~1e-13 for z >= 0.  For negative z the
-    alternating terms cancel: with mu = 1 and nu in [1.1, 3.5] the relative
-    error is ~3e-13 at z = -5, ~1e-4 at z = -20 and above 1e9 at z = -50.
-    The loss comes from direct summation, not from double precision: for
-    mu = 1, Kummer's transformation E_{1,nu}(z) = e**z 1F1(nu-1; nu; -z) /
-    gamma(nu) gives a series of positive terms for z < 0 and nu > 1.
-    """
+def _mittag_leffler_arguments(mu: float, nu: float, z: float) -> tuple[float, float, float]:
     mu = _require_finite("mu", mu)
     nu = _require_finite("nu", nu)
     z = _require_finite("z", z)
@@ -287,6 +304,122 @@ def mittag_leffler(mu: float, nu: float, z: float) -> float:
         raise DomainError(f"mittag_leffler requires |nu| <= 170, got {nu!r}")
     if abs(z) > ML_Z_MAX:
         raise DomainError(f"mittag_leffler requires |z| <= {ML_Z_MAX}, got z={z!r}")
+    return mu, nu, z
+
+
+def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
+    """E_{1,1+a}(z) and a bound on its rounding error, from one pass over the terms.
+
+    The order is given as its shift a from 1, so that the factors a + k are
+    exact where 1 + a would round (small alpha in the closed forms, which pass
+    a = alpha or -alpha).  One gamma call, then term ratios:
+
+    * z >= 0: the defining series, (1/gamma(1+a)) sum z**k / ((1+a)(2+a)...(k+a));
+    * z < 0: Kummer's transformation (DLMF 13.2.39),
+      E_{1,1+a}(z) = e**z (1 + a sum_{k>=1} (-z)**k / (k! (a + k))) / gamma(1 + a),
+      whose sum holds no cancelling terms for a > 0;
+    * a a negative integer: 1/gamma(1 + a + k) vanishes for k < -a, and
+      E_{1,1+a}(z) = z**-a e**z.
+
+    In either series only the terms with a + k < 0 (two at most for a > -3)
+    take the other sign, so the direct sum of the defining series, which
+    loses 1e-4 of the value at z = -20, is never formed.  The bound covers, per
+    term, the roundings of its K factors and K ulp from the rounding of z
+    itself (K the number of terms), the K additions, and gamma's few ulp with
+    the rounding of 1 + a; it is taken on the sum of the terms' magnitudes, so
+    it stays honest where the leading terms cancel.  For |z| <= ML_Z_MAX it
+    is at most about 5K + |z| + 20 ulp of that magnitude, K <= 130.  Raises
+    DomainError and ConvergenceError as mittag_leffler(1, 1 + a, z) does.
+    """
+    _, nu, z = _mittag_leffler_arguments(1.0, 1.0 + a, z)
+    value, bound = _unit_mittag_leffler(a, z)
+    if not math.isfinite(bound):
+        raise ConvergenceError(
+            f"mittag_leffler series terms exceed double range before converging "
+            f"(mu={1.0!r}, nu={nu!r}, z={z!r})"
+        )
+    return value, bound
+
+
+def _unit_mittag_leffler(a: float, z: float) -> tuple[float, float]:
+    """E_{1,1+a}(z) and its rounding bound, for checked a and z; see mittag_leffler_shifted."""
+    u = 0.5 * _EPS  # unit roundoff
+    x = abs(z)
+    if a < 0.0 and a == math.floor(a):
+        value = z**-a * math.exp(z)
+        return value, (x - a + 3.0) * u * abs(value)
+    # the terms k = 1..lead have a + k < 0; later ratios are all positive
+    lead = 0 if a >= 0.0 else math.ceil(-a) - 1
+    b = 1.0 + a
+    rg = 1.0 / math.gamma(b)
+    # gamma is good to 4 ulp, and a rounded 1 + a moves it by up to |b psi(b)| ulp
+    gamma_units = 10.0 + abs(b) * math.log1p(abs(b))
+    if z >= 0.0:
+        term = total = magnitude = 1.0
+        for k in range(1, lead + 1):
+            term *= z / (a + k)
+            total += term
+            magnitude += abs(term)
+        k = lead
+        size, rest = abs(term), 0.0
+        while True:
+            k += 1
+            size *= z / (a + k)
+            rest += size
+            if size <= u * rest:
+                break
+        total += math.copysign(rest, term)
+        magnitude += rest
+        # term k: 3k roundings and k ulp from the rounding of z; k additions
+        value = total * rg
+        bound = (5.0 * k + 2.0) * u * magnitude * abs(rg) + (gamma_units + 1.0) * u * abs(value)
+    else:
+        power, tail, magnitude = 1.0, 0.0, 0.0
+        for k in range(1, lead + 1):
+            power *= x / k
+            term = power / (a + k)
+            tail += term
+            magnitude -= term
+        k = lead
+        rest = 0.0
+        while True:
+            k += 1
+            power *= x / k
+            term = power / (a + k)
+            rest += term
+            if term <= u * rest:
+                break
+        tail += rest
+        magnitude += rest
+        summed = 1.0 + a * tail
+        scale = math.exp(z) * rg
+        value = summed * scale
+        # term k: 2k + 2 roundings and k ulp from the rounding of z; k additions;
+        # e**z moves by |z| ulp with the rounding of z
+        sum_bound = abs(a) * (4.0 * k + 2.0) * u * magnitude + u * (abs(a * tail) + abs(summed))
+        bound = abs(scale) * sum_bound + (x + gamma_units + 3.0) * u * abs(value)
+    return value, bound
+
+
+def mittag_leffler(mu: float, nu: float, z: float) -> float:
+    """Two-parameter Mittag-Leffler function E_{mu,nu}(z) = sum z^k / gamma(mu k + nu).
+
+    For mu = 1 this is the value of mittag_leffler_shifted(nu - 1, z): a
+    series of term ratios with one gamma call, good to a few hundred ulp of
+    the sum of its terms' magnitudes over |z| <= ML_Z_MAX.
+
+    Other mu sum the defining series directly, with compensated (Kahan)
+    summation.  Terms whose gamma argument lands on a pole contribute exactly
+    0.  The summation stops once three consecutive terms fall below 1e-16 of
+    the running sum.  Within |z| <= ML_Z_MAX, at most ML_MAX_TERMS terms, the
+    relative error is ~1e-13 for z >= 0.  For negative z the alternating terms
+    cancel: summed this way, mu = 1 with nu in [1.1, 3.5] would err by ~3e-13
+    relative at z = -5, ~1e-4 at z = -20 and above 1e9 at z = -50, which is
+    why mu = 1 takes the route above.
+    """
+    mu, nu, z = _mittag_leffler_arguments(mu, nu, z)
+    if mu == 1.0:
+        return mittag_leffler_shifted(nu - 1.0, z)[0]
 
     log_abs_z = math.log(abs(z)) if z != 0.0 else -math.inf
     total = 0.0

@@ -105,6 +105,16 @@ class TestEval:
         assert float(v1) == pytest.approx(math.e - 1.0, rel=1e-12)
         assert abs(float(v1) - float(v2)) <= float(e1) + float(e2)
 
+    # lambda t = -40: the Mittag-Leffler series summed directly printed 272.64
+    # against the oracle's 0.0904, and -377.45 against -0.00116
+    @pytest.mark.parametrize("op", ("rl-int", "rl-der"))
+    def test_exp_at_large_negative_lambda_t_agrees(self, capsys, op):
+        assert main(
+            ["eval", "--op", op, "--alpha", "0.5", "--fn", "exp:lambda=-1", "--t", "40", "--method", "both"]
+        ) == 0
+        (v1, e1, _), (v2, e2, _) = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert abs(float(v1) - float(v2)) <= float(e1) + float(e2)
+
     def test_default_method_is_closed(self, capsys):
         assert main(
             ["eval", "--op", "weyl-der", "--alpha", "0.25", "--fn", "abspower:delta=0.5", "--t", "1"]

@@ -34,6 +34,15 @@ def euler_mascheroni_oracle(n: int = 200_000) -> float:
     return harmonic - math.log(n) - 0.5 / n + 1.0 / (12.0 * n * n) - 1.0 / (120.0 * n**4)
 
 
+def unit_mu_reference(a: float, z: float) -> mpmath.mpf:
+    """E_{1,1+a}(z) = 1F1(1; 1+a; z) / gamma(1+a) in 40-digit mpmath, from the exact a."""
+    with mpmath.workdps(40):
+        b, x = 1 + mpmath.mpf(a), mpmath.mpf(z)
+        if b <= 0 and b == int(b):  # 1/gamma(b + k) vanishes for k < 1 - b
+            return x ** (1 - b) * mpmath.exp(x)
+        return mpmath.hyp1f1(1, b, x) * mpmath.rgamma(b)
+
+
 def lower_gamma_half_oracle() -> float:
     # int_0^1 t^(-1/2) e^(-t) dt = 2 int_0^1 e^(-u^2) du, a smooth integrand
     x, w = np.polynomial.legendre.leggauss(64)
@@ -108,6 +117,21 @@ class TestDigamma:
         if abs(z - round(z)) < 1e-3:
             return
         assert sf.digamma(z + 1.0) - sf.digamma(z) - 1.0 / z == pytest.approx(0.0, abs=1e-12)
+
+    # near its zero x0 = 1.46163... the upward recurrence erred by a few ulp of
+    # log z ~ 2.5, not of psi: 1e4 ulp of psi at 1.46, and above 8 ulp on most
+    # of [1.3, 1.62]; the Taylor series about x0 holds 2 ulp of psi itself
+    @settings(max_examples=300, derandomize=True)
+    @given(st.floats(min_value=1.4616321449683622 - 0.35, max_value=1.4616321449683622 + 0.35))
+    @example(1.4616321449683622)  # the double nearest x0
+    @example(1.46163214496836)
+    @example(1.3)
+    @example(1.62)
+    def test_relative_accuracy_near_the_zero(self, z):
+        with mpmath.workdps(40):
+            exact = mpmath.digamma(mpmath.mpf(z))
+            error = abs(mpmath.mpf(sf.digamma(z)) - exact)
+        assert error <= 2.0 * sys.float_info.epsilon * abs(exact)
 
 
 class TestPochhammer:
@@ -260,6 +284,36 @@ class TestMittagLeffler:
     def test_slow_series_raises(self):
         with pytest.raises(ConvergenceError):
             sf.mittag_leffler(0.05, 1.0, 40.0)
+
+    # mu = 1 against 40-digit mpmath, E_{1,b}(z) = 1F1(1; b; z) / gamma(b), for b from
+    # -1.5 to 3.5 (near 0 and 1 too) and z in [-50, 50]: direct summation lost 1e-4
+    # of the value at z = -20 and all of it at z = -50.  Each value lies within
+    # the bound of the series that produced it.
+    @pytest.mark.parametrize(
+        "a",
+        (-2.5, -2.0, -1.9, -1.5, -1.0 - 1e-9, -1.0, -1.0 + 1e-9, -0.9, -0.5, -1e-9, 0.0,
+         1e-9, 0.0054, 0.1, 0.5, 1.5, 2.5),
+    )
+    def test_unit_mu_against_mpmath(self, a):
+        for z in (-50.0, -49.0, -35.5, -20.0, -5.0, -1.0, -0.01, 0.0, 0.01, 1.0, 5.0, 20.0, 35.5, 50.0):
+            value, bound = sf.mittag_leffler_shifted(a, z)
+            assert abs(mpmath.mpf(value) - unit_mu_reference(a, z)) <= bound, (a, z)
+            if 1.0 + a - 1.0 == a:  # the public form passes nu - 1, which is a here
+                assert sf.mittag_leffler(1.0, 1.0 + a, z) == value
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(min_value=-2.5, max_value=2.5), st.floats(min_value=-50.0, max_value=50.0))
+    def test_unit_mu_bound_is_honest(self, a, z):
+        value, bound = sf.mittag_leffler_shifted(a, z)
+        assert abs(mpmath.mpf(value) - unit_mu_reference(a, z)) <= bound
+
+    def test_shifted_form_checks_as_the_public_one(self):
+        with pytest.raises(DomainError, match=r"\|z\| <= 50.0, got z=50.5"):
+            sf.mittag_leffler_shifted(0.5, 50.5)
+        with pytest.raises(DomainError, match=r"\|nu\| <= 170, got 200.5"):
+            sf.mittag_leffler_shifted(199.5, 1.0)
+        with pytest.raises(DomainError, match="z must be finite"):
+            sf.mittag_leffler_shifted(0.5, math.inf)
 
 
 class TestGammaRatio:
