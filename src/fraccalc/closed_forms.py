@@ -54,9 +54,15 @@ def _require_positive_t(t: float) -> float:
     return t
 
 
-def _require_t_and_alpha(formula: str, alpha: float, t: float) -> float:
-    """t as a float, after the checks that every lower-limit-zero formula starts with."""
+def _require_t_and_alpha(formula: str, alpha: float, t: float, delta: float | None = None) -> float:
+    """t as a float, after the checks that every formula starts with.
+
+    Given delta (the Weyl integral, whose tail converges only there), alpha
+    must lie in (0, delta); otherwise it must be positive.
+    """
     t = _require_positive_t(t)
+    if delta is not None and not 0.0 < alpha < delta:
+        raise DomainError(f"{formula} requires 0 < alpha < delta, got alpha={alpha!r}, delta={delta!r}")
     if alpha <= 0.0:
         raise DomainError(f"{formula} requires alpha > 0, got {alpha!r}")
     return t
@@ -84,29 +90,23 @@ def exp_shift_expr(a: float, lam: float, t: float) -> float:
     return exp_shift_eval(a, lam, t)[0]
 
 
-def powerlog_shift_terms(a: float, nu: float, t: float) -> tuple[float, float, float, float]:
-    """Prefactor t**(a+nu-1) * gamma(nu)/gamma(a+nu), then log t, psi(nu), psi(a+nu).
+def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
+    """powerlog_shift_expr, and a bound on its rounding error.
 
     At a+nu in {0, -1, ...} the coefficient vanishes while the digamma term
     blows up; the limit is not resolved here, so that locus is an error.
-    """
-    if sf._is_nonpositive_integer(a + nu):
-        raise SingularParamError(
-            f"power-log formula is a 0*inf form at shifted order a+nu={a + nu!r}"
-        )
-    prefactor = t ** (a + nu - 1.0) * sf.gamma_ratio(nu, a + nu)
-    return prefactor, math.log(t), sf.digamma(nu), sf.digamma(a + nu)
-
-
-def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
-    """powerlog_shift_expr, and a bound on its rounding error.
 
     The bracket log t + psi(nu) - psi(a+nu) can cancel (small alpha, t near
     1), leaving an error of a few ulp of its largest term, not of the result;
     so the bound is taken on |prefactor| times the sum of the terms'
     magnitudes, which equals |value| where the terms share a sign.
     """
-    prefactor, log_t, psi_nu, psi_shifted = powerlog_shift_terms(a, nu, t)
+    if sf._is_nonpositive_integer(a + nu):
+        raise SingularParamError(
+            f"power-log formula is a 0*inf form at shifted order a+nu={a + nu!r}"
+        )
+    prefactor = t ** (a + nu - 1.0) * sf.gamma_ratio(nu, a + nu)
+    log_t, psi_nu, psi_shifted = math.log(t), sf.digamma(nu), sf.digamma(a + nu)
     scale = abs(prefactor) * (abs(log_t) + abs(psi_nu) + abs(psi_shifted))
     return prefactor * (log_t + psi_nu - psi_shifted), 8.0 * _EPS * scale
 
@@ -116,10 +116,31 @@ def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
     return powerlog_shift_eval(a, nu, t)[0]
 
 
+def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, float]:
+    """weyl_power_shift_expr, and a bound on its rounding error.
+
+    Besides 8 eps of the value, the bound counts two rounded arguments.  The
+    cosine's argument d/2 - a rounds, and so does cospi's reduction of it
+    (below 2 in size); they move the cosine by less than pi ulp(d/2 - a) and
+    pi ulp(2), taken on M = |gamma(d-a)/gamma(d) t**(a-d) / cos(pi d/2)|
+    and not on the value, which vanishes where the cosine ratio does.  The
+    exponent a - d rounds too, and moves the power by |log t| ulp(a - d) of
+    the value.
+    """
+    ratio = sf.gamma_ratio(delta - a, delta)
+    exponent = a - delta
+    power = t**exponent
+    cos_arg = delta / 2.0 - a
+    cos_delta = sf.cospi(delta / 2.0)
+    value = ratio * (sf.cospi(cos_arg) / cos_delta) * power
+    cos_error = math.pi * (math.ulp(cos_arg) + 2.0 * _EPS) * abs(ratio * power / cos_delta)
+    power_error = abs(value * math.log(t)) * math.ulp(exponent)
+    return value, 8.0 * _EPS * abs(value) + cos_error + power_error
+
+
 def weyl_power_shift_expr(a: float, delta: float, t: float) -> float:
     """gamma(d-a)/gamma(d) * cos(pi d/2 - pi a)/cos(pi d/2) * t**(a-d)."""
-    cos_ratio = sf.cospi(delta / 2.0 - a) / sf.cospi(delta / 2.0)
-    return sf.gamma_ratio(delta - a, delta) * cos_ratio * t ** (a - delta)
+    return weyl_power_shift_eval(a, delta, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +174,9 @@ def weyl_integral_abspower(alpha: float, delta: float, t: float) -> float:
     Requires 0 < alpha < delta < 1 for the tail of the defining integral to
     converge.
     """
-    t = _require_positive_t(t)
+    t = _require_t_and_alpha("weyl_integral_abspower", alpha, t, delta)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_integral_abspower requires delta in (0,1), got {delta!r}")
-    if not 0.0 < alpha < delta:
-        raise DomainError(
-            f"weyl_integral_abspower requires 0 < alpha < delta, got alpha={alpha!r}, delta={delta!r}"
-        )
     return weyl_power_shift_expr(alpha, delta, t)
 
 
@@ -212,11 +229,9 @@ def weyl_derivative_abspower(alpha: float, delta: float, t: float) -> float:
     literature formula drops; it vanishes exactly on the locus
     delta/2 + alpha in {1/2, 3/2, ...}.
     """
-    t = _require_positive_t(t)
+    t = _require_t_and_alpha("weyl_derivative_abspower", alpha, t)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_abspower requires delta in (0,1), got {delta!r}")
-    if alpha <= 0.0:
-        raise DomainError(f"weyl_derivative_abspower requires alpha > 0, got {alpha!r}")
     if alpha == math.floor(alpha):
         raise DomainError(f"weyl_derivative_abspower requires non-integer alpha, got {alpha!r}")
     return weyl_power_shift_expr(-alpha, delta, t)
@@ -349,7 +364,7 @@ _PLAIN_DERIVATIVES = {
 
 # the families whose error bound comes from the terms of their formula, which
 # closed_eval evaluates through these (value, bound) functions
-_SHIFT_EVALS = {Exp: exp_shift_eval, PowerLog: powerlog_shift_eval}
+_SHIFT_EVALS = {Exp: exp_shift_eval, PowerLog: powerlog_shift_eval, AbsPower: weyl_power_shift_eval}
 
 
 def _operator(kind: OperatorKind, alpha: float, family: FunctionFamily) -> OperatorKind:
@@ -381,12 +396,14 @@ def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: fl
 def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:
     """closed_value with an error bound, both from one evaluation of the formula.
 
-    The power and Weyl formulas are good to a few ulp of their value.  The
-    exponential and power-log formulas are evaluated through their shift
-    functions (the formula's own checks come first), whose bounds come from
-    the terms of the value: exp_shift_eval's from the Mittag-Leffler series,
-    powerlog_shift_eval's from the bracket before it cancels.  So a patched
-    formula of those two families changes closed_value, not closed_eval.
+    The power formula is good to a few ulp of its value.  The exponential,
+    power-log and Weyl formulas are evaluated through their shift functions
+    (the formula's own checks come first), whose bounds come from the terms
+    of the value: exp_shift_eval's from the Mittag-Leffler series,
+    powerlog_shift_eval's from the bracket before it cancels, and
+    weyl_power_shift_eval's from the cosine ratio before it vanishes.  So a
+    patched formula of those three families changes closed_value, not
+    closed_eval.
     Whole derivative orders m take the plain m-th derivative; for power-log
     its bound is the bracket's at a = -m, and for exp it counts the rounding
     of lam t.
@@ -404,7 +421,8 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
             bound = 8.0 * _EPS * abs(value)
     elif shift_eval is not None:
         formula = _FORMULAS[kind, type(family)]
-        t = _require_t_and_alpha(formula, alpha, t)
+        delta = family.delta if kind is OperatorKind.WEYL_INTEGRAL else None
+        t = _require_t_and_alpha(formula, alpha, t, delta)
         value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
     else:
         value = globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)

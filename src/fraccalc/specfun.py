@@ -2,7 +2,7 @@
 
 Everything downstream (closed-form coefficients, quadrature prefactors,
 verification identities) reduces to the gamma family evaluated on the real
-line, plus the two-parameter Mittag-Leffler function.  All functions here are
+line, plus the Mittag-Leffler function E_{1,1+a}.  All functions here are
 pure and thread-safe.
 
 Conventions adopted throughout:
@@ -22,7 +22,6 @@ from .model import _EPS
 
 __all__ = [
     "INCGAMMA_MAX_TERMS",
-    "ML_MAX_TERMS",
     "ML_Z_MAX",
     "beta",
     "cospi",
@@ -30,18 +29,16 @@ __all__ = [
     "gamma",
     "gamma_ratio",
     "lower_incomplete_gamma",
-    "mittag_leffler",
     "mittag_leffler_shifted",
     "pochhammer",
     "reciprocal_gamma",
     "sinpi",
 ]
 
-# Direct series summation of the Mittag-Leffler function is only trustworthy
-# for moderate arguments; beyond this cap the caller gets a DomainError
-# instead of a silently inaccurate value.
+# The Mittag-Leffler series and its rounding bound grow with |z| (130 terms
+# at the cap); beyond this cap the caller gets a DomainError instead of a
+# value with a wide bound.
 ML_Z_MAX = 50.0
-ML_MAX_TERMS = 400
 
 # Terms of the incomplete-gamma series or continued fraction; both need about
 # sqrt(alpha) near z = alpha, so the cap is reached only past alpha ~ 10**4,
@@ -294,19 +291,6 @@ def _incgamma_unsettled(alpha: float, z: float) -> ConvergenceError:
     )
 
 
-def _mittag_leffler_arguments(mu: float, nu: float, z: float) -> tuple[float, float, float]:
-    mu = _require_finite("mu", mu)
-    nu = _require_finite("nu", nu)
-    z = _require_finite("z", z)
-    if mu <= 0.0:
-        raise DomainError(f"mittag_leffler requires mu > 0, got {mu!r}")
-    if abs(nu) > 170.0:
-        raise DomainError(f"mittag_leffler requires |nu| <= 170, got {nu!r}")
-    if abs(z) > ML_Z_MAX:
-        raise DomainError(f"mittag_leffler requires |z| <= {ML_Z_MAX}, got z={z!r}")
-    return mu, nu, z
-
-
 def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
     """E_{1,1+a}(z) and a bound on its rounding error, from one pass over the terms.
 
@@ -329,14 +313,19 @@ def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
     the rounding of 1 + a; it is taken on the sum of the terms' magnitudes, so
     it stays honest where the leading terms cancel.  For |z| <= ML_Z_MAX it
     is at most about 5K + |z| + 20 ulp of that magnitude, K <= 130.  Raises
-    DomainError and ConvergenceError as mittag_leffler(1, 1 + a, z) does.
+    DomainError for a non-finite a or z, |1 + a| > 170 or |z| > ML_Z_MAX, and
+    ConvergenceError when the terms leave double range.
     """
-    _, nu, z = _mittag_leffler_arguments(1.0, 1.0 + a, z)
+    a = _require_finite("a", a)
+    z = _require_finite("z", z)
+    if abs(1.0 + a) > 170.0:
+        raise DomainError(f"mittag_leffler requires |nu| <= 170, got {1.0 + a!r}")
+    if abs(z) > ML_Z_MAX:
+        raise DomainError(f"mittag_leffler requires |z| <= {ML_Z_MAX}, got z={z!r}")
     value, bound = _unit_mittag_leffler(a, z)
     if not math.isfinite(bound):
         raise ConvergenceError(
-            f"mittag_leffler series terms exceed double range before converging "
-            f"(mu={1.0!r}, nu={nu!r}, z={z!r})"
+            f"mittag_leffler series terms exceed double range before converging (a={a!r}, z={z!r})"
         )
     return value, bound
 
@@ -399,66 +388,3 @@ def _unit_mittag_leffler(a: float, z: float) -> tuple[float, float]:
         sum_bound = abs(a) * (4.0 * k + 2.0) * u * magnitude + u * (abs(a * tail) + abs(summed))
         bound = abs(scale) * sum_bound + (x + gamma_units + 3.0) * u * abs(value)
     return value, bound
-
-
-def mittag_leffler(mu: float, nu: float, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{mu,nu}(z) = sum z^k / gamma(mu k + nu).
-
-    For mu = 1 this is the value of mittag_leffler_shifted(nu - 1, z): a
-    series of term ratios with one gamma call, good to a few hundred ulp of
-    the sum of its terms' magnitudes over |z| <= ML_Z_MAX.
-
-    Other mu sum the defining series directly, with compensated (Kahan)
-    summation.  Terms whose gamma argument lands on a pole contribute exactly
-    0.  The summation stops once three consecutive terms fall below 1e-16 of
-    the running sum.  Within |z| <= ML_Z_MAX, at most ML_MAX_TERMS terms, the
-    relative error is ~1e-13 for z >= 0.  For negative z the alternating terms
-    cancel: summed this way, mu = 1 with nu in [1.1, 3.5] would err by ~3e-13
-    relative at z = -5, ~1e-4 at z = -20 and above 1e9 at z = -50, which is
-    why mu = 1 takes the route above.
-    """
-    mu, nu, z = _mittag_leffler_arguments(mu, nu, z)
-    if mu == 1.0:
-        return mittag_leffler_shifted(nu - 1.0, z)[0]
-
-    log_abs_z = math.log(abs(z)) if z != 0.0 else -math.inf
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    small_run = 0
-    for k in range(ML_MAX_TERMS):
-        rg = reciprocal_gamma(mu * k + nu)
-        if rg == 0.0:
-            term = 0.0
-        elif k == 0:
-            term = rg
-        elif z == 0.0:
-            break
-        elif abs(z) <= 1.0:
-            term = z**k * rg
-        else:
-            # z^k can overflow doubles long before the gamma growth wins;
-            # assemble the term in log space instead.
-            log_term = k * log_abs_z + math.log(abs(rg))
-            if log_term > 700.0:
-                raise ConvergenceError(
-                    f"mittag_leffler series terms exceed double range before converging "
-                    f"(mu={mu!r}, nu={nu!r}, z={z!r})"
-                )
-            sign = math.copysign(1.0, rg) * (-1.0 if (z < 0.0 and k % 2) else 1.0)
-            term = sign * math.exp(log_term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < 1e-16 * abs(total):
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
-    if z == 0.0:
-        return total
-    raise ConvergenceError(
-        f"mittag_leffler series did not settle within {ML_MAX_TERMS} terms "
-        f"(mu={mu!r}, nu={nu!r}, z={z!r})"
-    )

@@ -244,18 +244,14 @@ class TestMittagLeffler:
     @settings(max_examples=100, derandomize=True)
     @given(st.floats(min_value=-5.0, max_value=5.0))
     def test_reduces_to_exp(self, z):
-        assert sf.mittag_leffler(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-10)
+        assert sf.mittag_leffler_shifted(0.0, z)[0] == pytest.approx(math.exp(z), rel=1e-10)
 
     def test_shifted_exponential(self):
         for z in (-2.0, 0.5, 1.0, 3.0):
-            assert sf.mittag_leffler(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=1e-12)
-
-    def test_even_series_is_cosh(self):
-        for z in (0.25, 1.0, 2.0, 4.0):
-            assert sf.mittag_leffler(2.0, 1.0, z * z) == pytest.approx(math.cosh(z), rel=1e-13)
+            assert sf.mittag_leffler_shifted(1.0, z)[0] == pytest.approx(math.expm1(z) / z, rel=1e-12)
 
     def test_frozen_value_and_erf_crosscheck(self):
-        value = sf.mittag_leffler(1.0, 1.5, 1.0)
+        value = sf.mittag_leffler_shifted(0.5, 1.0)[0]
         assert value == pytest.approx(E_1_15_AT_1, rel=1e-12)
         # classical half-order integral of exp: E_{1,3/2}(t) = e^t erf(sqrt t)/sqrt t
         assert value == pytest.approx(math.e * math.erf(1.0), rel=1e-13)
@@ -267,23 +263,17 @@ class TestMittagLeffler:
         assert float(series) == pytest.approx(E_1_15_AT_1, rel=1e-15)
 
     def test_pole_terms_drop_out(self):
-        # nu = -1: the k = 0 and k = 1 terms hit gamma poles and contribute 0
+        # a = -2: the k = 0 and k = 1 terms hit gamma poles and contribute 0
         z = 0.7
         expected = sum(z**k / math.gamma(k - 1.0) for k in range(2, 40))
-        assert sf.mittag_leffler(1.0, -1.0, z) == pytest.approx(expected, rel=1e-12)
+        assert sf.mittag_leffler_shifted(-2.0, z)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_argument(self):
-        assert sf.mittag_leffler(1.0, 2.5, 0.0) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-15)
+        assert sf.mittag_leffler_shifted(1.5, 0.0)[0] == pytest.approx(1.0 / math.gamma(2.5), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sf.mittag_leffler(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            sf.mittag_leffler(1.0, 1.0, 50.5)
-
-    def test_slow_series_raises(self):
-        with pytest.raises(ConvergenceError):
-            sf.mittag_leffler(0.05, 1.0, 40.0)
+            sf.mittag_leffler_shifted(0.0, 50.5)
 
     # mu = 1 against 40-digit mpmath, E_{1,b}(z) = 1F1(1; b; z) / gamma(b), for b from
     # -1.5 to 3.5 (near 0 and 1 too) and z in [-50, 50]: direct summation lost 1e-4
@@ -298,8 +288,6 @@ class TestMittagLeffler:
         for z in (-50.0, -49.0, -35.5, -20.0, -5.0, -1.0, -0.01, 0.0, 0.01, 1.0, 5.0, 20.0, 35.5, 50.0):
             value, bound = sf.mittag_leffler_shifted(a, z)
             assert abs(mpmath.mpf(value) - unit_mu_reference(a, z)) <= bound, (a, z)
-            if 1.0 + a - 1.0 == a:  # the public form passes nu - 1, which is a here
-                assert sf.mittag_leffler(1.0, 1.0 + a, z) == value
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.floats(min_value=-2.5, max_value=2.5), st.floats(min_value=-50.0, max_value=50.0))
@@ -307,13 +295,18 @@ class TestMittagLeffler:
         value, bound = sf.mittag_leffler_shifted(a, z)
         assert abs(mpmath.mpf(value) - unit_mu_reference(a, z)) <= bound
 
-    def test_shifted_form_checks_as_the_public_one(self):
+    def test_refusals(self):
         with pytest.raises(DomainError, match=r"\|z\| <= 50.0, got z=50.5"):
             sf.mittag_leffler_shifted(0.5, 50.5)
         with pytest.raises(DomainError, match=r"\|nu\| <= 170, got 200.5"):
             sf.mittag_leffler_shifted(199.5, 1.0)
         with pytest.raises(DomainError, match="z must be finite"):
             sf.mittag_leffler_shifted(0.5, math.inf)
+        with pytest.raises(DomainError, match="a must be finite"):
+            sf.mittag_leffler_shifted(math.nan, 1.0)
+        # 50**169 e**50 leaves double range
+        with pytest.raises(ConvergenceError, match="exceed double range"):
+            sf.mittag_leffler_shifted(-169.0, 50.0)
 
 
 class TestGammaRatio:
