@@ -15,7 +15,7 @@ the falsification of the tabulated (incorrect) Weyl power-function
 derivative formula.
 """
 
-from .closed_forms import closed_eval, closed_value
+from .closed_forms import closed_eval
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -57,7 +57,6 @@ __all__ = [
     "StencilError",
     "UnknownSuiteError",
     "closed_eval",
-    "closed_value",
     "oracle_eval",
     "parse_family",
     "__version__",

@@ -1,8 +1,8 @@
 """Closed-form fractional integrals and derivatives of the four families.
 
-Each public function evaluates one exact formula.  The internal ``*_shift``
-helpers take a *signed* order so that every derivative formula is literally
-its integral counterpart evaluated at the negated order; the verification
+Each family has one ``*_shift_eval`` function, of a *signed* order, giving
+the value and its rounding bound: every formula, and closed_eval, is that
+function at order alpha, or at -alpha for a derivative; the verification
 suite leans on that symmetry.
 
 ``weyl_power_literature`` reproduces a formula that circulates in tables but
@@ -30,7 +30,6 @@ from .model import (
 
 __all__ = [
     "closed_eval",
-    "closed_value",
     "digamma_sum_identity_residual",
     "tail_power_integral",
     "log_beta_integral",
@@ -71,9 +70,10 @@ def _require_t_and_alpha(formula: str, alpha: float, t: float, delta: float | No
 # ---------------------------------------------------------------------------
 # signed-order expressions (order a may be negative; derivatives use a = -alpha)
 
-def power_shift_expr(a: float, gamma_exp: float, t: float) -> float:
-    """gamma(1+g)/gamma(1+g+a) * t**(g+a); 0 on denominator poles."""
-    return sf.gamma_ratio(1.0 + gamma_exp, 1.0 + gamma_exp + a) * t ** (gamma_exp + a)
+def power_shift_eval(a: float, gamma_exp: float, t: float) -> tuple[float, float]:
+    """gamma(1+g)/gamma(1+g+a) * t**(g+a), 0 on denominator poles, and a bound on its rounding error."""
+    value = sf.gamma_ratio(1.0 + gamma_exp, 1.0 + gamma_exp + a) * t ** (gamma_exp + a)
+    return value, 8.0 * _EPS * abs(value)
 
 
 def exp_shift_eval(a: float, lam: float, t: float) -> tuple[float, float]:
@@ -85,13 +85,8 @@ def exp_shift_eval(a: float, lam: float, t: float) -> tuple[float, float]:
     return value, abs(power) * bound + _EPS * abs(value)
 
 
-def exp_shift_expr(a: float, lam: float, t: float) -> float:
-    """t**a * E_{1,1+a}(lam t)."""
-    return exp_shift_eval(a, lam, t)[0]
-
-
 def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
-    """powerlog_shift_expr, and a bound on its rounding error.
+    """t**(a+nu-1) * gamma(nu)/gamma(a+nu) * [log t + psi(nu) - psi(a+nu)], and a bound on its rounding error.
 
     At a+nu in {0, -1, ...} the coefficient vanishes while the digamma term
     blows up; the limit is not resolved here, so that locus is an error.
@@ -111,13 +106,8 @@ def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
     return prefactor * (log_t + psi_nu - psi_shifted), 8.0 * _EPS * scale
 
 
-def powerlog_shift_expr(a: float, nu: float, t: float) -> float:
-    """t**(a+nu-1) * gamma(nu)/gamma(a+nu) * [log t + psi(nu) - psi(a+nu)]."""
-    return powerlog_shift_eval(a, nu, t)[0]
-
-
 def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, float]:
-    """weyl_power_shift_expr, and a bound on its rounding error.
+    """gamma(d-a)/gamma(d) * cos(pi d/2 - pi a)/cos(pi d/2) * t**(a-d), and a bound on its rounding error.
 
     Besides 8 eps of the value, the bound counts two rounded arguments.  The
     cosine's argument d/2 - a rounds, and so does cospi's reduction of it
@@ -138,11 +128,6 @@ def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, floa
     return value, 8.0 * _EPS * abs(value) + cos_error + power_error
 
 
-def weyl_power_shift_expr(a: float, delta: float, t: float) -> float:
-    """gamma(d-a)/gamma(d) * cos(pi d/2 - pi a)/cos(pi d/2) * t**(a-d)."""
-    return weyl_power_shift_eval(a, delta, t)[0]
-
-
 # ---------------------------------------------------------------------------
 # fractional integrals
 
@@ -151,13 +136,13 @@ def rl_integral_power(alpha: float, gamma_exp: float, t: float) -> float:
     t = _require_t_and_alpha("rl_integral_power", alpha, t)
     if gamma_exp <= -1.0:
         raise DomainError(f"rl_integral_power requires gamma_exp > -1, got {gamma_exp!r}")
-    return power_shift_expr(alpha, gamma_exp, t)
+    return power_shift_eval(alpha, gamma_exp, t)[0]
 
 
 def rl_integral_exp(alpha: float, lam: float, t: float) -> float:
     """Fractional integral of order alpha of exp(lam t) from 0."""
     t = _require_t_and_alpha("rl_integral_exp", alpha, t)
-    return exp_shift_expr(alpha, lam, t)
+    return exp_shift_eval(alpha, lam, t)[0]
 
 
 def rl_integral_powerlog(alpha: float, nu: float, t: float) -> float:
@@ -165,7 +150,7 @@ def rl_integral_powerlog(alpha: float, nu: float, t: float) -> float:
     t = _require_t_and_alpha("rl_integral_powerlog", alpha, t)
     if nu <= 0.0:
         raise DomainError(f"rl_integral_powerlog requires nu > 0, got {nu!r}")
-    return powerlog_shift_expr(alpha, nu, t)
+    return powerlog_shift_eval(alpha, nu, t)[0]
 
 
 def weyl_integral_abspower(alpha: float, delta: float, t: float) -> float:
@@ -177,7 +162,7 @@ def weyl_integral_abspower(alpha: float, delta: float, t: float) -> float:
     t = _require_t_and_alpha("weyl_integral_abspower", alpha, t, delta)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_integral_abspower requires delta in (0,1), got {delta!r}")
-    return weyl_power_shift_expr(alpha, delta, t)
+    return weyl_power_shift_eval(alpha, delta, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +178,19 @@ def rl_derivative_power(alpha: float, gamma_exp: float, t: float) -> float:
     t = _require_t_and_alpha("rl_derivative_power", alpha, t)
     if gamma_exp <= -1.0:
         raise DomainError(f"rl_derivative_power requires gamma_exp > -1, got {gamma_exp!r}")
-    return power_shift_expr(-alpha, gamma_exp, t)
+    return power_shift_eval(-alpha, gamma_exp, t)[0]
 
 
 def rl_derivative_exp(alpha: float, lam: float, t: float) -> float:
     """Fractional derivative of order alpha (non-integer) of exp(lam t) from 0.
 
     Integer orders are plain differentiation, lam**m * exp(lam t); dispatch
-    happens in closed_value, not here.
+    happens in closed_eval, not here.
     """
     t = _require_t_and_alpha("rl_derivative_exp", alpha, t)
     if alpha == math.floor(alpha):
         raise DomainError(f"rl_derivative_exp requires non-integer alpha, got {alpha!r}")
-    return exp_shift_expr(-alpha, lam, t)
+    return exp_shift_eval(-alpha, lam, t)[0]
 
 
 def rl_derivative_powerlog(alpha: float, nu: float, t: float) -> float:
@@ -219,7 +204,7 @@ def rl_derivative_powerlog(alpha: float, nu: float, t: float) -> float:
         raise DomainError(f"rl_derivative_powerlog requires non-integer alpha, got {alpha!r}")
     if nu <= 0.0:
         raise DomainError(f"rl_derivative_powerlog requires nu > 0, got {nu!r}")
-    return powerlog_shift_expr(-alpha, nu, t)
+    return powerlog_shift_eval(-alpha, nu, t)[0]
 
 
 def weyl_derivative_abspower(alpha: float, delta: float, t: float) -> float:
@@ -234,7 +219,7 @@ def weyl_derivative_abspower(alpha: float, delta: float, t: float) -> float:
         raise DomainError(f"weyl_derivative_abspower requires delta in (0,1), got {delta!r}")
     if alpha == math.floor(alpha):
         raise DomainError(f"weyl_derivative_abspower requires non-integer alpha, got {alpha!r}")
-    return weyl_power_shift_expr(-alpha, delta, t)
+    return weyl_power_shift_eval(-alpha, delta, t)[0]
 
 
 def weyl_power_literature(alpha: float, delta: float, t: float) -> float:
@@ -339,9 +324,7 @@ def digamma_sum_identity_residual(n: int, beta_exp: float) -> float:
 # ---------------------------------------------------------------------------
 # dispatch over (operator, family)
 
-# Formulas are named, not bound, and looked up in the module globals on every
-# call, so that patching one formula (as the mutation-sensitivity checks and
-# call tracers do) changes what closed_value evaluates.
+# the formula of each (operator, family) pair, which closed_eval's domain errors name
 _FORMULAS = {
     (OperatorKind.RL_INTEGRAL, Power): "rl_integral_power",
     (OperatorKind.RL_INTEGRAL, Exp): "rl_integral_exp",
@@ -353,78 +336,62 @@ _FORMULAS = {
     (OperatorKind.WEYL_DERIVATIVE, AbsPower): "weyl_derivative_abspower",
 }
 
-# whole-number derivative orders fall back to the plain m-th derivative
-_PLAIN_DERIVATIVES = {
-    Power: lambda m, f, t: nth_derivative_power(m, f.gamma_exp, t),
-    Exp: lambda m, f, t: f.lam**m * math.exp(f.lam * _require_positive_t(t)),
-    PowerLog: lambda m, f, t: nth_derivative_powerlog(m, f.nu - 1.0, t),
-    AbsPower: lambda m, f, t: nth_derivative_power(m, -f.delta, t),
+# Each family's shift function is named, not bound, and looked up in the
+# module globals on every call, so that patching one (as the mutation-
+# sensitivity checks and call tracers do) changes what closed_eval evaluates.
+_SHIFT_EVALS = {
+    Power: "power_shift_eval",
+    Exp: "exp_shift_eval",
+    PowerLog: "powerlog_shift_eval",
+    AbsPower: "weyl_power_shift_eval",
 }
 
 
-# the families whose error bound comes from the terms of their formula, which
-# closed_eval evaluates through these (value, bound) functions
-_SHIFT_EVALS = {Exp: exp_shift_eval, PowerLog: powerlog_shift_eval, AbsPower: weyl_power_shift_eval}
+def _plain_exp(m: int, f: Exp, t: float) -> tuple[float, float]:
+    value = f.lam**m * math.exp(f.lam * _require_positive_t(t))
+    # lam**m e**(lam t) moves by |lam t| ulp with the rounding of lam t
+    return value, (abs(f.lam * t) + m + 3.0) * 0.5 * _EPS * abs(value)
 
 
-def _operator(kind: OperatorKind, alpha: float, family: FunctionFamily) -> OperatorKind:
-    """kind as an OperatorKind, checked against family, with alpha checked finite."""
+def _plain_powerlog(m: int, f: PowerLog, t: float) -> tuple[float, float]:
+    # the bracket's bound at a = -m
+    return nth_derivative_powerlog(m, f.nu - 1.0, t), powerlog_shift_eval(-m, f.nu, t)[1]
+
+
+def _plain_power(m: int, f: Power | AbsPower, t: float) -> tuple[float, float]:
+    value = nth_derivative_power(m, f.power_at_zero, t)
+    return value, 8.0 * _EPS * abs(value)
+
+
+# whole-number derivative orders m take the plain m-th derivative: (value, bound)
+_PLAIN_DERIVATIVES = {Power: _plain_power, Exp: _plain_exp, PowerLog: _plain_powerlog, AbsPower: _plain_power}
+
+
+def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:
+    """The closed form of an operator applied to a family member, with an error bound.
+
+    Weyl kinds accept only the AbsPower family (the two-sided power function);
+    the lower-limit-zero kinds accept the other three.  After the pair's
+    formula's own checks, the value and its bound come from one evaluation
+    of the family's shift function at order alpha, or -alpha for a
+    derivative: the power formula is good to a few ulp of its value, and
+    the others' bounds come from the terms of the value (exp_shift_eval's
+    from the Mittag-Leffler series, powerlog_shift_eval's from the bracket
+    before it cancels, weyl_power_shift_eval's from the cosine ratio before
+    it vanishes).  Whole derivative orders m take the plain m-th derivative;
+    for power-log its bound is the bracket's at a = -m, and for exp it
+    counts the rounding of lam t.
+    """
     if type(kind) is not OperatorKind:
         kind = OperatorKind(kind)
     kind.check_pairing(family)
     # before the whole-order test: math.floor raises on nan and inf
     _check_finite("alpha", alpha)
-    return kind
-
-
-def _is_whole_order(kind: OperatorKind, alpha: float) -> bool:
-    return kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha)
-
-
-def closed_value(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> float:
-    """Evaluate the closed form for an operator applied to a family member.
-
-    Weyl kinds accept only the AbsPower family (the two-sided power function);
-    the lower-limit-zero kinds accept the other three.
-    """
-    kind = _operator(kind, alpha, family)
-    if _is_whole_order(kind, alpha):
-        return _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
-    return globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)
-
-
-def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:
-    """closed_value with an error bound, both from one evaluation of the formula.
-
-    The power formula is good to a few ulp of its value.  The exponential,
-    power-log and Weyl formulas are evaluated through their shift functions
-    (the formula's own checks come first), whose bounds come from the terms
-    of the value: exp_shift_eval's from the Mittag-Leffler series,
-    powerlog_shift_eval's from the bracket before it cancels, and
-    weyl_power_shift_eval's from the cosine ratio before it vanishes.  So a
-    patched formula of those three families changes closed_value, not
-    closed_eval.
-    Whole derivative orders m take the plain m-th derivative; for power-log
-    its bound is the bracket's at a = -m, and for exp it counts the rounding
-    of lam t.
-    """
-    kind = _operator(kind, alpha, family)
-    shift_eval = _SHIFT_EVALS.get(type(family))
-    if _is_whole_order(kind, alpha):
-        value = _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
-        if type(family) is Exp:
-            # lam**m e**(lam t) moves by |lam t| ulp with the rounding of lam t
-            bound = (abs(family.lam * t) + alpha + 3.0) * 0.5 * _EPS * abs(value)
-        elif type(family) is PowerLog:
-            bound = powerlog_shift_eval(-alpha, family.nu, t)[1]
-        else:
-            bound = 8.0 * _EPS * abs(value)
-    elif shift_eval is not None:
-        formula = _FORMULAS[kind, type(family)]
-        delta = family.delta if kind is OperatorKind.WEYL_INTEGRAL else None
-        t = _require_t_and_alpha(formula, alpha, t, delta)
-        value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
+    if kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha):
+        value, bound = _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
     else:
-        value = globals()[_FORMULAS[kind, type(family)]](alpha, family.param, t)
-        bound = 8.0 * _EPS * abs(value)
+        delta = family.delta if kind is OperatorKind.WEYL_INTEGRAL else None
+        t = _require_t_and_alpha(_FORMULAS[kind, type(family)], alpha, t, delta)
+        shift_eval = globals()[_SHIFT_EVALS[type(family)]]
+        value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
     return EvalResult(value=value, method="closed-form", abs_err_estimate=bound)

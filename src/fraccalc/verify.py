@@ -14,8 +14,10 @@ within one run_suite call each oracle value is computed once and shared by
 every check, in any suite, that asks for it.
 
 Closed forms are always resolved late through the module object so that the
-mutation-sensitivity tests can patch a single formula and watch the matching
-suite fail.
+mutation-sensitivity tests can patch a single function and watch the matching
+suite fail.  The oracle suites check closed_eval, the values that eval
+prints; closed_eval in turn looks up each family's shift function when
+called.
 """
 
 from __future__ import annotations
@@ -401,7 +403,7 @@ def _suite_rl(
                             inputs,
                             lambda a=alpha, t=t, fam=family, k=kind, q=quad: (
                                 run.oracle(q, (fam, a), t, TS).value,
-                                cf.closed_value(k, a, fam, t),
+                                cf.closed_eval(k, a, fam, t).value,
                             ),
                             tol,
                             atol,
@@ -413,6 +415,7 @@ def _suite_rl(
 def _suite_weyl(run: _Run) -> tuple[str, list[_Check]]:
     checks: list[_Check] = []
     for delta in DELTAS:
+        family = AbsPower(delta)
         for alpha in ALPHAS:
             for t in TS:
                 inputs = {"delta": delta, "alpha": alpha, "t": t}
@@ -420,9 +423,9 @@ def _suite_weyl(run: _Run) -> tuple[str, list[_Check]]:
                     _Check(
                         f"weyl/int/delta={delta:g}/alpha={alpha:g}/t={t:g}",
                         inputs,
-                        lambda d=delta, a=alpha, t=t: (
+                        lambda d=delta, a=alpha, t=t, fam=family: (
                             run.oracle(weyl_integral_quad, (d, a), t, TS).value,
-                            cf.weyl_integral_abspower(a, d, t),
+                            cf.closed_eval(OperatorKind.WEYL_INTEGRAL, a, fam, t).value,
                         ),
                         TOL_INTEGRAL,
                         ATOL_INTEGRAL,
@@ -433,9 +436,9 @@ def _suite_weyl(run: _Run) -> tuple[str, list[_Check]]:
                     _Check(
                         f"weyl/der/delta={delta:g}/alpha={alpha:g}/t={t:g}",
                         inputs,
-                        lambda d=delta, a=alpha, t=t: (
+                        lambda d=delta, a=alpha, t=t, fam=family: (
                             run.oracle(weyl_derivative_quad, (d, a), t, TS).value,
-                            cf.weyl_derivative_abspower(a, d, t),
+                            cf.closed_eval(OperatorKind.WEYL_DERIVATIVE, a, fam, t).value,
                         ),
                         TOL_DERIVATIVE,
                         ATOL_DERIVATIVE,
@@ -444,17 +447,17 @@ def _suite_weyl(run: _Run) -> tuple[str, list[_Check]]:
     return f"delta in {DELTAS}; alpha in {ALPHAS}; t in {TS}", checks
 
 
-# (id label, family, grid, derivative formula, integral expression at signed order)
+# (id label, family, grid, derivative formula, shift function of the integral at signed order)
 _D_EQUALS_I_NEG = (
-    ("power", Power, GAMMAS, "rl_derivative_power", "power_shift_expr"),
-    ("exp", Exp, LAMBDAS, "rl_derivative_exp", "exp_shift_expr"),
-    ("log", PowerLog, NUS, "rl_derivative_powerlog", "powerlog_shift_expr"),
-    ("abspower", AbsPower, DELTAS, "weyl_derivative_abspower", "weyl_power_shift_expr"),
+    ("power", Power, GAMMAS, "rl_derivative_power", "power_shift_eval"),
+    ("exp", Exp, LAMBDAS, "rl_derivative_exp", "exp_shift_eval"),
+    ("log", PowerLog, NUS, "rl_derivative_powerlog", "powerlog_shift_eval"),
+    ("abspower", AbsPower, DELTAS, "weyl_derivative_abspower", "weyl_power_shift_eval"),
 )
 
 
 def _suite_d_equals_i_neg(run: _Run) -> tuple[str, list[_Check]]:
-    """Derivative closed forms vs the integral expressions taken at -alpha."""
+    """Derivative closed forms vs the integral shift functions taken at -alpha."""
     checks: list[_Check] = []
     for alpha in ALPHAS:
         for t in TS:
@@ -467,7 +470,7 @@ def _suite_d_equals_i_neg(run: _Run) -> tuple[str, list[_Check]]:
                             {"alpha": alpha, key: p, "t": t},
                             lambda a=alpha, p=p, t=t, d=derivative, e=shifted: (
                                 getattr(cf, d)(a, p, t),
-                                getattr(cf, e)(-a, p, t),
+                                getattr(cf, e)(-a, p, t)[0],
                             ),
                             TOL_IDENTITY,
                             atol=1e-15,

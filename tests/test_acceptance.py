@@ -205,10 +205,17 @@ def test_criterion_5_auxiliary_formula_suite():
     assert aux.n_fail == 0
 
 
+def _scaled(shift_eval):
+    """shift_eval with its value, not its bound, scaled by 1 + 1e-3."""
+    return lambda a, p, t: (shift_eval(a, p, t)[0] * (1.0 + 1e-3), shift_eval(a, p, t)[1])
+
+
+# each suite's closed route: the rl suites check closed_eval, which evaluates
+# each family through its shift function
 MUTATIONS = (
-    ("rl_integral_power", lambda orig: (lambda a, g, t: orig(a, g, t) * (1.0 + 1e-3)), "rl-power"),
-    ("rl_derivative_exp", lambda orig: (lambda a, l, t: orig(a, l, t) * (1.0 + 1e-3)), "rl-exp"),
-    ("rl_integral_powerlog", lambda orig: (lambda a, n, t: orig(a, n, t) * (1.0 + 1e-3)), "rl-log"),
+    ("power_shift_eval", _scaled, "rl-power"),
+    ("exp_shift_eval", _scaled, "rl-exp"),
+    ("powerlog_shift_eval", _scaled, "rl-log"),
     ("tail_power_integral", lambda orig: (lambda a, b, t: orig(a, b, t) * (1.0 + 1e-3)), "lemmas"),
     # dropping the cosine ratio reproduces the incorrect literature formula
     ("weyl_derivative_abspower", lambda orig: cf.weyl_power_literature, "literature-falsification"),

@@ -202,9 +202,9 @@ class TestVerifyCommand:
         assert out.exists()
 
     def test_failing_suite_exits_one(self, monkeypatch, tmp_path):
-        original = cf.rl_integral_power
+        original = cf.power_shift_eval
         monkeypatch.setattr(
-            cf, "rl_integral_power", lambda a, g, t: original(a, g, t) * (1.0 + 1e-3)
+            cf, "power_shift_eval", lambda a, g, t: (original(a, g, t)[0] * (1.0 + 1e-3), original(a, g, t)[1])
         )
         out = tmp_path / "report.csv"
         assert main(["verify", "--suite", "rl-power", "--format", "csv", "--out", str(out)]) == 1

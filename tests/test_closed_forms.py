@@ -123,7 +123,7 @@ class TestPowerDerivative:
         for alpha in (0.1, 0.5, 0.9, 1.5, 2.5):
             for g in (-0.5, 0.0, 0.5, 2.0):
                 for t in (0.5, 1.0, 5.0):
-                    assert cf.rl_derivative_power(alpha, g, t) == cf.power_shift_expr(-alpha, g, t)
+                    assert cf.rl_derivative_power(alpha, g, t) == cf.power_shift_eval(-alpha, g, t)[0]
 
 
 class TestExpIntegral:
@@ -161,7 +161,7 @@ class TestExpDerivative:
         for alpha in (0.25, 0.75, 1.5):
             for lam in (-1.0, 0.5, 1.0):
                 for t in (0.5, 2.0):
-                    assert cf.rl_derivative_exp(alpha, lam, t) == cf.exp_shift_expr(-alpha, lam, t)
+                    assert cf.rl_derivative_exp(alpha, lam, t) == cf.exp_shift_eval(-alpha, lam, t)[0]
 
     def test_integer_order_rejected(self):
         with pytest.raises(DomainError):
@@ -172,7 +172,7 @@ class TestExpDerivative:
     def test_whole_order_requires_positive_t(self, alpha, t):
         # whole orders take the plain-derivative row, which must check t like the others
         with pytest.raises(DomainError, match="t > 0"):
-            cf.closed_value(OperatorKind.RL_DERIVATIVE, alpha, Exp(1.0), t)
+            cf.closed_eval(OperatorKind.RL_DERIVATIVE, alpha, Exp(1.0), t)
 
 
 class TestPowerLogIntegral:
@@ -206,9 +206,9 @@ class TestPowerLogDerivative:
         for alpha in (0.25, 0.9, 1.5):
             for nu in (0.3, 1.0, 2.0):
                 for t in (0.5, 2.0):
-                    assert cf.rl_derivative_powerlog(alpha, nu, t) == cf.powerlog_shift_expr(
+                    assert cf.rl_derivative_powerlog(alpha, nu, t) == cf.powerlog_shift_eval(
                         -alpha, nu, t
-                    )
+                    )[0]
 
     def test_singular_parameter_locus(self):
         with pytest.raises(SingularParamError):
@@ -261,9 +261,9 @@ class TestWeylDerivative:
         for alpha in (0.1, 0.75, 1.5):
             for delta in (0.2, 0.5, 0.8):
                 for t in (0.5, 2.0):
-                    assert cf.weyl_derivative_abspower(alpha, delta, t) == cf.weyl_power_shift_expr(
+                    assert cf.weyl_derivative_abspower(alpha, delta, t) == cf.weyl_power_shift_eval(
                         -alpha, delta, t
-                    )
+                    )[0]
 
     def test_integer_order_rejected(self):
         with pytest.raises(DomainError):
@@ -397,31 +397,31 @@ class TestDigammaSumIdentity:
 
 class TestDispatch:
     def test_integer_order_derivative_routes_to_plain_derivative(self):
-        assert cf.closed_value(OperatorKind.RL_DERIVATIVE, 1.0, Power(2.0), 3.0) == pytest.approx(
+        assert cf.closed_eval(OperatorKind.RL_DERIVATIVE, 1.0, Power(2.0), 3.0).value == pytest.approx(
             6.0, rel=1e-15
         )
-        assert cf.closed_value(OperatorKind.RL_DERIVATIVE, 2.0, Exp(1.5), 1.0) == pytest.approx(
+        assert cf.closed_eval(OperatorKind.RL_DERIVATIVE, 2.0, Exp(1.5), 1.0).value == pytest.approx(
             1.5**2 * math.exp(1.5), rel=1e-14
         )
         # PowerLog(nu=2) is f(t) = t log t, so d/dt = log t + 1
-        assert cf.closed_value(
+        assert cf.closed_eval(
             OperatorKind.RL_DERIVATIVE, 1.0, PowerLog(2.0), 2.0
-        ) == pytest.approx(math.log(2.0) + 1.0, rel=1e-14)
+        ).value == pytest.approx(math.log(2.0) + 1.0, rel=1e-14)
 
     def test_integer_order_weyl_derivative_matches_cosine_parity(self):
         # at whole orders the corrected cosine ratio collapses to (-1)^m and
         # the plain derivative takes over
         delta, t = 0.4, 1.3
         for m in (1, 2):
-            plain = cf.closed_value(OperatorKind.WEYL_DERIVATIVE, float(m), AbsPower(delta), t)
+            plain = cf.closed_eval(OperatorKind.WEYL_DERIVATIVE, float(m), AbsPower(delta), t).value
             expected = (-1.0) ** m * sf.gamma_ratio(delta + m, delta) * t ** (-m - delta)
             assert plain == pytest.approx(expected, rel=1e-13)
 
     def test_family_pairing_enforced(self):
         with pytest.raises(DomainError):
-            cf.closed_value(OperatorKind.WEYL_INTEGRAL, 0.25, Power(0.5), 1.0)
+            cf.closed_eval(OperatorKind.WEYL_INTEGRAL, 0.25, Power(0.5), 1.0)
         with pytest.raises(DomainError):
-            cf.closed_value(OperatorKind.RL_INTEGRAL, 0.25, AbsPower(0.5), 1.0)
+            cf.closed_eval(OperatorKind.RL_INTEGRAL, 0.25, AbsPower(0.5), 1.0)
 
     def test_eval_wrapper_carries_error_bound(self):
         result = cf.closed_eval(OperatorKind.RL_INTEGRAL, 0.5, Exp(1.0), 1.0)

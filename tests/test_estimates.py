@@ -8,6 +8,7 @@ This tests the rounding honesty of the closed route, not its formulas;
 checking the formulas is the ledger's job.
 """
 
+import math
 import re
 import sys
 
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fraccalc import closed_eval, closed_value
+from fraccalc import closed_eval
+from fraccalc import closed_forms as cf
 from fraccalc import verify
 from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog
 
@@ -178,14 +180,40 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+# the public formula of each (operator, family) pair
+FORMULAS = {
+    (OperatorKind.RL_INTEGRAL, Power): cf.rl_integral_power,
+    (OperatorKind.RL_INTEGRAL, Exp): cf.rl_integral_exp,
+    (OperatorKind.RL_INTEGRAL, PowerLog): cf.rl_integral_powerlog,
+    (OperatorKind.RL_DERIVATIVE, Power): cf.rl_derivative_power,
+    (OperatorKind.RL_DERIVATIVE, Exp): cf.rl_derivative_exp,
+    (OperatorKind.RL_DERIVATIVE, PowerLog): cf.rl_derivative_powerlog,
+    (OperatorKind.WEYL_INTEGRAL, AbsPower): cf.weyl_integral_abspower,
+    (OperatorKind.WEYL_DERIVATIVE, AbsPower): cf.weyl_derivative_abspower,
+}
+
+
+def _plain_derivative(m, family, t):
+    """The m-th derivative of family at t, from the closed forms of plain calculus."""
+    if type(family) is Exp:
+        return family.lam**m * math.exp(family.lam * t)
+    if type(family) is PowerLog:
+        return cf.nth_derivative_powerlog(m, family.nu - 1.0, t)
+    return cf.nth_derivative_power(m, family.power_at_zero, t)
+
+
 class TestOneEvaluation:
-    def test_eval_value_is_closed_value(self):
-        # closed_eval evaluates the exp and power-log formulas through their
-        # shift functions, so that the bound comes from the value's own terms;
-        # the value must still be closed_value's, bit for bit
+    def test_eval_value_is_the_formula_value(self):
+        # closed_eval evaluates every family through its shift function, so
+        # that the bound comes from the value's own terms; the value must
+        # still be the pair's public formula's, bit for bit, and at whole
+        # derivative orders the plain derivative's
         for kind, alpha, family, t in _grid():
             result = _outcome(closed_eval, kind, alpha, family, t)
-            value = _outcome(closed_value, kind, alpha, family, t)
+            if kind.is_derivative and alpha == int(alpha):
+                value = _outcome(_plain_derivative, int(alpha), family, t)
+            else:
+                value = _outcome(FORMULAS[kind, type(family)], alpha, family.param, t)
             if isinstance(value, float):
                 assert result.value.hex() == value.hex(), (kind, alpha, family, t)
             else:
@@ -195,12 +223,13 @@ class TestOneEvaluation:
     def test_checks_run_before_the_shift_functions(self, kind):
         # the formula's own checks, in its order: t first, then alpha; the
         # Weyl integral's alpha also below delta
-        families = (AbsPower(0.5),) if kind.startswith("weyl") else (Exp(-1.0), PowerLog(0.5))
+        families = (AbsPower(0.5),) if kind.startswith("weyl") else (Power(0.5), Exp(-1.0), PowerLog(0.5))
         alphas = (-0.5, 0.5, 0.7) if kind == "weyl-int" else (-0.5,)
         for family in families:
+            formula = FORMULAS[OperatorKind(kind), type(family)]
             for alpha in alphas:
                 for t in (0.0, 1.0):
-                    with pytest.raises(Exception) as closed_error:
-                        closed_value(kind, alpha, family, t)
-                    with pytest.raises(type(closed_error.value), match=re.escape(str(closed_error.value))):
+                    with pytest.raises(Exception) as formula_error:
+                        formula(alpha, family.param, t)
+                    with pytest.raises(type(formula_error.value), match=re.escape(str(formula_error.value))):
                         closed_eval(kind, alpha, family, t)

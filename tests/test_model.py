@@ -111,6 +111,13 @@ FORMULAS = {
     (OperatorKind.WEYL_INTEGRAL, AbsPower): "weyl_integral_abspower",
     (OperatorKind.WEYL_DERIVATIVE, AbsPower): "weyl_derivative_abspower",
 }
+# the function closed_eval evaluates each family through
+SHIFT_EVALS = {
+    Power: "power_shift_eval",
+    Exp: "exp_shift_eval",
+    PowerLog: "powerlog_shift_eval",
+    AbsPower: "weyl_power_shift_eval",
+}
 
 
 class TestPairing:
@@ -119,14 +126,14 @@ class TestPairing:
     def test_every_operator_family_pair(self, kind, family):
         if (kind, type(family)) not in FORMULAS:
             with pytest.raises(DomainError, match="pairs with"):
-                cf.closed_value(kind, 0.25, family, 1.0)
+                cf.closed_eval(kind, 0.25, family, 1.0)
             with pytest.raises(DomainError, match="pairs with"):
                 oracle_eval(kind, 0.25, family, 1.0)
             return
         # 0.25 < delta keeps the Weyl integral's tail convergent; 0.75 is a
         # fractional order with a nonzero Weyl derivative at delta = 0.4
         alpha = 0.75 if kind.is_derivative else 0.25
-        closed = cf.closed_value(kind, alpha, family, 1.5)
+        closed = cf.closed_eval(kind, alpha, family, 1.5).value
         oracle = oracle_eval(kind, alpha, family, 1.5).value
         if kind.is_derivative:
             tol, atol = TOL_DERIVATIVE, ATOL_DERIVATIVE
@@ -135,15 +142,20 @@ class TestPairing:
         assert abs(oracle - closed) <= max(tol * abs(closed), atol)
 
     @pytest.mark.parametrize("pair", tuple(FORMULAS), ids=lambda p: f"{p[0].value}-{p[1].__name__}")
-    def test_closed_value_looks_up_the_formula_at_call_time(self, monkeypatch, pair):
+    def test_closed_eval_looks_up_the_shift_function_at_call_time(self, monkeypatch, pair):
         kind, family_type = pair
         family = next(f for f in FAMILIES if type(f) is family_type)
-        monkeypatch.setattr(cf, FORMULAS[pair], lambda alpha, param, t: (alpha, param, t))
-        assert cf.closed_value(kind, 0.25, family, 1.5) == (0.25, family.param, 1.5)
+        calls = []
+        shift_eval = lambda a, param, t: calls.append((a, param, t)) or (42.0, 0.5)
+        monkeypatch.setattr(cf, SHIFT_EVALS[family_type], shift_eval)
+        result = cf.closed_eval(kind, 0.25, family, 1.5)
+        assert (result.value, result.abs_err_estimate) == (42.0, 0.5)
+        # a derivative is the shift function at the negated order
+        assert calls == [(-0.25 if kind.is_derivative else 0.25, family.param, 1.5)]
 
     def test_non_family_is_rejected(self):
         with pytest.raises(DomainError):
-            cf.closed_value(OperatorKind.RL_INTEGRAL, 0.5, "power", 1.0)
+            cf.closed_eval(OperatorKind.RL_INTEGRAL, 0.5, "power", 1.0)
         with pytest.raises(DomainError):
             oracle_eval(OperatorKind.RL_DERIVATIVE, 0.5, "power", 1.0)
 

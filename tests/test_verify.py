@@ -9,7 +9,7 @@ import pytest
 from fraccalc import closed_forms as cf
 from fraccalc import oracle, verify
 from fraccalc.errors import DomainError, FracCalcError, UnknownSuiteError
-from fraccalc.model import JACOBI_MAX_NODES
+from fraccalc.model import JACOBI_MAX_NODES, EvalResult
 from fraccalc.oracle import QuadConfig
 from fraccalc.verify import (
     CheckRecord,
@@ -191,9 +191,10 @@ class TestMutationSensitivity:
     """Perturbing any closed-form coefficient must trip its suite."""
 
     def test_scaled_power_integral_fails_rl_power(self, monkeypatch):
-        original = cf.rl_integral_power
+        # closed_eval takes every power value from power_shift_eval
+        original = cf.power_shift_eval
         monkeypatch.setattr(
-            cf, "rl_integral_power", lambda a, g, t: original(a, g, t) * (1.0 + 1e-3)
+            cf, "power_shift_eval", lambda a, g, t: (original(a, g, t)[0] * (1.0 + 1e-3), original(a, g, t)[1])
         )
         assert run_suite("rl-power").n_fail > 0
 
@@ -204,7 +205,17 @@ class TestMutationSensitivity:
         assert report.n_fail > 0
 
     def test_dropped_cosine_ratio_fails_weyl(self, monkeypatch):
-        monkeypatch.setattr(cf, "weyl_derivative_abspower", cf.weyl_power_literature)
+        # the literature formula at order -a is the Weyl shift function without its cosine ratio
+        monkeypatch.setattr(cf, "weyl_power_shift_eval", lambda a, d, t: (cf.weyl_power_literature(-a, d, t), 0.0))
+        assert run_suite("weyl").n_fail > 0
+
+    def test_scaled_closed_eval_fails_rl_exp_and_weyl(self, monkeypatch):
+        # the suites check the values that eval prints
+        original = cf.closed_eval
+        monkeypatch.setattr(
+            cf, "closed_eval", lambda *args: EvalResult(original(*args).value * (1.0 + 1e-3), "closed-form", 0.0)
+        )
+        assert run_suite("rl-exp").n_fail > 0
         assert run_suite("weyl").n_fail > 0
 
 
