@@ -70,10 +70,49 @@ def _require_t_and_alpha(formula: str, alpha: float, t: float, delta: float | No
 # ---------------------------------------------------------------------------
 # signed-order expressions (order a may be negative; derivatives use a = -alpha)
 
+def _rounding(x: float, y: float, total: float) -> float:
+    """|x + y - total| for total = fl(x + y), exactly (Knuth's TwoSum)."""
+    y_part = total - x
+    return abs((x - (total - y_part)) + (y - y_part))
+
+
+def _trigamma_bound(z: float) -> float:
+    """An upper bound on psi'(z) off the poles: 1/z + 1/z**2 for z > 0, else pi**2/sin(pi z)**2.
+
+    For z < 0 the reflection psi'(z) = pi**2/sin(pi z)**2 - psi'(1-z) drops a
+    positive term, worth at most 2 of the at least pi**2 kept.
+    """
+    if z > 0.0:
+        return (1.0 + 1.0 / z) / z
+    return (math.pi / sf.sinpi(z)) ** 2
+
+
 def power_shift_eval(a: float, gamma_exp: float, t: float) -> tuple[float, float]:
-    """gamma(1+g)/gamma(1+g+a) * t**(g+a), 0 on denominator poles, and a bound on its rounding error."""
-    value = sf.gamma_ratio(1.0 + gamma_exp, 1.0 + gamma_exp + a) * t ** (gamma_exp + a)
-    return value, 8.0 * _EPS * abs(value)
+    """gamma(1+g)/gamma(1+g+a) * t**(g+a), 0 on denominator poles, and a bound on its rounding error.
+
+    Besides 8 eps of the value and the gamma ratio's error where it is taken
+    through logarithms, the bound counts the roundings of the three sums.
+    x = 1 + g moves gamma(x) by |psi(x)| times its rounding, relative;
+    s = x + a carries that rounding and its own, and moves gamma(s) by
+    |psi(s)| times both; g + a moves the power by |log t| times its own.  On
+    a pole s = -n the value is 0, and a rounded s leaves 1/gamma(s) within
+    twice n! times its roundings of 0.
+    """
+    x = 1.0 + gamma_exp
+    s = x + a
+    exponent = gamma_exp + a
+    power = t**exponent
+    value = sf.gamma_ratio(x, s) * power
+    dx = _rounding(1.0, gamma_exp, x)
+    ds = dx + _rounding(x, a, s)
+    relative = 8.0 * _EPS + sf.gamma_ratio_error(x, s) + abs(math.log(t)) * _rounding(gamma_exp, a, exponent)
+    if dx:
+        relative += abs(sf.digamma(x)) * dx
+    if ds and sf._is_nonpositive_integer(s):
+        return value, 2.0 * abs(power) * math.exp(math.lgamma(x) + math.lgamma(1.0 - s)) * ds
+    if ds:
+        relative += abs(sf.digamma(s)) * ds
+    return value, relative * abs(value)
 
 
 def exp_shift_eval(a: float, lam: float, t: float) -> tuple[float, float]:
@@ -94,22 +133,35 @@ def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
     The bracket log t + psi(nu) - psi(a+nu) can cancel (small alpha, t near
     1), leaving an error of a few ulp of its largest term, not of the result;
     so the bound is taken on |prefactor| times the sum of the terms'
-    magnitudes, which equals |value| where the terms share a sign.
+    magnitudes, which equals |value| where the terms share a sign.  It also
+    counts the gamma ratio's error where it is taken through logarithms, and
+    the rounding of s = a + nu, which moves gamma(s) by |psi(s)| times it,
+    relative, and psi(s) by psi'(s) times it, and that of s - 1, which with
+    the first moves the power by |log t| times both.
     """
-    if sf._is_nonpositive_integer(a + nu):
+    s = a + nu
+    if sf._is_nonpositive_integer(s):
         raise SingularParamError(
-            f"power-log formula is a 0*inf form at shifted order a+nu={a + nu!r}"
+            f"power-log formula is a 0*inf form at shifted order a+nu={s!r}"
         )
-    prefactor = t ** (a + nu - 1.0) * sf.gamma_ratio(nu, a + nu)
-    log_t, psi_nu, psi_shifted = math.log(t), sf.digamma(nu), sf.digamma(a + nu)
+    exponent = s - 1.0
+    prefactor = t**exponent * sf.gamma_ratio(nu, s)
+    log_t, psi_nu, psi_shifted = math.log(t), sf.digamma(nu), sf.digamma(s)
+    value = prefactor * (log_t + psi_nu - psi_shifted)
     scale = abs(prefactor) * (abs(log_t) + abs(psi_nu) + abs(psi_shifted))
-    return prefactor * (log_t + psi_nu - psi_shifted), 8.0 * _EPS * scale
+    ds = _rounding(a, nu, s)
+    relative = sf.gamma_ratio_error(nu, s) + abs(psi_shifted) * ds + abs(log_t) * (ds + _rounding(s, -1.0, exponent))
+    bound = 8.0 * _EPS * scale + relative * abs(value)
+    if ds:
+        bound += abs(prefactor) * _trigamma_bound(s) * ds
+    return value, bound
 
 
 def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, float]:
     """gamma(d-a)/gamma(d) * cos(pi d/2 - pi a)/cos(pi d/2) * t**(a-d), and a bound on its rounding error.
 
-    Besides 8 eps of the value, the bound counts two rounded arguments.  The
+    Besides 8 eps of the value (and the gamma ratio's error where it is taken
+    through logarithms), the bound counts two rounded arguments.  The
     cosine's argument d/2 - a rounds, and so does cospi's reduction of it
     (below 2 in size); they move the cosine by less than pi ulp(d/2 - a) and
     pi ulp(2), taken on M = |gamma(d-a)/gamma(d) t**(a-d) / cos(pi d/2)|
@@ -125,7 +177,7 @@ def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, floa
     value = ratio * (sf.cospi(cos_arg) / cos_delta) * power
     cos_error = math.pi * (math.ulp(cos_arg) + 2.0 * _EPS) * abs(ratio * power / cos_delta)
     power_error = abs(value * math.log(t)) * math.ulp(exponent)
-    return value, 8.0 * _EPS * abs(value) + cos_error + power_error
+    return value, (8.0 * _EPS + sf.gamma_ratio_error(delta - a, delta)) * abs(value) + cos_error + power_error
 
 
 # ---------------------------------------------------------------------------

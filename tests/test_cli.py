@@ -115,6 +115,16 @@ class TestEval:
         (v1, e1, _), (v2, e2, _) = (line.split("\t") for line in capsys.readouterr().out.splitlines())
         assert abs(float(v1) - float(v2)) <= float(e1) + float(e2)
 
+    # gamma of a subnormal delta leaves the doubles; the closed form exited 3 with
+    # "overflow: math range error" while its value is 0 to double precision
+    def test_weyl_derivative_at_subnormal_delta_agrees(self, capsys):
+        assert main(
+            ["eval", "--op", "weyl-der", "--alpha", "0.5", "--fn", "abspower:delta=1e-310", "--t", "2",
+             "--method", "both"]
+        ) == 0
+        (v1, e1, _), (v2, e2, _) = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert abs(float(v1) - float(v2)) <= float(e1) + float(e2)
+
     def test_default_method_is_closed(self, capsys):
         assert main(
             ["eval", "--op", "weyl-der", "--alpha", "0.25", "--fn", "abspower:delta=0.5", "--t", "1"]

@@ -464,14 +464,20 @@ class TestPowerLogErrorBound:
             error = abs(mpmath.mpf(result.value) - exact)
         assert error <= result.abs_err_estimate <= 1e3 * max(error, 1e-16 * abs(result.value))
 
-    # every term of the bracket has one sign, so its magnitude is their sum
+    # every term of the bracket has one sign, so its magnitude is their sum: the
+    # bound is 8 eps of the value, and the gamma ratio's error where nu + a < 0
+    # takes it through logarithms; the last case rounds s - 1 = -1.2 as well,
+    # which moves the power by |log t| times that rounding, under 1 eps here
     @pytest.mark.parametrize(
         "op, alpha, nu, t",
         (("rl-der", 1.5, 2.0, 2.0), ("rl-int", 1.5, 0.5, 0.5), ("rl-der", 0.5, 0.3, 0.5)),
     )
     def test_bound_is_few_ulp_of_value_without_cancellation(self, op, alpha, nu, t):
         result = cf.closed_eval(OperatorKind(op), alpha, PowerLog(nu), t)
-        assert result.abs_err_estimate == 8.0 * sys.float_info.epsilon * abs(result.value)
+        shifted = nu + (alpha if op == "rl-int" else -alpha)
+        eps = sys.float_info.epsilon
+        few_ulp = (8.0 * eps + sf.gamma_ratio_error(nu, shifted)) * abs(result.value)
+        assert few_ulp <= result.abs_err_estimate <= few_ulp + eps * abs(result.value)
 
 
 class TestGammaRatioPoleInteraction:

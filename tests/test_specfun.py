@@ -11,7 +11,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraccalc import specfun as sf
@@ -332,6 +332,41 @@ class TestGammaRatio:
     @given(st.floats(min_value=0.05, max_value=160.0), st.floats(min_value=0.05, max_value=160.0))
     def test_matches_direct_quotient(self, p, q):
         assert sf.gamma_ratio(p, q) == pytest.approx(math.gamma(p) / math.gamma(q), rel=1e-12)
+
+    @pytest.mark.parametrize("p, q", ((0.5, 1e-310), (1e-310, 2e-310), (0.5, 5e-324), (1e-320, 0.5)))
+    def test_subnormal_arguments_take_the_log_path(self, p, q):
+        # gamma of a subnormal argument leaves the doubles; the ratio need not
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(mpmath.mpf(p)) / mpmath.gamma(mpmath.mpf(q))
+            if abs(exact) > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    sf.gamma_ratio(p, q)
+                return
+            error = abs(sf.gamma_ratio(p, q) - exact)
+        # a subnormal ratio keeps fewer digits: its last place is 2**-1074
+        assert error <= (4.0 * sf._EPS + sf.gamma_ratio_error(p, q)) * abs(exact) + 2.0**-1074
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        st.one_of(st.floats(min_value=-3.5, max_value=400.0), st.floats(min_value=1e-320, max_value=1e-300)),
+        st.one_of(st.floats(min_value=-3.5, max_value=400.0), st.floats(min_value=1e-320, max_value=1e-300)),
+    )
+    @example(1.5, -0.9999999999)  # next to a pole: lgamma(q) = 23
+    @example(0.673224554441326, -0.11692812365956118)
+    def test_error_bound_is_honest(self, p, q):
+        assume(not sf._is_nonpositive_integer(p) and not sf._is_nonpositive_integer(q))
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(mpmath.mpf(p)) / mpmath.gamma(mpmath.mpf(q))
+            assume(sys.float_info.min < abs(exact) < sys.float_info.max)
+            error = abs(sf.gamma_ratio(p, q) - exact)
+        # the direct path's two gamma values and quotient: a few ulp
+        assert error <= (8.0 * sf._EPS + sf.gamma_ratio_error(p, q)) * abs(exact)
+
+    def test_error_bound_is_zero_on_the_direct_path(self):
+        assert sf.gamma_ratio_error(1.5, 0.5) == 0.0
+        assert sf.gamma_ratio_error(1.5, -2.0) == 0.0  # exactly 0 on a pole
+        assert sf.gamma_ratio_error(1.5, -0.5) > 0.0
+        assert sf.gamma_ratio_error(0.5, 1e-310) > 0.0
 
 
 class TestTrigPi:
