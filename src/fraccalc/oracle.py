@@ -114,7 +114,7 @@ class Integrand(_Record):
 # quadrature rules
 
 # gauss_jacobi_01 keeps at most this many rules and drops the oldest past it.
-# The keys are float (n, a, b), so a sweep over alpha in a long-lived process
+# The keys are float (n, a + 1, b), so a sweep over alpha in a long-lived process
 # builds new rules without end (about 2.6 per sweep evaluation); the verify
 # grid needs about 200, so neither verify nor a grid ever drops one.  Panel
 # rules are keyed by n alone, one per rung, and need no bound.
@@ -189,14 +189,22 @@ class _Rule:
         return joined
 
 
-def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1, n <= JACOBI_MAX_NODES.
 
+    a_plus_1 is the exact a + 1 where a itself is rounded, as fl(alpha - 1)
+    is for small alpha (by default a + 1).  The rule's mass, B(a+1, b+1)
+    up to a power of 2, is built from it: a rounded a + 1 would move every
+    rule of a ladder by the same relative error, up to 2**-54/(a + 1),
+    which no difference of rungs can show.  Rules are cached by (n, a + 1,
+    b): the callers here pass a = fl(a_plus_1 - 1), so a + 1 fixes a.
     DomainError where the construction has no rule in floating point: its
     zeroth moment 2**(a+b+1) B(a+1, b+1) overflows past about a + b = 1030
     when one exponent is near 0, and its recurrence past about 1e77.
     """
-    key = (n, a, b)
+    if a_plus_1 is None:
+        a_plus_1 = a + 1.0
+    key = (n, a_plus_1, b)
     cached = _jacobi_cache.get(key)
     if cached is not None:
         return cached.pair
@@ -208,7 +216,7 @@ def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]
     try:
         # a recurrence that overflows, or divides inf by inf, gives no finite rule
         with np.errstate(over="raise", invalid="raise"):
-            nodes, weights = _golub_welsch(n, a, b)
+            nodes, weights = _golub_welsch(n, a, b, a_plus_1)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # FloatingPointError and math's OverflowError
         raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: {exc}") from None
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
@@ -221,17 +229,18 @@ def gauss_jacobi_01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]
     return rule.pair
 
 
-def _jacobi_rule(n: int, a: float, b: float) -> _Rule:
-    """The cached rule of gauss_jacobi_01(n, a, b), looked up through that function once."""
-    points, weights = gauss_jacobi_01(n, a, b)
-    rule = _jacobi_cache.get((n, a, b))
+def _jacobi_rule(n: int, a: float, b: float, a_plus_1: float | None = None) -> _Rule:
+    """The cached rule of gauss_jacobi_01(n, a, b, a_plus_1), looked up through that function once."""
+    points, weights = gauss_jacobi_01(n, a, b, a_plus_1)
+    rule = _jacobi_cache.get((n, a + 1.0 if a_plus_1 is None else a_plus_1, b))
     # None once another thread has evicted the rule: its arrays then serve one ladder
     return rule if rule is not None else _Rule(_Nodes(points, a, b), weights)
 
 
-def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _golub_welsch(n: int, a: float, b: float, a_plus_1: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi matrix are the
     nodes, squared first eigenvector components times the zeroth moment the weights.
+    The moment takes gamma at a_plus_1, by default a + 1 (see gauss_jacobi_01).
 
     The matrix is built densely for numpy.linalg.eigh, which gives the same nodes
     and weights, bit for bit, as scipy.linalg.eigh_tridiagonal on the rules
@@ -254,7 +263,10 @@ def _golub_welsch(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
             off[1:] = np.sqrt(num / den)
     x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     mu0 = math.exp(
-        (s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(s + 2.0)
+        (s + 1.0) * math.log(2.0)
+        + math.lgamma(a + 1.0 if a_plus_1 is None else a_plus_1)
+        + math.lgamma(b + 1.0)
+        - math.lgamma(s + 2.0)
     )
     # map [-1, 1] -> [0, 1]
     nodes = (x + 1.0) / 2.0
@@ -352,13 +364,15 @@ def _jacobi_ladder(
     b: float,
     cfg: QuadConfig,
     floors: list | None = None,
+    a_plus_1: float | None = None,
 ) -> list[Row]:
     """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
     floors, one per row, are absolute tolerances: agreement within a row's floor
     counts as convergence.  A row that runs out of rungs is refused on its own.
+    a_plus_1 is the weight's exact a + 1, as gauss_jacobi_01 takes it.
     """
-    rule = lambda n: _jacobi_rule(n, a, b)
+    rule = lambda n: _jacobi_rule(n, a, b, a_plus_1)
     done = _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, floors)
     if None in done:
         message = f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
@@ -529,13 +543,14 @@ def rl_integral_quad(
             phi = lambda nodes, tc: f.value(tc * nodes.points)
         else:
             phi = lambda nodes, tc: f.value(tc * nodes.points) * nodes.s_pow_neg_b
-        rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg)
+        rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, a_plus_1=alpha)
     else:
         if p + 1.0 == 0.0:
             raise DomainError(f"rl_integral_quad requires power_at_zero + 1 > 0 in floating point, got {p!r}")
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
-        rows = _jacobi_ladder(lambda nodes, tc: f.value(tc * nodes.upper_half), ts, alpha - 1.0, 0.0, cfg)
+        upper = lambda nodes, tc: f.value(tc * nodes.upper_half)
+        rows = _jacobi_ladder(upper, ts, alpha - 1.0, 0.0, cfg, a_plus_1=alpha)
         scale_hi = 0.5**alpha
 
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x)
@@ -716,9 +731,10 @@ def tail_power_quad(
             f"tail_power_quad requires a_exp < -beta_exp-1 < 0, got a_exp={a_exp!r}, beta_exp={beta_exp!r}"
         )
     points, scalar = _points("tail_power_quad", t)
-    w_right = -a_exp - beta_exp - 2.0
+    w_plus_1 = -a_exp - beta_exp - 1.0
     phi = _tail_integrand(lambda u, ts: (ts + u) ** a_exp, beta_exp)
-    return _results(_jacobi_ladder(phi, np.array(points)[:, None], w_right, beta_exp, cfg), scalar)
+    rows = _jacobi_ladder(phi, np.array(points)[:, None], w_plus_1 - 1.0, beta_exp, cfg, a_plus_1=w_plus_1)
+    return _results(rows, scalar)
 
 
 def weyl_integral_quad(
@@ -745,7 +761,8 @@ def weyl_integral_quad(
     if live:
         w_right = delta - alpha - 1.0
         phi = _tail_integrand(lambda u, ts: (ts + u) ** (alpha - 1.0), -delta)
-        tails = _jacobi_ladder(phi, np.array([points[i] for i in live])[:, None], w_right, -delta, cfg)
+        live_ts = np.array([points[i] for i in live])[:, None]
+        tails = _jacobi_ladder(phi, live_ts, w_right, -delta, cfg, a_plus_1=delta - alpha)
         c = 1.0 / math.gamma(alpha)
         for i, tail in zip(live, tails):
             (v, e) = rows[i]
@@ -791,12 +808,12 @@ def weyl_derivative_quad(
             return total
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
-        rule = _jacobi_rule(32, w_right, -delta)
+        rule = _jacobi_rule(32, w_right, -delta, alpha + delta)
         scales = _tail_integrand(partial(kernel, unsigned=True), -delta)(rule.nodes, levels)
         floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, rule.weights).tolist()]
         prefactor = 1.0 / math.gamma(beta_order)
         phi = _tail_integrand(kernel, -delta)
-        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors)
+        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors, alpha + delta)
         # the floor is evaluation noise that the ladder's differences need not show
         return [
             row if isinstance(row, FracCalcError) else (prefactor * row[0], prefactor * (row[1] + floor))

@@ -169,8 +169,9 @@ class TestJacobiRuleCache:
             assert len(cache) <= bound
         assert len(cache) == bound
         # the oldest rules went first; the newest are still there
-        assert (2, -0.5, 0.0) not in cache
-        assert (2, -0.5 + (bound + 499) * 1e-6, 0.0) in cache
+        # rules are keyed by (n, a + 1, b)
+        assert (2, -0.5 + 1.0, 0.0) not in cache
+        assert (2, -0.5 + (bound + 499) * 1e-6 + 1.0, 0.0) in cache
         rebuilt = orc.gauss_jacobi_01(2, -0.5, 0.0)
         assert rebuilt is not first
         for new, old in zip(rebuilt, kept):
@@ -184,7 +185,7 @@ class TestJacobiRuleCache:
         assert orc.gauss_jacobi_01(4, 0.1, 0.0) is oldest
         # the hit did not make the rule younger: the next new rule evicts it
         orc.gauss_jacobi_01(4, 0.4, 0.0)
-        assert list(cache) == [(4, 0.2, 0.0), (4, 0.3, 0.0), (4, 0.4, 0.0)]
+        assert list(cache) == [(4, 0.2 + 1.0, 0.0), (4, 0.3 + 1.0, 0.0), (4, 0.4 + 1.0, 0.0)]
 
     def test_threads_building_rules_keep_the_bound(self, cache, monkeypatch):
         monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 16)
@@ -234,7 +235,7 @@ class TestJacobiRuleCache:
         del rule, upper, nodes, joined, s, again
         orc.gauss_jacobi_01(16, 0.1, 0.0)
         orc.gauss_jacobi_01(16, 0.2, 0.0)
-        assert list(cache) == [(16, 0.1, 0.0), (16, 0.2, 0.0)]
+        assert list(cache) == [(16, 0.1 + 1.0, 0.0), (16, 0.2 + 1.0, 0.0)]
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
 
@@ -504,7 +505,9 @@ class TestFusedLadder:
         c = FUSED_ROWS["48 rows"]["jacobi"]
         sizes = []
         jacobi = orc.gauss_jacobi_01
-        monkeypatch.setattr(orc, "gauss_jacobi_01", lambda n, a, b: sizes.append((n, a, b)) or jacobi(n, a, b))
+        monkeypatch.setattr(
+            orc, "gauss_jacobi_01", lambda n, a, b, *exact: sizes.append((n, a, b)) or jacobi(n, a, b, *exact)
+        )
         orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], -0.5, 0.3, CFG)
         assert sizes == [(16 * 2**k, -0.5, 0.3) for k in range(5)]
         sizes.clear()
@@ -580,7 +583,7 @@ def _rule_sizes(monkeypatch, call):
     sizes = []
     jacobi, panel = orc.gauss_jacobi_01, orc._panel_rule
     with monkeypatch.context() as patch:
-        patch.setattr(orc, "gauss_jacobi_01", lambda n, a, b: sizes.append(n) or jacobi(n, a, b))
+        patch.setattr(orc, "gauss_jacobi_01", lambda n, a, b, *exact: sizes.append(n) or jacobi(n, a, b, *exact))
         patch.setattr(orc, "_panel_rule", lambda n: sizes.append(n) or panel(n))
         _outcome(call)
     return sizes
@@ -733,8 +736,8 @@ class TestSequenceOfT:
         tail_refused = {(2.0, h(2.0, 0)), (4.0, h(4.0, 1)), (4.0, h(4.0, 2))}
         real = orc._jacobi_ladder
 
-        def refusing(phi, params, *args):
-            rows = real(phi, params, *args)
+        def refusing(phi, params, *args, **kwargs):
+            rows = real(phi, params, *args, **kwargs)
             for j, row in enumerate(params.tolist()):
                 if (row[0] in integral_refused) if len(row) == 1 else (tuple(row[:2]) in tail_refused):
                     rows[j] = ConvergenceError(f"row {row[:2]}")
@@ -1116,8 +1119,8 @@ class TestGradedLogPanels:
         ladders = []  # per panel ladder: the integrand calls and the rows
         real, real_upper = orc._panel_gauss_ladder, orc._jacobi_ladder
 
-        def upper(*args):
-            rows = real_upper(*args)
+        def upper(*args, **kwargs):
+            rows = real_upper(*args, **kwargs)
             uppers.append(sum(not isinstance(row, Exception) for row in rows))
             return rows
 
@@ -1161,14 +1164,14 @@ class TestGradedLogPanels:
     def test_estimates_against_mpmath(self, points):
         points = GRID_LOG_POINTS if points == "grid" else SAMPLE_LOG_POINTS
         estimates = _log_estimates(points)
-        # honest wherever item 4's defect cannot show (the small-alpha points are the next test)
+        # honest away from small alpha (the small-alpha points are the next test)
         short = [(p, err / e) for p, (e, err, _) in zip(points, estimates) if err > e and p[1] >= SMALL_ALPHA]
         assert short == []
         # and not far above the larger of the true error and a rounding of the value, over every point
         ratios = np.log10([e / max(err, _EPS * abs(v)) for e, err, v in estimates])
         assert np.median(ratios) <= 1.5 and ratios.max() <= 3.0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: alpha - 1 rounded in the upper piece's Jacobi weight")
+    # the rules' mass is built from the exact alpha, not fl(alpha - 1) + 1
     def test_small_alpha_estimates_against_mpmath(self):
         points = [p for p in SAMPLE_LOG_POINTS if p[1] < SMALL_ALPHA]
         assert len(points) > 10
