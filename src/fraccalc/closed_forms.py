@@ -150,7 +150,8 @@ def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
     value = prefactor * (log_t + psi_nu - psi_shifted)
     scale = abs(prefactor) * (abs(log_t) + abs(psi_nu) + abs(psi_shifted))
     ds = _rounding(a, nu, s)
-    relative = sf.gamma_ratio_error(nu, s) + abs(psi_shifted) * ds + abs(log_t) * (ds + _rounding(s, -1.0, exponent))
+    d_exponent = ds + _rounding(s, -1.0, exponent)
+    relative = sf.gamma_ratio_error(nu, s) + abs(psi_shifted) * ds + abs(log_t) * d_exponent
     bound = 8.0 * _EPS * scale + relative * abs(value)
     if ds:
         bound += abs(prefactor) * _trigamma_bound(s) * ds
@@ -426,13 +427,13 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     the lower-limit-zero kinds accept the other three.  After the pair's
     formula's own checks, the value and its bound come from one evaluation
     of the family's shift function at order alpha, or -alpha for a
-    derivative: the power formula is good to a few ulp of its value, and
-    the others' bounds come from the terms of the value (exp_shift_eval's
-    from the Mittag-Leffler series, powerlog_shift_eval's from the bracket
-    before it cancels, weyl_power_shift_eval's from the cosine ratio before
-    it vanishes).  Whole derivative orders m take the plain m-th derivative;
-    for power-log its bound is the bracket's at a = -m, and for exp it
-    counts the rounding of lam t.
+    derivative.  Each bound comes from the terms of the value and its
+    rounded arguments (exp_shift_eval's from the Mittag-Leffler series,
+    powerlog_shift_eval's from the bracket before it cancels,
+    weyl_power_shift_eval's from the cosine ratio before it vanishes, and
+    power_shift_eval's from a few ulp of the value).  Whole derivative
+    orders m take the plain m-th derivative; for power-log its bound is the
+    bracket's at a = -m, and for exp it counts the rounding of lam t.
     """
     if type(kind) is not OperatorKind:
         kind = OperatorKind(kind)

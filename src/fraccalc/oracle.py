@@ -237,10 +237,10 @@ def _jacobi_rule(n: int, a: float, b: float, a_plus_1: float | None = None) -> _
     return rule if rule is not None else _Rule(_Nodes(points, a, b), weights)
 
 
-def _golub_welsch(n: int, a: float, b: float, a_plus_1: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _golub_welsch(n: int, a: float, b: float, a_plus_1: float) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi matrix are the
     nodes, squared first eigenvector components times the zeroth moment the weights.
-    The moment takes gamma at a_plus_1, by default a + 1 (see gauss_jacobi_01).
+    The moment takes gamma at a_plus_1, the exact a + 1 (see gauss_jacobi_01).
 
     The matrix is built densely for numpy.linalg.eigh, which gives the same nodes
     and weights, bit for bit, as scipy.linalg.eigh_tridiagonal on the rules
@@ -264,7 +264,7 @@ def _golub_welsch(n: int, a: float, b: float, a_plus_1: float | None = None) -> 
     x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     mu0 = math.exp(
         (s + 1.0) * math.log(2.0)
-        + math.lgamma(a + 1.0 if a_plus_1 is None else a_plus_1)
+        + math.lgamma(a_plus_1)
         + math.lgamma(b + 1.0)
         - math.lgamma(s + 2.0)
     )

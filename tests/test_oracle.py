@@ -99,7 +99,7 @@ class TestGaussJacobiRule:
         x = roots_jacobi(n, a, b)[0]
         for _ in range(3):
             x = x - eval_jacobi(n, a, b, x) / ((n + a + b + 1.0) / 2.0 * eval_jacobi(n - 1, a + 1.0, b + 1.0, x))
-        dense_x, dense_w = orc._golub_welsch(n, a, b)
+        dense_x, dense_w = orc._golub_welsch(n, a, b, a + 1.0)
         assert np.max(np.abs((x + 1.0) / 2.0 - dense_x)) <= 1e-15
         assert np.all(np.diff(dense_x) > 0.0)
         # the weights only by their mass: the weight formula at a double node next to an
@@ -134,7 +134,7 @@ class TestGaussJacobiRule:
     @pytest.mark.parametrize("a, b", ((400.0, 0.0), (1030.0, 0.0), (1030.0, 1.5), (400.0, 400.0)))
     def test_large_exponents_that_build_are_unchanged(self, a, b):
         nodes, weights = orc.gauss_jacobi_01(16, a, b)
-        ref_nodes, ref_weights = orc._golub_welsch(16, a, b)
+        ref_nodes, ref_weights = orc._golub_welsch(16, a, b, a + 1.0)
         assert nodes.tobytes() == ref_nodes.tobytes() and weights.tobytes() == ref_weights.tobytes()
         mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
         assert float(np.sum(weights)) == pytest.approx(mass, rel=1e-12)
@@ -1087,8 +1087,8 @@ GRID_LOG_POINTS = [(nu, alpha, t) for nu in NUS for alpha in ALPHAS for t in TS]
 SAMPLE_LOG_POINTS = [
     (3.0 * (1.0 - a), 2.5 * 10.0 ** (-4.0 * b), 0.5 + 4.5 * c) for a, b, c in np.random.default_rng(1).random((3, 64)).T
 ]
-# ROADMAP item 4: the upper piece's weight (1-s)**(alpha-1) is built from alpha - 1 rounded, an error of
-# up to 2**-54/alpha relative that the estimate's 16 eps rounding term misses below alpha = 2**-6
+# below this alpha, a rule mass built from alpha - 1 rounded moved every rung by up to 2**-54/alpha,
+# more than the estimate's 16 eps rounding term; the mass is now built from alpha itself
 SMALL_ALPHA = 2.0**-6
 
 
