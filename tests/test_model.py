@@ -142,6 +142,18 @@ class TestPairing:
         assert abs(oracle - closed) <= max(tol * abs(closed), atol)
 
     @pytest.mark.parametrize("pair", tuple(FORMULAS), ids=lambda p: f"{p[0].value}-{p[1].__name__}")
+    def test_closed_value_looks_up_the_formula_at_call_time(self, monkeypatch, pair):
+        # each pair's public formula is the value of the family's shift
+        # function as it stands when the formula is called
+        kind, family_type = pair
+        family = next(f for f in FAMILIES if type(f) is family_type)
+        calls = []
+        shift_eval = lambda a, param, t: calls.append((a, param, t)) or (42.0, 0.5)
+        monkeypatch.setattr(cf, SHIFT_EVALS[family_type], shift_eval)
+        assert getattr(cf, FORMULAS[pair])(0.25, family.param, 1.5) == 42.0
+        assert calls == [(-0.25 if kind.is_derivative else 0.25, family.param, 1.5)]
+
+    @pytest.mark.parametrize("pair", tuple(FORMULAS), ids=lambda p: f"{p[0].value}-{p[1].__name__}")
     def test_closed_eval_looks_up_the_shift_function_at_call_time(self, monkeypatch, pair):
         kind, family_type = pair
         family = next(f for f in FAMILIES if type(f) is family_type)
