@@ -128,7 +128,8 @@ def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
     """t**(a+nu-1) * gamma(nu)/gamma(a+nu) * [log t + psi(nu) - psi(a+nu)], and a bound on its rounding error.
 
     At a+nu in {0, -1, ...} the coefficient vanishes while the digamma term
-    blows up; the limit is not resolved here, so that locus is an error.
+    blows up; the limit is not resolved here, so that locus is an error, as
+    is nu or a+nu below about 5.6e-309, where psi (about -1/z) overflows.
 
     The bracket log t + psi(nu) - psi(a+nu) can cancel (small alpha, t near
     1), leaving an error of a few ulp of its largest term, not of the result;
@@ -147,6 +148,8 @@ def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
     exponent = s - 1.0
     prefactor = t**exponent * sf.gamma_ratio(nu, s)
     log_t, psi_nu, psi_shifted = math.log(t), sf.digamma(nu), sf.digamma(s)
+    if not (math.isfinite(psi_nu) and math.isfinite(psi_shifted)):
+        raise DomainError(f"power-log formula needs finite digamma at nu={nu!r} and a+nu={s!r}")
     value = prefactor * (log_t + psi_nu - psi_shifted)
     scale = abs(prefactor) * (abs(log_t) + abs(psi_nu) + abs(psi_shifted))
     ds = _rounding(a, nu, s)

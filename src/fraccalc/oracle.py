@@ -717,24 +717,30 @@ def _tail_integrand(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], beta
     return phi
 
 
+def _power_tail_rows(a_exp: float, beta_exp: float, w_plus_1: float, ts: list[float], cfg: QuadConfig) -> list[Row]:
+    """Rows of integral_0^inf (t+u)**a_exp u**beta_exp du, one per point of ts.
+
+    After u = s t/(1-s) the endpoint exponents are w = -a_exp-beta_exp-2 at
+    s=1 and beta_exp at s=0.  The caller passes w + 1 as it computes it from
+    its own exponents, so that the rule's mass is built from the exact value.
+    """
+    phi = _tail_integrand(lambda u, rows: (rows + u) ** a_exp, beta_exp)
+    return _jacobi_ladder(phi, np.array(ts)[:, None], w_plus_1 - 1.0, beta_exp, cfg, a_plus_1=w_plus_1)
+
+
 def tail_power_quad(
     a_exp: float, beta_exp: float, t: float | Sequence[float], cfg: QuadConfig = DEFAULT_CONFIG
 ) -> EvalResult | list[EvalResult]:
     """Direct numerical value of integral_0^inf (t+u)**a_exp u**beta_exp du.
 
-    After u = s t/(1-s) the endpoint exponents are -a_exp-beta_exp-2 at s=1
-    and beta_exp at s=0.  A sequence of t gives a list, as in
-    rl_integral_quad.
+    A sequence of t gives a list, as in rl_integral_quad.
     """
     if not a_exp < -beta_exp - 1.0 < 0.0:
         raise DomainError(
             f"tail_power_quad requires a_exp < -beta_exp-1 < 0, got a_exp={a_exp!r}, beta_exp={beta_exp!r}"
         )
     points, scalar = _points("tail_power_quad", t)
-    w_plus_1 = -a_exp - beta_exp - 1.0
-    phi = _tail_integrand(lambda u, ts: (ts + u) ** a_exp, beta_exp)
-    rows = _jacobi_ladder(phi, np.array(points)[:, None], w_plus_1 - 1.0, beta_exp, cfg, a_plus_1=w_plus_1)
-    return _results(rows, scalar)
+    return _results(_power_tail_rows(a_exp, beta_exp, -a_exp - beta_exp - 1.0, points, cfg), scalar)
 
 
 def weyl_integral_quad(
@@ -744,9 +750,9 @@ def weyl_integral_quad(
 
     Split at 0: the (0, t) part is the lower-limit-zero integral of
     tau**(-delta); the (-inf, 0) part becomes, via u = -tau, the tail
-    integral of (t+u)**(alpha-1) u**(-delta), with exponents delta-alpha-1
-    at s=1 (tail decay) and -delta at s=0.  A sequence of t gives a list,
-    as in rl_integral_quad.
+    integral of (t+u)**(alpha-1) u**(-delta), the one of tail_power_quad,
+    with w + 1 = delta - alpha.  A sequence of t gives a list, as in
+    rl_integral_quad.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_integral_quad requires delta in (0,1), got {delta!r}")
@@ -759,10 +765,7 @@ def weyl_integral_quad(
     rows = rl_integral_quad(AbsPower(delta), alpha, _GroupedPoints(points), cfg)
     live = [i for i, row in enumerate(rows) if not isinstance(row, FracCalcError)]
     if live:
-        w_right = delta - alpha - 1.0
-        phi = _tail_integrand(lambda u, ts: (ts + u) ** (alpha - 1.0), -delta)
-        live_ts = np.array([points[i] for i in live])[:, None]
-        tails = _jacobi_ladder(phi, live_ts, w_right, -delta, cfg, a_plus_1=delta - alpha)
+        tails = _power_tail_rows(alpha - 1.0, -delta, delta - alpha, [points[i] for i in live], cfg)
         c = 1.0 / math.gamma(alpha)
         for i, tail in zip(live, tails):
             (v, e) = rows[i]
@@ -840,10 +843,10 @@ def oracle_eval(
     kind: OperatorKind,
     alpha: float,
     family: FunctionFamily,
-    t: float,
+    t: float | Sequence[float],
     cfg: QuadConfig = DEFAULT_CONFIG,
-) -> EvalResult:
-    """Quadrature evaluation of an operator applied to a family member."""
+) -> EvalResult | list[EvalResult]:
+    """Quadrature evaluation of an operator applied to a family member; a sequence of t gives a list."""
     if type(kind) is not OperatorKind:
         kind = OperatorKind(kind)
     kind.check_pairing(family)

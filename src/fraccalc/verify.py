@@ -15,9 +15,9 @@ every check, in any suite, that asks for it.
 
 Closed forms are always resolved late through the module object so that the
 mutation-sensitivity tests can patch a single function and watch the matching
-suite fail.  The oracle suites check closed_eval, the values that eval
-prints; closed_eval in turn looks up each family's shift function when
-called.
+suite fail.  The oracle suites check closed_eval against oracle_eval, the two
+routes that eval prints: closed_eval looks up each family's shift function
+when called, and oracle_eval its operator's quadrature.
 """
 
 from __future__ import annotations
@@ -37,23 +37,15 @@ from .model import (
     AbsPower,
     EvalResult,
     Exp,
+    FunctionFamily,
     OperatorKind,
     Power,
     PowerLog,
     QuadConfig,
     _fmt,
     _Record,
-    _set,
 )
-from .oracle import (
-    _central_stencil,
-    _richardson,
-    tail_power_quad,
-    rl_derivative_quad,
-    rl_integral_quad,
-    weyl_derivative_quad,
-    weyl_integral_quad,
-)
+from .oracle import _central_stencil, _richardson, oracle_eval, tail_power_quad
 
 __all__ = [
     "CheckRecord",
@@ -95,28 +87,7 @@ class CheckRecord(_Record):
     """One executed check: both sides, their discrepancy, and the verdict."""
 
     __slots__ = ("check_id", "inputs", "lhs", "rhs", "abs_diff", "rel_diff", "tol", "passed", "note")
-
-    def __init__(
-        self,
-        check_id: str,
-        inputs: dict[str, float],
-        lhs: float,
-        rhs: float,
-        abs_diff: float,
-        rel_diff: float,
-        tol: float,
-        passed: bool,
-        note: str = "",
-    ) -> None:
-        _set(self, "check_id", check_id)
-        _set(self, "inputs", inputs)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "abs_diff", abs_diff)
-        _set(self, "rel_diff", rel_diff)
-        _set(self, "tol", tol)
-        _set(self, "passed", passed)
-        _set(self, "note", note)
+    _defaults = {"note": ""}
 
 
 class SkippedCheck(_Record):
@@ -124,80 +95,22 @@ class SkippedCheck(_Record):
 
     __slots__ = ("check_id", "inputs", "reason")
 
-    def __init__(self, check_id: str, inputs: dict[str, float], reason: str) -> None:
-        _set(self, "check_id", check_id)
-        _set(self, "inputs", inputs)
-        _set(self, "reason", reason)
-
 
 class VerificationReport(_Record):
     __slots__ = ("suite", "grid_spec", "records", "skipped", "n_pass", "n_fail", "n_skip", "wall_time_seconds")
 
-    def __init__(
-        self,
-        suite: str,
-        grid_spec: str,
-        records: list[CheckRecord],
-        skipped: list[SkippedCheck],
-        n_pass: int,
-        n_fail: int,
-        n_skip: int,
-        wall_time_seconds: float,
-    ) -> None:
-        _set(self, "suite", suite)
-        _set(self, "grid_spec", grid_spec)
-        _set(self, "records", records)
-        _set(self, "skipped", skipped)
-        _set(self, "n_pass", n_pass)
-        _set(self, "n_fail", n_fail)
-        _set(self, "n_skip", n_skip)
-        _set(self, "wall_time_seconds", wall_time_seconds)
-
 
 class FalsificationMargin(_Record):
-    """Oracle arbitration between the corrected and the literature formula."""
+    """The oracle's verdict between the corrected and the literature formula: corrected, literature or inconclusive."""
 
     __slots__ = ("delta", "alpha", "t", "corrected", "literature", "oracle", "oracle_err", "verdict")
 
-    def __init__(
-        self,
-        delta: float,
-        alpha: float,
-        t: float,
-        corrected: float,
-        literature: float,
-        oracle: float,
-        oracle_err: float,
-        verdict: str,  # 'corrected' | 'literature' | 'inconclusive'
-    ) -> None:
-        _set(self, "delta", delta)
-        _set(self, "alpha", alpha)
-        _set(self, "t", t)
-        _set(self, "corrected", corrected)
-        _set(self, "literature", literature)
-        _set(self, "oracle", oracle)
-        _set(self, "oracle_err", oracle_err)
-        _set(self, "verdict", verdict)
-
 
 class _Check(_Record):
-    __slots__ = ("check_id", "inputs", "thunk", "tol", "atol", "skip_reason")
+    """A check not yet run: thunk returns (lhs, rhs) or (lhs, rhs, forced verdict, note)."""
 
-    def __init__(
-        self,
-        check_id: str,
-        inputs: dict[str, float],
-        thunk: Callable[[], tuple],
-        tol: float,
-        atol: float = 0.0,
-        skip_reason: str = "",
-    ) -> None:
-        _set(self, "check_id", check_id)
-        _set(self, "inputs", inputs)
-        _set(self, "thunk", thunk)
-        _set(self, "tol", tol)
-        _set(self, "atol", atol)
-        _set(self, "skip_reason", skip_reason)
+    __slots__ = ("check_id", "inputs", "thunk", "tol", "atol", "skip_reason")
+    _defaults = {"atol": 0.0, "skip_reason": ""}
 
 
 class _Run:
@@ -215,13 +128,13 @@ class _Run:
         self.cfg = cfg
         self._known: dict[tuple, dict[float, EvalResult | Exception]] = {}
 
-    def oracle(self, quad: Callable, args: tuple, t: float, group: tuple[float, ...]) -> EvalResult:
-        """quad(*args, t, cfg), from the one call that evaluates its t-group."""
-        known = self._known.setdefault((quad, *args), {})
+    def oracle(self, evaluate: Callable, args: tuple, t: float, group: tuple[float, ...]) -> EvalResult:
+        """evaluate(*args, t, cfg), from the one call that evaluates its t-group."""
+        known = self._known.setdefault((evaluate, *args), {})
         if t not in known:
             todo = [x for x in group if x not in known]
             try:
-                outcomes = quad(*args, todo, self.cfg)
+                outcomes = evaluate(*args, todo, self.cfg)
             except (FracCalcError, OverflowError) as exc:
                 # an error with no outcomes is one that a call at any point of the group raises
                 outcomes = getattr(exc, "outcomes", None) or [exc] * len(todo)
@@ -241,7 +154,9 @@ def falsification_margin(
     of that formula and clearly away from the rival; anything else is
     inconclusive.
     """
-    return _arbitrate(delta, alpha, t, lambda: weyl_derivative_quad(delta, alpha, t, cfg))
+    return _arbitrate(
+        delta, alpha, t, lambda: oracle_eval(OperatorKind.WEYL_DERIVATIVE, alpha, AbsPower(delta), t, cfg)
+    )
 
 
 def _arbitrate(delta: float, alpha: float, t: float, oracle: Callable[[], EvalResult]) -> FalsificationMargin:
@@ -378,6 +293,23 @@ def _suite_specfun(run: _Run) -> tuple[str, list[_Check]]:
     return spec, checks
 
 
+def _ledger_check(
+    run: _Run, suite: str, point: str, inputs: dict, kind: OperatorKind, alpha: float, family: FunctionFamily,
+    t: float, skip_reason: str = "",
+) -> _Check:
+    """The check of closed_eval against oracle_eval at one point, whose t-group is TS."""
+    if kind.is_derivative:
+        op, tol, atol = "der", TOL_DERIVATIVE, ATOL_DERIVATIVE
+    else:
+        op, tol, atol = "int", TOL_INTEGRAL, ATOL_INTEGRAL
+    args = (kind, alpha, family)
+
+    def thunk() -> tuple:
+        return run.oracle(oracle_eval, args, t, TS).value, cf.closed_eval(*args, t).value
+
+    return _Check(f"{suite}/{op}/{point}", inputs, thunk, tol, atol, skip_reason)
+
+
 # (suite, family, grid): closed form against oracle for the lower-limit-zero operators
 _RL_SUITES = (("rl-power", Power, GAMMAS), ("rl-exp", Exp, LAMBDAS), ("rl-log", PowerLog, NUS))
 
@@ -391,24 +323,9 @@ def _suite_rl(
         for p in params:
             family = family_type(p)
             for t in TS:
-                inputs = {"alpha": alpha, key: p, "t": t}
-                for op, kind, quad, tol, atol in (
-                    ("int", OperatorKind.RL_INTEGRAL, rl_integral_quad, TOL_INTEGRAL, ATOL_INTEGRAL),
-                    ("der", OperatorKind.RL_DERIVATIVE, rl_derivative_quad,
-                     TOL_DERIVATIVE, ATOL_DERIVATIVE),
-                ):
-                    checks.append(
-                        _Check(
-                            f"{suite}/{op}/alpha={alpha:g}/{key}={p:g}/t={t:g}",
-                            inputs,
-                            lambda a=alpha, t=t, fam=family, k=kind, q=quad: (
-                                run.oracle(q, (fam, a), t, TS).value,
-                                cf.closed_eval(k, a, fam, t).value,
-                            ),
-                            tol,
-                            atol,
-                        )
-                    )
+                point, inputs = f"alpha={alpha:g}/{key}={p:g}/t={t:g}", {"alpha": alpha, key: p, "t": t}
+                for kind in (OperatorKind.RL_INTEGRAL, OperatorKind.RL_DERIVATIVE):
+                    checks.append(_ledger_check(run, suite, point, inputs, kind, alpha, family, t))
     return f"alpha in {ALPHAS}; {key} in {params}; t in {TS}", checks
 
 
@@ -417,33 +334,11 @@ def _suite_weyl(run: _Run) -> tuple[str, list[_Check]]:
     for delta in DELTAS:
         family = AbsPower(delta)
         for alpha in ALPHAS:
+            skip_int = "" if 0.0 < alpha < delta else "requires 0 < alpha < delta"
             for t in TS:
-                inputs = {"delta": delta, "alpha": alpha, "t": t}
-                checks.append(
-                    _Check(
-                        f"weyl/int/delta={delta:g}/alpha={alpha:g}/t={t:g}",
-                        inputs,
-                        lambda d=delta, a=alpha, t=t, fam=family: (
-                            run.oracle(weyl_integral_quad, (d, a), t, TS).value,
-                            cf.closed_eval(OperatorKind.WEYL_INTEGRAL, a, fam, t).value,
-                        ),
-                        TOL_INTEGRAL,
-                        ATOL_INTEGRAL,
-                        skip_reason="" if 0.0 < alpha < delta else "requires 0 < alpha < delta",
-                    )
-                )
-                checks.append(
-                    _Check(
-                        f"weyl/der/delta={delta:g}/alpha={alpha:g}/t={t:g}",
-                        inputs,
-                        lambda d=delta, a=alpha, t=t, fam=family: (
-                            run.oracle(weyl_derivative_quad, (d, a), t, TS).value,
-                            cf.closed_eval(OperatorKind.WEYL_DERIVATIVE, a, fam, t).value,
-                        ),
-                        TOL_DERIVATIVE,
-                        ATOL_DERIVATIVE,
-                    )
-                )
+                point, inputs = f"delta={delta:g}/alpha={alpha:g}/t={t:g}", {"delta": delta, "alpha": alpha, "t": t}
+                for kind, skip_reason in ((OperatorKind.WEYL_INTEGRAL, skip_int), (OperatorKind.WEYL_DERIVATIVE, "")):
+                    checks.append(_ledger_check(run, "weyl", point, inputs, kind, alpha, family, t, skip_reason))
     return f"delta in {DELTAS}; alpha in {ALPHAS}; t in {TS}", checks
 
 
@@ -482,14 +377,14 @@ def _suite_d_equals_i_neg(run: _Run) -> tuple[str, list[_Check]]:
 def _suite_falsification(run: _Run) -> tuple[str, list[_Check]]:
     checks: list[_Check] = []
     for delta in DELTAS:
+        family = AbsPower(delta)
         for alpha in FALSIFICATION_ALPHAS:
             for t in FALSIFICATION_TS:
 
-                def thunk(d=delta, a=alpha, t=t) -> tuple:
+                def thunk(d=delta, a=alpha, t=t, fam=family) -> tuple:
                     # every point is one of the weyl suite's too, which 'all' runs first
-                    margin = _arbitrate(
-                        d, a, t, lambda: run.oracle(weyl_derivative_quad, (d, a), t, FALSIFICATION_TS)
-                    )
+                    args = (OperatorKind.WEYL_DERIVATIVE, a, fam)
+                    margin = _arbitrate(d, a, t, lambda: run.oracle(oracle_eval, args, t, FALSIFICATION_TS))
                     note = (
                         f"verdict={margin.verdict} literature={margin.literature:.6g} "
                         f"oracle_err={margin.oracle_err:.3g}"

@@ -6,6 +6,7 @@ quadrature cross-checks live in test_oracle.py and the verification suites.
 """
 
 import math
+import re
 import sys
 
 import pytest
@@ -192,6 +193,22 @@ class TestPowerLogIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             cf.rl_integral_powerlog(0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, nu, shifted", ((5e-324, 5e-324, "1e-323"), (1e-320, 1e-310, "1.0000000001e-310"))
+    )
+    def test_digamma_off_the_doubles_is_a_domain_error(self, alpha, nu, shifted):
+        # psi(nu) and psi(a + nu) are both -inf there, and the bracket inf - inf gave nan
+        message = f"power-log formula needs finite digamma at nu={nu!r} and a+nu={shifted}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cf.rl_integral_powerlog(alpha, nu, 1.0)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cf.closed_eval(OperatorKind.RL_INTEGRAL, alpha, PowerLog(nu), 1.0)
+
+    def test_gamma_overflow_keeps_its_type(self):
+        # gamma(nu) overflows before either digamma is taken
+        with pytest.raises(OverflowError):
+            cf.closed_eval(OperatorKind.RL_INTEGRAL, 0.5, PowerLog(1e-310), 1.0)
 
 
 class TestPowerLogDerivative:

@@ -338,9 +338,35 @@ class TestRecords:
             (lambda: Power(1.0, 2.0), "takes 2 positional arguments but 3 were given"),
             (lambda: Power(gamma=1.0), "unexpected keyword argument 'gamma'"),
             (lambda: SkippedCheck("c", {}), "missing 1 required positional argument: 'reason'"),
+            (
+                lambda: CheckRecord(**dict(_CHECK_FIELDS), bogus=1),
+                "CheckRecord.__init__() got an unexpected keyword argument 'bogus'",
+            ),
+            (
+                lambda: CheckRecord(*(value for _, value in _CHECK_FIELDS), 1.0),
+                "CheckRecord.__init__() takes from 9 to 10 positional arguments but 11 were given",
+            ),
         ],
     )
     def test_wrong_arguments_are_type_errors(self, build, message):
         with pytest.raises(TypeError) as info:
             build()
         assert message in str(info.value)
+
+    def test_subclass_of_a_validating_record_keeps_its_checks(self):
+        tagged = type("Tagged", (EvalResult,), {"__slots__": ("tag",)})
+        assert tagged._fields == ("value", "method", "abs_err_estimate", "tag")
+        assert "__init__" not in vars(tagged)
+        with pytest.raises(DomainError, match="unknown method tag 'guess'"):
+            tagged(1.0, "guess", 0.0)
+        assert tagged(1.0, "oracle", 0.0).value == 1.0
+
+    def test_init_is_generated_where_no_class_writes_one(self):
+        # a subclass of a record with a generated __init__ gets one that sets its own fields too
+        defaults = {"note": "", "extra": 0}
+        extended = type("Extended", (CheckRecord,), {"__slots__": ("extra",), "_defaults": defaults})
+        record = extended(*(value for _, value in _CHECK_FIELDS), extra=2)
+        assert record._astuple() == (*(value for _, value in _CHECK_FIELDS), 2)
+        assert extended(*(value for _, value in _CHECK_FIELDS[:-1])).extra == 0
+        with pytest.raises(TypeError, match="_defaults must name the trailing fields"):
+            type("Unordered", (CheckRecord,), {"__slots__": ("extra",)})

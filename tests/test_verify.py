@@ -9,7 +9,7 @@ import pytest
 from fraccalc import closed_forms as cf
 from fraccalc import oracle, verify
 from fraccalc.errors import DomainError, FracCalcError, UnknownSuiteError
-from fraccalc.model import JACOBI_MAX_NODES, EvalResult
+from fraccalc.model import DEFAULT_CONFIG, JACOBI_MAX_NODES, AbsPower, EvalResult, OperatorKind
 from fraccalc.oracle import QuadConfig
 from fraccalc.verify import (
     CheckRecord,
@@ -218,6 +218,21 @@ class TestMutationSensitivity:
         assert run_suite("rl-exp").n_fail > 0
         assert run_suite("weyl").n_fail > 0
 
+    def test_swapped_oracle_dispatch_fails_rl_power(self, monkeypatch):
+        # verify takes every operator's oracle value from oracle_eval, which looks its quadrature up in _QUADS
+        monkeypatch.setitem(oracle._QUADS, OperatorKind.RL_INTEGRAL, "rl_derivative_quad")
+        monkeypatch.setitem(oracle._QUADS, OperatorKind.RL_DERIVATIVE, "rl_integral_quad")
+        assert run_suite("rl-power").n_fail > 0
+
+    def test_family_for_delta_fails_weyl(self, monkeypatch):
+        # oracle_eval with the Weyl kinds' family, not its exponent, passed on to the quadrature
+        def mutant(kind, alpha, family, t, cfg=DEFAULT_CONFIG):
+            return getattr(oracle, oracle._QUADS[OperatorKind(kind)])(family, alpha, t, cfg)
+
+        monkeypatch.setattr(verify, "oracle_eval", mutant)
+        with pytest.raises(TypeError, match="AbsPower"):
+            run_suite("weyl")
+
 
 class TestConfigPropagation:
     def test_suite_accepts_custom_config(self):
@@ -249,27 +264,24 @@ class TestRuleHeadroom:
         )
 
 
-ORACLE_NAMES = (
-    "rl_integral_quad", "rl_derivative_quad", "weyl_integral_quad", "weyl_derivative_quad", "tail_power_quad",
-)
+# the names through which verify reaches the oracle
+ORACLE_NAMES = ("oracle_eval", "tail_power_quad")
 
 
 def _one_point_call(record, cfg):
-    """The call at the record's point alone of the oracle function behind it; None for other checks."""
+    """The oracle module's call at the record's point alone; None for checks of no oracle value."""
     suite, op = record.check_id.split("/")[:2]
     x = record.inputs
     families = {name: family for name, family, _ in verify._RL_SUITES}
     if suite in families:
         family = families[suite]
-        quad = verify.rl_integral_quad if op == "int" else verify.rl_derivative_quad
-        return lambda: quad(family(x[family.key]), x["alpha"], x["t"], cfg)
+        return lambda: oracle.oracle_eval(f"rl-{op}", x["alpha"], family(x[family.key]), x["t"], cfg)
     if suite == "weyl":
-        quad = verify.weyl_integral_quad if op == "int" else verify.weyl_derivative_quad
-        return lambda: quad(x["delta"], x["alpha"], x["t"], cfg)
+        return lambda: oracle.oracle_eval(f"weyl-{op}", x["alpha"], AbsPower(x["delta"]), x["t"], cfg)
     if suite == "literature-falsification":
-        return lambda: verify.weyl_derivative_quad(x["delta"], x["alpha"], x["t"], cfg)
+        return lambda: oracle.oracle_eval("weyl-der", x["alpha"], AbsPower(x["delta"]), x["t"], cfg)
     if op == "tail-power":
-        return lambda: verify.tail_power_quad(x["a_exp"], x["beta_exp"], x["t"], cfg)
+        return lambda: oracle.tail_power_quad(x["a_exp"], x["beta_exp"], x["t"], cfg)
     return None
 
 
