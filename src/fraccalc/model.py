@@ -88,7 +88,8 @@ class _Record:
         exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
         init = cls.__init__ = namespace["__init__"]
         init.__defaults__ = tuple(defaults.values()) or None
-        init.__qualname__, init._generated = f"{cls.__qualname__}.__init__", True
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init._generated = True
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -1,7 +1,9 @@
 """Verification harness: suite outcomes, report formats, arbitration logic."""
 
+import inspect
 import json
 import math
+import textwrap
 from collections import defaultdict
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from fraccalc import closed_forms as cf
 from fraccalc import oracle, verify
 from fraccalc.errors import DomainError, FracCalcError, UnknownSuiteError
-from fraccalc.model import DEFAULT_CONFIG, JACOBI_MAX_NODES, AbsPower, EvalResult, OperatorKind
+from fraccalc.model import JACOBI_MAX_NODES, AbsPower, EvalResult, OperatorKind
 from fraccalc.oracle import QuadConfig
 from fraccalc.verify import (
     CheckRecord,
@@ -224,12 +226,21 @@ class TestMutationSensitivity:
         monkeypatch.setitem(oracle._QUADS, OperatorKind.RL_DERIVATIVE, "rl_integral_quad")
         assert run_suite("rl-power").n_fail > 0
 
-    def test_family_for_delta_fails_weyl(self, monkeypatch):
-        # oracle_eval with the Weyl kinds' family, not its exponent, passed on to the quadrature
-        def mutant(kind, alpha, family, t, cfg=DEFAULT_CONFIG):
-            return getattr(oracle, oracle._QUADS[OperatorKind(kind)])(family, alpha, t, cfg)
+    def test_swapped_weyl_dispatch_fails_weyl_and_falsification(self, monkeypatch):
+        # both suites take their Weyl oracle values through _QUADS, so the ledger's numbers move
+        monkeypatch.setitem(oracle._QUADS, OperatorKind.WEYL_INTEGRAL, "weyl_derivative_quad")
+        monkeypatch.setitem(oracle._QUADS, OperatorKind.WEYL_DERIVATIVE, "weyl_integral_quad")
+        assert run_suite("weyl").n_fail > 0
+        assert run_suite("literature-falsification").n_fail > 0
 
-        monkeypatch.setattr(verify, "oracle_eval", mutant)
+    def test_family_for_delta_fails_weyl(self, monkeypatch):
+        # oracle_eval's own code, with its one change: the Weyl quadratures get the family, not its exponent
+        source = textwrap.dedent(inspect.getsource(oracle.oracle_eval))
+        mutated = source.replace("family.delta if kind.is_weyl else family", "family")
+        assert mutated != source
+        namespace = {}
+        exec(mutated, vars(oracle), namespace)
+        monkeypatch.setattr(oracle.oracle_eval, "__code__", namespace["oracle_eval"].__code__)
         with pytest.raises(TypeError, match="AbsPower"):
             run_suite("weyl")
 
