@@ -11,11 +11,11 @@ defining integrals.  The machinery:
   and the last successive difference is the reported error estimate; the
   first rung cannot stop a ladder, so the integrand is evaluated on the first
   two rungs' points in one call;
-* rules are cached (at most JACOBI_CACHE_MAX_RULES Jacobi rules; the panel
-  rules by node count alone), and with each rule the arrays that depend on
-  its nodes alone: the powers of s and 1 - s that divide its weight out of an
-  integrand, the maps of the two log pieces, and its points joined to the
-  next rung's;
+* a rule is a rung (_Rung), the pair (points, weights), cached (at most
+  JACOBI_CACHE_MAX_RULES Jacobi rules; the panel rules by node count alone)
+  with the arrays that depend on its points alone: the powers of s and 1 - s
+  that divide its weight out of an integrand, the maps of the two log pieces,
+  and its points joined to the next rung's;
 * integrands with a logarithmic factor at the origin are split at the
   midpoint, and the lower piece is mapped by s = exp(-x)/2, which turns
   log s into a polynomial factor and leaves an analytic integrand: panels
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,25 +121,30 @@ class Integrand(_Record):
 # rules are keyed by n alone, one per rung, and need no bound.
 JACOBI_CACHE_MAX_RULES = 4096
 
-_jacobi_cache: dict = {}  # rules by (n, a, b), oldest first
-_panel_cache: dict = {}  # rules by n
+_jacobi_cache: dict = {}  # rungs by (n, a + 1, b), oldest first
+_panel_cache: dict = {}  # rungs by n
 _rule_cache_lock = threading.Lock()  # held to insert into and evict from the Jacobi cache, not to look up
 
 
-class _Nodes:
-    """A rule's points, and the arrays that depend on the points alone.
+class _Rung(tuple):
+    """One rung of a ladder: the pair (points, weights), and the arrays that depend on its points alone.
 
-    Each array is computed on first use (threads that race compute the same
-    bytes, and one copy stays).  A cached rule keeps its _Nodes, so every
-    ladder that climbs through the rule shares the arrays, and evicting the
-    rule drops them.  a and b are the rule's Jacobi exponents: s**(-b) and
+    gauss_jacobi_01 returns its cached rung itself, so every ladder that climbs
+    through the rule shares the arrays, and evicting the rule drops them.  Each
+    array is computed on first use (threads that race compute the same bytes,
+    and one copy stays).  a and b are the rule's Jacobi exponents: s**(-b) and
     (1-s)**(-a) divide its weight out of an integrand.  A panel rule has none.
     """
 
-    def __init__(self, points: np.ndarray, a: float = 0.0, b: float = 0.0) -> None:
-        self.points = points
-        self.a = a
-        self.b = b
+    points = property(itemgetter(0))
+    weights = property(itemgetter(1))
+    _joined = None
+
+    def __new__(cls, points: np.ndarray, weights: np.ndarray | None, a: float = 0.0, b: float = 0.0) -> _Rung:
+        rung = super().__new__(cls, (points, weights))
+        rung.a = a
+        rung.b = b
+        return rung
 
     @cached_property
     def s_pow_neg_b(self) -> np.ndarray:
@@ -164,40 +170,30 @@ class _Nodes:
     def half_exp_neg(self) -> np.ndarray:  # s = exp(-x)/2 on the lower log piece
         return 0.5 * np.exp(-self.points)
 
+    def joined(self, upper: _Rung) -> _Rung:
+        """This rung's points followed by upper's along the last axis, as a rung without weights.
 
-class _Rule:
-    """One rung of a ladder: its _Nodes and weights; pair is (points, weights)."""
-
-    __slots__ = ("nodes", "weights", "pair", "_joined")
-
-    def __init__(self, nodes: _Nodes, weights: np.ndarray) -> None:
-        self.nodes = nodes
-        self.weights = weights
-        self.pair = (nodes.points, weights)
-        self._joined = None
-
-    def joined(self, upper: _Rule) -> _Nodes:
-        """The _Nodes of this rung's points followed by upper's along the last axis.
-
-        upper is always the next rung of the same ladder, so the joined nodes
-        are kept with this rule.
+        Each rung's slice of a block on the joined points is reduced under its
+        own weights.  upper is always the next rung of the same ladder, so the
+        joined rung is kept with this one.
         """
         joined = self._joined
         if joined is None:
-            points = np.concatenate((self.nodes.points, upper.nodes.points), axis=-1)
-            joined = self._joined = _Nodes(points, self.nodes.a, self.nodes.b)
+            points = np.concatenate((self.points, upper.points), axis=-1)
+            joined = self._joined = _Rung(points, None, self.a, self.b)
         return joined
 
 
-def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -> _Rung:
     """Nodes and weights for integral_0^1 (1-s)**a s**b phi(s) ds, a, b > -1, n <= JACOBI_MAX_NODES.
 
-    a_plus_1 is the exact a + 1 where a itself is rounded, as fl(alpha - 1)
-    is for small alpha (by default a + 1).  The rule's mass, B(a+1, b+1)
-    up to a power of 2, is built from it: a rounded a + 1 would move every
-    rule of a ladder by the same relative error, up to 2**-54/(a + 1),
-    which no difference of rungs can show.  Rules are cached by (n, a + 1,
-    b): the callers here pass a = fl(a_plus_1 - 1), so a + 1 fixes a.
+    The rule is a _Rung, the pair (nodes, weights).  a_plus_1 is the exact
+    a + 1 where a itself is rounded, as fl(alpha - 1) is for small alpha (by
+    default a + 1).  The rule's mass, B(a+1, b+1) up to a power of 2, is
+    built from it: a rounded a + 1 would move every rule of a ladder by the
+    same relative error, up to 2**-54/(a + 1), which no difference of rungs
+    can show.  Rules are cached by (n, a + 1, b): the callers here pass
+    a = fl(a_plus_1 - 1), so a + 1 fixes a.  A hit returns the cached rung.
     DomainError where the construction has no rule in floating point: its
     zeroth moment 2**(a+b+1) B(a+1, b+1) overflows past about a + b = 1030
     when one exponent is near 0, and its recurrence past about 1e77.
@@ -207,7 +203,7 @@ def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -
     key = (n, a_plus_1, b)
     cached = _jacobi_cache.get(key)
     if cached is not None:
-        return cached.pair
+        return cached
     # checked before the O(n**2) matrix is built
     if not 1 <= n <= JACOBI_MAX_NODES:
         raise DomainError(f"rule size must be in [1, {JACOBI_MAX_NODES}], got {n!r}")
@@ -221,20 +217,12 @@ def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -
         raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: {exc}") from None
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: not finite")
-    rule = _Rule(_Nodes(nodes, a, b), weights)
+    rule = _Rung(nodes, weights, a, b)
     with _rule_cache_lock:
         _jacobi_cache[key] = rule
         while len(_jacobi_cache) > JACOBI_CACHE_MAX_RULES:
             del _jacobi_cache[next(iter(_jacobi_cache))]  # dicts keep insertion order
-    return rule.pair
-
-
-def _jacobi_rule(n: int, a: float, b: float, a_plus_1: float | None = None) -> _Rule:
-    """The cached rule of gauss_jacobi_01(n, a, b, a_plus_1), looked up through that function once."""
-    points, weights = gauss_jacobi_01(n, a, b, a_plus_1)
-    rule = _jacobi_cache.get((n, a + 1.0 if a_plus_1 is None else a_plus_1, b))
-    # None once another thread has evicted the rule: its arrays then serve one ladder
-    return rule if rule is not None else _Rule(_Nodes(points, a, b), weights)
+    return rule
 
 
 def _golub_welsch(n: int, a: float, b: float, a_plus_1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +262,7 @@ def _golub_welsch(n: int, a: float, b: float, a_plus_1: float) -> tuple[np.ndarr
     return nodes, weights
 
 
-RowFn = Callable[[_Nodes, Sequence], np.ndarray]  # (nodes, parameter rows) -> a block per row
+RowFn = Callable[[_Rung, Sequence], np.ndarray]  # (rung, parameter rows) -> a block per row
 # a ladder row's (value, error estimate), or the error that refused it
 Row = "tuple[float, float] | FracCalcError"
 
@@ -295,19 +283,20 @@ def _panel_sums(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _row_ladder(
-    rule: Callable[[int], _Rule],
+    rule: Callable[[int], _Rung],
     n: int,
     n_max: int,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
     phi: RowFn,
     params: Sequence,
     cfg: QuadConfig,
+    refusal: Callable[[], str],
     floors: Sequence[float] | None = None,
-) -> list[tuple[float, float] | None]:
+) -> list[Row]:
     """Climb rules of n, 2n, ... <= n_max nodes for all rows of params at once.
 
-    rule(n) is a _Rule; phi(nodes, p) evaluates the rows p of params at the
-    _Nodes nodes, one block per row, stacked along the first axis, each point
+    rule(n) is a _Rung; phi(rung, p) evaluates the rows p of params at the
+    rung's points, one block per row, stacked along the first axis, each point
     on its own; reduce(blocks, weights) integrates every block in one call,
     one value per row, each bit for bit what integrating its block alone gives.
     The first rung has nothing to agree with, so it never stops a row: phi
@@ -315,7 +304,9 @@ def _row_ladder(
     the last axis, and each rung's slice of the block is reduced on its own.
     Each row stops at its first rung within max(target_rel_tol * |current|,
     its floor) of the one before, and its error estimate is that difference
-    plus rounding.  A row still climbing when the rungs run out is None.
+    plus rounding.  The rows still climbing when the rungs run out share one
+    ConvergenceError(refusal()), called only then: formatting its floats
+    costs about 1% of a warm verify-grid request.
     """
     done: list = [None] * len(params)
     rows = range(len(params))
@@ -323,9 +314,9 @@ def _row_ladder(
     while n <= n_max:
         rung = rule(n)
         if previous is not None:
-            block = phi(rung.nodes, params)
+            block = phi(rung, params)
         elif 2 * n > n_max:  # a lone rung cannot stop a row; it is looked up as every rung is
-            return done
+            break
         else:  # the first two rungs, in one call of phi
             upper = rule(2 * n)
             joined = phi(rung.joined(upper), params)
@@ -348,12 +339,7 @@ def _row_ladder(
             rows = [rows[j] for j in climbing]
             params = params[climbing]
         previous = current
-    return done
-
-
-def _refuse(done: list, message: str) -> list[Row]:
-    """The rows of a ladder, each row that ran out of rungs (None) refused with message."""
-    refused = ConvergenceError(message)
+    refused = ConvergenceError(refusal())
     return [refused if row is None else row for row in done]
 
 
@@ -370,14 +356,12 @@ def _jacobi_ladder(
 
     floors, one per row, are absolute tolerances: agreement within a row's floor
     counts as convergence.  A row that runs out of rungs is refused on its own.
-    a_plus_1 is the weight's exact a + 1, as gauss_jacobi_01 takes it.
+    Each rung is gauss_jacobi_01's rule, looked up once; a_plus_1 is the
+    weight's exact a + 1, as that function takes it.
     """
-    rule = lambda n: _jacobi_rule(n, a, b, a_plus_1)
-    done = _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, floors)
-    if None in done:
-        message = f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
-        done = _refuse(done, message)
-    return done
+    rule = lambda n: gauss_jacobi_01(n, a, b, a_plus_1)
+    refusal = lambda: f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
+    return _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, refusal, floors)
 
 
 # The lower log piece, in x with s = exp(-x)/2, is Gauss-Legendre panels on
@@ -391,15 +375,7 @@ LOG_HEAD_END = 40.0
 _PANEL_EDGES = np.geomspace(math.log(2.0), LOG_HEAD_END + math.log(2.0), 9) - math.log(2.0)
 
 
-def _panel_gauss_ladder(fn: RowFn, params: Sequence, cfg: QuadConfig, floors: list) -> list[Row]:
-    """Composite Gauss-Legendre on [0, LOG_HEAD_END] to max_nodes per panel; floors, refusals as in _jacobi_ladder."""
-    done = _row_ladder(_panel_rule, 8, cfg.max_nodes, _panel_sums, fn, params, cfg, floors)
-    if None in done:
-        done = _refuse(done, f"composite Gauss ladder exhausted {cfg.max_nodes} nodes per panel")
-    return done
-
-
-def _panel_rule(n: int) -> _Rule:
+def _panel_rule(n: int) -> _Rung:
     """Gauss-Legendre of n nodes on each panel between _PANEL_EDGES; points are (1, panels, n).
 
     Each rung looks up its rule here, as a Jacobi rung does through
@@ -409,7 +385,7 @@ def _panel_rule(n: int) -> _Rule:
     if rule is None:
         x, w = np.polynomial.legendre.leggauss(n)
         half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
-        rule = _Rule(_Nodes((_PANEL_EDGES[:-1, None] + half * (1.0 + x))[None]), half * w)
+        rule = _Rung((_PANEL_EDGES[:-1, None] + half * (1.0 + x))[None], half * w)
         rule = _panel_cache.setdefault(n, rule)  # the rule of the first thread to build it
     return rule
 
@@ -539,23 +515,20 @@ def rl_integral_quad(
     ts = np.array(points)[:, None]
     p = f.power_at_zero
     if not f.log_at_zero:
-        if p == 0.0:  # no weight s**p to divide out
-            phi = lambda nodes, tc: f.value(tc * nodes.points)
-        else:
-            phi = lambda nodes, tc: f.value(tc * nodes.points) * nodes.s_pow_neg_b
+        phi = lambda rung, tc: f.value(tc * rung.points) * rung.s_pow_neg_b
         rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, a_plus_1=alpha)
     else:
         if p + 1.0 == 0.0:
             raise DomainError(f"rl_integral_quad requires power_at_zero + 1 > 0 in floating point, got {p!r}")
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
-        upper = lambda nodes, tc: f.value(tc * nodes.upper_half)
+        upper = lambda rung, tc: f.value(tc * rung.upper_half)
         rows = _jacobi_ladder(upper, ts, alpha - 1.0, 0.0, cfg, a_plus_1=alpha)
         scale_hi = 0.5**alpha
 
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x)
-        def lower(nodes: _Nodes, tc: np.ndarray) -> np.ndarray:
-            s = nodes.half_exp_neg
+        def lower(rung: _Rung, tc: np.ndarray) -> np.ndarray:
+            s = rung.half_exp_neg
             return (1.0 - s) ** (alpha - 1.0) * f.value(tc * s) * s
 
         # the lower piece changes sign where t s = 1 and can cancel to nearly 0, so it
@@ -563,8 +536,9 @@ def rl_integral_quad(
         live = [i for i, row in enumerate(rows) if not isinstance(row, FracCalcError)]
         if live:
             floors = [cfg.target_rel_tol * scale_hi * abs(rows[i][0]) for i in live]
-            live_ts = ts if len(live) == len(ts) else ts[live]
-            heads = _panel_gauss_ladder(lower, live_ts[:, :, None], cfg, floors)
+            live_ts = (ts if len(live) == len(ts) else ts[live])[:, :, None]
+            refusal = lambda: f"composite Gauss ladder exhausted {cfg.max_nodes} nodes per panel"
+            heads = _row_ladder(_panel_rule, 8, cfg.max_nodes, _panel_sums, lower, live_ts, cfg, refusal, floors)
             tails = _log_tails(f, [points[i] for i in live])
             for i, head, (vt, et) in zip(live, heads, tails):
                 if isinstance(head, FracCalcError):
@@ -708,11 +682,11 @@ def _tail_integrand(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], beta
     integrand at s = 1, which each caller computes from its own exponents.
     """
 
-    def phi(nodes: _Nodes, rows: np.ndarray) -> np.ndarray:
+    def phi(rung: _Rung, rows: np.ndarray) -> np.ndarray:
         t = rows[:, :1]
-        u = nodes.points * t / nodes.one_minus
-        du = t / nodes.one_minus_sq
-        return kernel(u, rows) * u**beta_exp * du * nodes.one_minus_pow_neg_a * nodes.s_pow_neg_b
+        u = rung.points * t / rung.one_minus
+        du = t / rung.one_minus_sq
+        return kernel(u, rows) * u**beta_exp * du * rung.one_minus_pow_neg_a * rung.s_pow_neg_b
 
     return phi
 
@@ -811,8 +785,8 @@ def weyl_derivative_quad(
             return total
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
-        rule = _jacobi_rule(32, w_right, -delta, alpha + delta)
-        scales = _tail_integrand(partial(kernel, unsigned=True), -delta)(rule.nodes, levels)
+        rule = gauss_jacobi_01(32, w_right, -delta, alpha + delta)
+        scales = _tail_integrand(partial(kernel, unsigned=True), -delta)(rule, levels)
         floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, rule.weights).tolist()]
         prefactor = 1.0 / math.gamma(beta_order)
         phi = _tail_integrand(kernel, -delta)

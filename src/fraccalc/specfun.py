@@ -340,72 +340,67 @@ def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
     a = _require_finite("a", a)
     z = _require_finite("z", z)
     if abs(1.0 + a) > 170.0:
-        raise DomainError(f"mittag_leffler requires |nu| <= 170, got {1.0 + a!r}")
+        raise DomainError(f"mittag_leffler_shifted requires |1 + a| <= 170, got {1.0 + a!r}")
     if abs(z) > ML_Z_MAX:
-        raise DomainError(f"mittag_leffler requires |z| <= {ML_Z_MAX}, got z={z!r}")
-    value, bound = _unit_mittag_leffler(a, z)
-    if not math.isfinite(bound):
-        raise ConvergenceError(
-            f"mittag_leffler series terms exceed double range before converging (a={a!r}, z={z!r})"
-        )
-    return value, bound
-
-
-def _unit_mittag_leffler(a: float, z: float) -> tuple[float, float]:
-    """E_{1,1+a}(z) and its rounding bound, for checked a and z; see mittag_leffler_shifted."""
+        raise DomainError(f"mittag_leffler_shifted requires |z| <= {ML_Z_MAX}, got z={z!r}")
     u = 0.5 * _EPS  # unit roundoff
     x = abs(z)
     if a < 0.0 and a == math.floor(a):
         value = z**-a * math.exp(z)
-        return value, (x - a + 3.0) * u * abs(value)
-    # the terms k = 1..lead have a + k < 0; later ratios are all positive
-    lead = 0 if a >= 0.0 else math.ceil(-a) - 1
-    b = 1.0 + a
-    rg = 1.0 / math.gamma(b)
-    # gamma is good to 4 ulp, and a rounded 1 + a moves it by up to |b psi(b)| ulp
-    gamma_units = 10.0 + abs(b) * math.log1p(abs(b))
-    if z >= 0.0:
-        term = total = magnitude = 1.0
-        for k in range(1, lead + 1):
-            term *= z / (a + k)
-            total += term
-            magnitude += abs(term)
-        k = lead
-        size, rest = abs(term), 0.0
-        while True:
-            k += 1
-            size *= z / (a + k)
-            rest += size
-            if size <= u * rest:
-                break
-        total += math.copysign(rest, term)
-        magnitude += rest
-        # term k: 3k roundings and k ulp from the rounding of z; k additions
-        value = total * rg
-        bound = (5.0 * k + 2.0) * u * magnitude * abs(rg) + (gamma_units + 1.0) * u * abs(value)
+        bound = (x - a + 3.0) * u * abs(value)
     else:
-        power, tail, magnitude = 1.0, 0.0, 0.0
-        for k in range(1, lead + 1):
-            power *= x / k
-            term = power / (a + k)
-            tail += term
-            magnitude -= term
-        k = lead
-        rest = 0.0
-        while True:
-            k += 1
-            power *= x / k
-            term = power / (a + k)
-            rest += term
-            if term <= u * rest:
-                break
-        tail += rest
-        magnitude += rest
-        summed = 1.0 + a * tail
-        scale = math.exp(z) * rg
-        value = summed * scale
-        # term k: 2k + 2 roundings and k ulp from the rounding of z; k additions;
-        # e**z moves by |z| ulp with the rounding of z
-        sum_bound = abs(a) * (4.0 * k + 2.0) * u * magnitude + u * (abs(a * tail) + abs(summed))
-        bound = abs(scale) * sum_bound + (x + gamma_units + 3.0) * u * abs(value)
+        # the terms k = 1..lead have a + k < 0; later ratios are all positive
+        lead = 0 if a >= 0.0 else math.ceil(-a) - 1
+        b = 1.0 + a
+        rg = 1.0 / math.gamma(b)
+        # gamma is good to 4 ulp, and a rounded 1 + a moves it by up to |b psi(b)| ulp
+        gamma_units = 10.0 + abs(b) * math.log1p(abs(b))
+        if z >= 0.0:
+            term = total = magnitude = 1.0
+            for k in range(1, lead + 1):
+                term *= z / (a + k)
+                total += term
+                magnitude += abs(term)
+            k = lead
+            size, rest = abs(term), 0.0
+            while True:
+                k += 1
+                size *= z / (a + k)
+                rest += size
+                if size <= u * rest:
+                    break
+            total += math.copysign(rest, term)
+            magnitude += rest
+            # term k: 3k roundings and k ulp from the rounding of z; k additions
+            value = total * rg
+            bound = (5.0 * k + 2.0) * u * magnitude * abs(rg) + (gamma_units + 1.0) * u * abs(value)
+        else:
+            power, tail, magnitude = 1.0, 0.0, 0.0
+            for k in range(1, lead + 1):
+                power *= x / k
+                term = power / (a + k)
+                tail += term
+                magnitude -= term
+            k = lead
+            rest = 0.0
+            while True:
+                k += 1
+                power *= x / k
+                term = power / (a + k)
+                rest += term
+                if term <= u * rest:
+                    break
+            tail += rest
+            magnitude += rest
+            summed = 1.0 + a * tail
+            scale = math.exp(z) * rg
+            value = summed * scale
+            # term k: 2k + 2 roundings and k ulp from the rounding of z; k additions;
+            # e**z moves by |z| ulp with the rounding of z
+            sum_bound = abs(a) * (4.0 * k + 2.0) * u * magnitude + u * (abs(a * tail) + abs(summed))
+            bound = abs(scale) * sum_bound + (x + gamma_units + 3.0) * u * abs(value)
+    if not math.isfinite(bound):
+        raise ConvergenceError(
+            f"mittag_leffler_shifted series terms exceed double range before converging (a={a!r}, z={z!r})"
+        )
     return value, bound

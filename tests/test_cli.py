@@ -140,6 +140,18 @@ class TestEval:
         ) == 3
         assert "domain error" in capsys.readouterr().err
 
+    # a refusal names the function that refused and its bounds as that function states them
+    @pytest.mark.parametrize(
+        "alpha, fn, message",
+        (
+            ("200", "exp:lambda=1", "mittag_leffler_shifted requires |1 + a| <= 170, got 201.0"),
+            ("0.5", "exp:lambda=30", "mittag_leffler_shifted requires |z| <= 50.0, got z=60.0"),
+        ),
+    )
+    def test_mittag_leffler_refusal_names_its_function(self, capsys, alpha, fn, message):
+        assert main(["eval", "--op", "rl-int", "--alpha", alpha, "--fn", fn, "--t", "2"]) == 3
+        assert capsys.readouterr().err == f"fraccalc: domain error: {message}\n"
+
     @pytest.mark.parametrize("alpha, t", (("1", "-1"), ("2", "0")))
     def test_whole_order_exp_derivative_off_domain_exit_code(self, capsys, alpha, t):
         assert main(

@@ -187,6 +187,35 @@ class TestJacobiRuleCache:
         orc.gauss_jacobi_01(4, 0.4, 0.0)
         assert list(cache) == [(4, 0.2 + 1.0, 0.0), (4, 0.3 + 1.0, 0.0), (4, 0.4 + 1.0, 0.0)]
 
+    def test_a_hit_is_the_cached_rung_and_unpacks_to_its_arrays(self, cache):
+        rung = orc.gauss_jacobi_01(16, -0.5, 0.3)
+        assert orc.gauss_jacobi_01(16, -0.5, 0.3) is rung and cache[(16, 0.5, 0.3)] is rung
+        nodes, weights = orc.gauss_jacobi_01(16, -0.5, 0.3)
+        assert nodes is rung.points and weights is rung.weights
+        ref_nodes, ref_weights = orc._golub_welsch(16, -0.5, 0.3, 0.5)
+        assert nodes.tobytes() == ref_nodes.tobytes() and weights.tobytes() == ref_weights.tobytes()
+
+    def test_rows_do_not_depend_on_the_bound(self, cache, monkeypatch):
+        # under a bound of one rule each rung evicts the one below it, which the
+        # ladder still holds: the rows are those of the default bound, bit for bit
+        c = FUSED_ROWS["48 rows"]["jacobi"]  # rows stopping on every rung to 256 nodes, and refused ones
+
+        def rows():
+            cache.clear()
+            ladder = orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], -0.5, 0.3, CFG)
+            results = orc.weyl_derivative_quad(0.5, 0.25, list(np.linspace(0.5, 8.0, 16)), CFG)
+            results = [(r.value, r.abs_err_estimate) for r in results]
+            return [
+                str(row) if isinstance(row, Exception) else (row[0].hex(), row[1].hex()) for row in ladder + results
+            ]
+
+        default = rows()
+        assert max(n for n, _, _ in cache) == JACOBI_MAX_NODES
+        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 1)
+        assert rows() == default
+        assert len(cache) == 1
+        assert any(isinstance(row, str) for row in default)
+
     def test_threads_building_rules_keep_the_bound(self, cache, monkeypatch):
         monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 16)
         errors = []
@@ -214,9 +243,9 @@ class TestJacobiRuleCache:
 
     def test_derived_arrays_go_with_their_rule(self, cache, monkeypatch):
         monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 2)
-        rule, upper = orc._jacobi_rule(16, -0.5, 0.3), orc._jacobi_rule(32, -0.5, 0.3)
-        nodes, joined = rule.nodes, rule.joined(upper)
-        s = nodes.points
+        rule, upper = orc.gauss_jacobi_01(16, -0.5, 0.3), orc.gauss_jacobi_01(32, -0.5, 0.3)
+        joined = rule.joined(upper)
+        s = rule.points
         derived = {
             "s_pow_neg_b": s**-0.3,
             "one_minus": 1.0 - s,
@@ -225,14 +254,14 @@ class TestJacobiRuleCache:
             "upper_half": 0.5 + 0.5 * s,
         }
         for name, want in derived.items():
-            assert getattr(nodes, name).tobytes() == want.tobytes()
-        assert joined.points.tobytes() == np.concatenate((s, upper.nodes.points)).tobytes()
+            assert getattr(rule, name).tobytes() == want.tobytes()
+        assert joined.points.tobytes() == np.concatenate((s, upper.points)).tobytes()
         # a later lookup shares the arrays
-        again = orc._jacobi_rule(16, -0.5, 0.3)
-        assert again.nodes.s_pow_neg_b is nodes.s_pow_neg_b and again.joined(upper) is joined
-        refs = [weakref.ref(getattr(nodes, name)) for name in derived]
-        refs += [weakref.ref(joined.points), weakref.ref(joined.s_pow_neg_b), weakref.ref(nodes.points)]
-        del rule, upper, nodes, joined, s, again
+        again = orc.gauss_jacobi_01(16, -0.5, 0.3)
+        assert again.s_pow_neg_b is rule.s_pow_neg_b and again.joined(upper) is joined
+        refs = [weakref.ref(getattr(rule, name)) for name in derived]
+        refs += [weakref.ref(joined.points), weakref.ref(joined.s_pow_neg_b), weakref.ref(rule.points)]
+        del rule, upper, joined, s, again
         orc.gauss_jacobi_01(16, 0.1, 0.0)
         orc.gauss_jacobi_01(16, 0.2, 0.0)
         assert list(cache) == [(16, 0.1 + 1.0, 0.0), (16, 0.2 + 1.0, 0.0)]
@@ -244,15 +273,15 @@ class TestJacobiRuleCache:
         rule = orc._panel_rule(8)
         edges = orc._PANEL_EDGES
         panels = len(edges) - 1
-        assert rule.nodes.points.shape == (1, panels, 8) and rule.weights.shape == (panels, 8)
+        assert rule.points.shape == (1, panels, 8) and rule.weights.shape == (panels, 8)
         # each panel's rule integrates 1 and x to its length and moment
         assert rule.weights.sum(axis=1) == pytest.approx(np.diff(edges), rel=1e-14)
-        moments = (rule.weights * rule.nodes.points[0]).sum(axis=1)
+        moments = (rule.weights * rule.points[0]).sum(axis=1)
         assert moments == pytest.approx(np.diff(edges**2) / 2.0, rel=1e-14)
-        assert rule.nodes.half_exp_neg.tobytes() == (0.5 * np.exp(-rule.nodes.points)).tobytes()
+        assert rule.half_exp_neg.tobytes() == (0.5 * np.exp(-rule.points)).tobytes()
         # a later lookup is the same rule, with the same arrays
         again = orc._panel_rule(8)
-        assert again is rule and again.nodes.half_exp_neg is rule.nodes.half_exp_neg
+        assert again is rule and again.half_exp_neg is rule.half_exp_neg
         assert rule.joined(orc._panel_rule(16)) is rule.joined(orc._panel_rule(16))
 
     def test_powerlog_sweep_keeps_panel_rules_at_the_bound(self, cache, monkeypatch):
@@ -273,25 +302,27 @@ class TestJacobiRuleCache:
         # at most twice the points of the largest rung
         panels = {}
         monkeypatch.setattr(orc, "_panel_cache", panels)
-        refused = lambda nodes, c: np.cos(c * nodes.half_exp_neg)  # climbs every rung at c = 1e4
+        # sin(1/x) is smooth on the upper piece, [1/2, 1], and turns without end below it:
+        # its lower piece climbs every rung
+        refused = Integrand(lambda x: np.sin(1.0 / x) * np.log(x), log_at_zero=True)
         for max_nodes in (32, CFG.max_nodes):
             cfg = QuadConfig(1e-15, max_nodes)
             for nu in (1e-9, 0.01, 0.3, 1.0, 2.9):
                 for t in (0.5, 3.0):
                     _outcome(lambda: orc.rl_integral_quad(PowerLog(nu), 0.5, t, cfg))
-            [row] = orc._panel_gauss_ladder(refused, np.array([[[1e4]]]), cfg, [0.0])
+            row = _outcome(lambda: orc.rl_integral_quad(refused, 0.5, 1.0, cfg))
             assert isinstance(row, ConvergenceError) and f"{max_nodes} nodes per panel" in str(row)
             assert max(panels) == max_nodes
-        largest = panels[CFG.max_nodes].nodes.points.size
+        largest = panels[CFG.max_nodes].points.size
         assert largest == (len(orc._PANEL_EDGES) - 1) * CFG.max_nodes
-        assert sum(rule.nodes.points.size for rule in panels.values()) < 2 * largest
+        assert sum(rule.points.size for rule in panels.values()) < 2 * largest
 
     def test_jacobi_cache_has_no_node_bound(self, cache):
         # a full Jacobi cache holds at most JACOBI_CACHE_MAX_RULES rules of JACOBI_MAX_NODES
         for i in range(4):
             orc.gauss_jacobi_01(JACOBI_MAX_NODES, 0.1 * i, 0.0)
         assert len(cache) == 4
-        assert sum(rule.nodes.points.size for rule in cache.values()) == 4 * JACOBI_MAX_NODES
+        assert sum(rule.points.size for rule in cache.values()) == 4 * JACOBI_MAX_NODES
 
     def test_threads_sharing_derived_arrays(self, cache, monkeypatch):
         monkeypatch.setattr(orc, "_panel_cache", {})
@@ -302,12 +333,12 @@ class TestJacobiRuleCache:
             try:
                 for i in range(100):
                     a = 0.1 * (i % 7) + 1e-6 * k
-                    rule = orc._jacobi_rule(16, a, 0.3)
-                    joined = rule.joined(orc._jacobi_rule(32, a, 0.3))
+                    rule = orc.gauss_jacobi_01(16, a, 0.3)
+                    joined = rule.joined(orc.gauss_jacobi_01(32, a, 0.3))
                     assert joined.s_pow_neg_b.tobytes() == (joined.points**-0.3).tobytes()
-                    assert rule.nodes.one_minus_pow_neg_a.tobytes() == ((1.0 - rule.nodes.points) ** -a).tobytes()
+                    assert rule.one_minus_pow_neg_a.tobytes() == ((1.0 - rule.points) ** -a).tobytes()
                     panel = orc._panel_rule(8 * 2 ** (i % 5))
-                    assert panel.nodes.half_exp_neg.tobytes() == (0.5 * np.exp(-panel.nodes.points)).tobytes()
+                    assert panel.half_exp_neg.tobytes() == (0.5 * np.exp(-panel.points)).tobytes()
             except Exception as exc:  # reported below
                 errors.append(exc)
 
@@ -330,7 +361,7 @@ def _one_row_ladder(rule, n, n_max, integrate, block, tol, floor):
     """The ladder of one row, one reduction per rung: (value, estimate, nodes) or None."""
     below = None
     while n <= n_max:
-        points, weights = rule(n).pair
+        points, weights = rule(n)
         value = float(integrate(weights, block(points)))
         if below is not None:
             diff = abs(value - below)
@@ -365,7 +396,7 @@ def _panel_rule(n):
     hold 10240 values, past numpy's buffer of 8192."""
     x, w = np.polynomial.legendre.leggauss(n)
     half = np.linspace(0.5, 3.0, 40)[:, None]
-    return orc._Rule(orc._Nodes((half * x)[None]), half * w)
+    return orc._Rung((half * x)[None], half * w)
 
 
 class TestRowReductions:
@@ -376,13 +407,13 @@ class TestRowReductions:
         ids = np.arange(float(rows))[:, None]
         # floors between 1e-12 and 1e-3 of each row's first value: the rows stop on different rungs
         rng = np.random.default_rng(rows)
-        points, weights = rule(n).pair
+        points, weights = rule(n)
         floors = [
             abs(float(integrate(weights, _wide_block(r, shape(points))))) * 10.0 ** -rng.uniform(3, 12)
             for r in range(rows)
         ]
         phi = lambda nodes, p: np.stack([_rung_blocks(int(r), shape(nodes.points)) for r in p[:, 0]])
-        done = orc._row_ladder(rule, n, n_max, reduce, phi, ids, CFG, floors)
+        done = orc._row_ladder(rule, n, n_max, reduce, phi, ids, CFG, lambda: "refused", floors)
         alone = [
             _one_row_ladder(rule, n, n_max, integrate, lambda points: _wide_block(r, shape(points)),
                             CFG.target_rel_tol, floors[r])
@@ -395,7 +426,7 @@ class TestRowReductions:
 
     @pytest.mark.parametrize("rows", (1, 3, 48))
     def test_jacobi_rows_are_their_own_dot(self, rows):
-        rule = lambda n: orc._jacobi_rule(n, -0.5, 0.3)
+        rule = lambda n: orc.gauss_jacobi_01(n, -0.5, 0.3)
         # from 4 nodes, so that every row stops by the largest rule (16 to 256 nodes here)
         done, alone = self._ladders(rows, rule, 4, JACOBI_MAX_NODES, orc._jacobi_sums, np.ndarray.dot, np.shape)
         assert done == alone
@@ -413,7 +444,7 @@ def _rung_by_rung(rule, n, n_max, reduce, phi, params, floors=None):
     rows, previous, rung = list(range(len(params))), None, 1
     while n <= n_max and rows:
         rung_rule = rule(n)
-        values = reduce(phi(rung_rule.nodes, params), rung_rule.weights).tolist()
+        values = reduce(phi(rung_rule, params), rung_rule.weights).tolist()
         if previous is not None:
             for row, value, below in zip(rows, values, previous):
                 diff = abs(value - below)
@@ -427,7 +458,7 @@ def _rung_by_rung(rule, n, n_max, reduce, phi, params, floors=None):
 
 # integrands of a row parameter c, harder as c grows: a Jacobi one that divides
 # out the weight s**0.3, and a panel one of the lower log piece's s = exp(-x)/2
-_JACOBI_RULE = lambda n: orc._jacobi_rule(n, -0.5, 0.3)
+_JACOBI_RULE = lambda n: orc.gauss_jacobi_01(n, -0.5, 0.3)
 _JACOBI_PHI = lambda nodes, c: np.power(c * nodes.points, 0.3) * np.cos(c * nodes.points) * nodes.s_pow_neg_b
 _PANEL_RULE = orc._panel_rule
 _PANEL_PHI = lambda nodes, c: np.cos(c * nodes.half_exp_neg)
@@ -457,9 +488,15 @@ class TestFusedLadder:
         n_max = top if n_max is None else n_max
         shapes = []
         counted = lambda nodes, p: shapes.append(nodes.points.shape[-1]) or phi(nodes, p)
-        done = orc._row_ladder(rule, n, n_max, reduce, counted, params(c), CFG, floors)
+        messages = []  # the refusal's message is formatted only for a ladder that refuses rows
+        refusal = lambda: messages.append("out of rungs") or messages[-1]
+        done = orc._row_ladder(rule, n, n_max, reduce, counted, params(c), CFG, refusal, floors)
         want, stops = _rung_by_rung(rule, n, n_max, reduce, phi, params(c), floors)
-        assert done == want
+        # the rows that ran out of rungs share one refusal
+        refused = [row for row in done if isinstance(row, ConvergenceError)]
+        assert all(row is refused[0] and str(row) == "out of rungs" for row in refused)
+        assert len(messages) == (1 if refused else 0)
+        assert [None if isinstance(row, ConvergenceError) else row for row in done] == want
         return shapes, stops
 
     @pytest.mark.parametrize("rows", sorted(FUSED_ROWS))
@@ -513,6 +550,36 @@ class TestFusedLadder:
         sizes.clear()
         orc._jacobi_ladder(_JACOBI_PHI, np.array([[3.0]]), -0.5, 0.3, CFG)
         assert sizes == [(16, -0.5, 0.3), (32, -0.5, 0.3)]
+
+    @pytest.mark.parametrize(
+        "call, floor_rules",
+        (
+            (lambda: orc.rl_integral_quad(Exp(1.0), 0.5, 1.0, CFG), []),
+            (lambda: orc.weyl_derivative_quad(0.5, 0.25, 1.0, CFG), [32]),  # the tail's one 32-node floor rule
+        ),
+    )
+    def test_one_rule_lookup_per_jacobi_rung(self, call, floor_rules, monkeypatch):
+        calls, gets, ladders = [], [], []  # gauss_jacobi_01's n, the cache's lookups, each ladder's rungs
+
+        class CountedCache(dict):
+            def get(self, key, default=None):
+                gets.append(key[0])
+                return super().get(key, default)
+
+        jacobi, row_ladder = orc.gauss_jacobi_01, orc._row_ladder
+
+        def ladder(rule, *args):
+            ladders.append([])
+            return row_ladder(lambda n: ladders[-1].append(n) or rule(n), *args)
+
+        monkeypatch.setattr(orc, "_jacobi_cache", CountedCache())
+        monkeypatch.setattr(orc, "gauss_jacobi_01", lambda n, a, b, *exact: calls.append(n) or jacobi(n, a, b, *exact))
+        monkeypatch.setattr(orc, "_row_ladder", ladder)
+        call()
+        # the integral's ladder, then the floor rule and the tail's ladder, if any
+        assert ladders[0] == [16, 32]
+        assert calls == ladders[0] + floor_rules + [n for rungs in ladders[1:] for n in rungs]
+        assert gets == calls
 
 
 class TestRlIntegralQuad:
@@ -1076,7 +1143,9 @@ class TestPowerLogTinyNu:
 
     def test_two_rungs_of_panels_are_climbed(self):
         fn = lambda nodes, p: np.ones_like(p * nodes.points)
-        rows = orc._panel_gauss_ladder(fn, np.ones((1, 1, 1)), CFG, [0.0])
+        rows = orc._row_ladder(
+            orc._panel_rule, 8, CFG.max_nodes, orc._panel_sums, fn, np.ones((1, 1, 1)), CFG, lambda: "refused", [0.0]
+        )
         assert rows[0][0] == pytest.approx(orc.LOG_HEAD_END, rel=1e-14)
 
 
@@ -1117,14 +1186,13 @@ class TestGradedLogPanels:
         # every powerlog point of the verify grid: the first call evaluates 8 + 16 nodes per panel
         uppers = []  # per upper-piece Jacobi ladder: the rows it did not refuse
         ladders = []  # per panel ladder: the integrand calls and the rows
-        real, real_upper = orc._panel_gauss_ladder, orc._jacobi_ladder
+        real = orc._row_ladder
 
-        def upper(*args, **kwargs):
-            rows = real_upper(*args, **kwargs)
-            uppers.append(sum(not isinstance(row, Exception) for row in rows))
-            return rows
-
-        def counted(fn, *args):
+        def counted(rule, n, n_max, reduce, fn, *args):
+            if rule is not orc._panel_rule:  # the upper piece's Gauss-Jacobi ladder
+                rows = real(rule, n, n_max, reduce, fn, *args)
+                uppers.append(sum(not isinstance(row, Exception) for row in rows))
+                return rows
             record = [0, None]
             ladders.append(record)
 
@@ -1132,11 +1200,10 @@ class TestGradedLogPanels:
                 record[0] += 1
                 return fn(nodes, p)
 
-            record[1] = real(counted_fn, *args)
+            record[1] = real(rule, n, n_max, reduce, counted_fn, *args)
             return record[1]
 
-        monkeypatch.setattr(orc, "_panel_gauss_ladder", counted)
-        monkeypatch.setattr(orc, "_jacobi_ladder", upper)
+        monkeypatch.setattr(orc, "_row_ladder", counted)
         cfg = QuadConfig(tol)
         kinds = (OperatorKind.RL_INTEGRAL, OperatorKind.RL_DERIVATIVE)
         outcomes = [

@@ -298,7 +298,7 @@ class TestMittagLeffler:
     def test_refusals(self):
         with pytest.raises(DomainError, match=r"\|z\| <= 50.0, got z=50.5"):
             sf.mittag_leffler_shifted(0.5, 50.5)
-        with pytest.raises(DomainError, match=r"\|nu\| <= 170, got 200.5"):
+        with pytest.raises(DomainError, match=r"^mittag_leffler_shifted requires \|1 \+ a\| <= 170, got 200.5$"):
             sf.mittag_leffler_shifted(199.5, 1.0)
         with pytest.raises(DomainError, match="z must be finite"):
             sf.mittag_leffler_shifted(0.5, math.inf)
