@@ -238,26 +238,21 @@ def rl_derivative_power(alpha: float, gamma_exp: float, t: float) -> float:
 
 
 def rl_derivative_exp(alpha: float, lam: float, t: float) -> float:
-    """Fractional derivative of order alpha (non-integer) of exp(lam t) from 0.
+    """Fractional derivative of order alpha of exp(lam t) from 0.
 
-    Integer orders are plain differentiation, lam**m * exp(lam t); dispatch
-    happens in closed_eval, not here.
+    At a whole order m it is the plain derivative, lam**m * exp(lam t).
     """
     t = _require_t_and_alpha("rl_derivative_exp", alpha, t)
-    if alpha == math.floor(alpha):
-        raise DomainError(f"rl_derivative_exp requires non-integer alpha, got {alpha!r}")
     return exp_shift_eval(-alpha, lam, t)[0]
 
 
 def rl_derivative_powerlog(alpha: float, nu: float, t: float) -> float:
-    """Fractional derivative of order alpha (non-integer) of t**(nu-1) log t.
+    """Fractional derivative of order alpha of t**(nu-1) log t, the plain one at a whole order.
 
     Raises SingularParamError when nu-alpha is a non-positive integer: there
     the formula degenerates to 0*inf and no limit value is assigned.
     """
     t = _require_t_and_alpha("rl_derivative_powerlog", alpha, t)
-    if alpha == math.floor(alpha):
-        raise DomainError(f"rl_derivative_powerlog requires non-integer alpha, got {alpha!r}")
     if nu <= 0.0:
         raise DomainError(f"rl_derivative_powerlog requires nu > 0, got {nu!r}")
     return powerlog_shift_eval(-alpha, nu, t)[0]
@@ -268,13 +263,12 @@ def weyl_derivative_abspower(alpha: float, delta: float, t: float) -> float:
 
     Carries the cosine ratio cos(pi d/2 + pi a)/cos(pi d/2) that the
     literature formula drops; it vanishes exactly on the locus
-    delta/2 + alpha in {1/2, 3/2, ...}.
+    delta/2 + alpha in {1/2, 3/2, ...}, and is (-1)**m at a whole order m,
+    where the value is the plain derivative.
     """
     t = _require_t_and_alpha("weyl_derivative_abspower", alpha, t)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_abspower requires delta in (0,1), got {delta!r}")
-    if alpha == math.floor(alpha):
-        raise DomainError(f"weyl_derivative_abspower requires non-integer alpha, got {alpha!r}")
     return weyl_power_shift_eval(-alpha, delta, t)[0]
 
 
@@ -403,26 +397,6 @@ _SHIFT_EVALS = {
 }
 
 
-def _plain_exp(m: int, f: Exp, t: float) -> tuple[float, float]:
-    value = f.lam**m * math.exp(f.lam * _require_positive_t(t))
-    # lam**m e**(lam t) moves by |lam t| ulp with the rounding of lam t
-    return value, (abs(f.lam * t) + m + 3.0) * 0.5 * _EPS * abs(value)
-
-
-def _plain_powerlog(m: int, f: PowerLog, t: float) -> tuple[float, float]:
-    # the bracket's bound at a = -m
-    return nth_derivative_powerlog(m, f.nu - 1.0, t), powerlog_shift_eval(-m, f.nu, t)[1]
-
-
-def _plain_power(m: int, f: Power | AbsPower, t: float) -> tuple[float, float]:
-    value = nth_derivative_power(m, f.power_at_zero, t)
-    return value, 8.0 * _EPS * abs(value)
-
-
-# whole-number derivative orders m take the plain m-th derivative: (value, bound)
-_PLAIN_DERIVATIVES = {Power: _plain_power, Exp: _plain_exp, PowerLog: _plain_powerlog, AbsPower: _plain_power}
-
-
 def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: float) -> EvalResult:
     """The closed form of an operator applied to a family member, with an error bound.
 
@@ -430,24 +404,20 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     the lower-limit-zero kinds accept the other three.  After the pair's
     formula's own checks, the value and its bound come from one evaluation
     of the family's shift function at order alpha, or -alpha for a
+    derivative, whole orders included: at alpha = m it is the plain m-th
     derivative.  Each bound comes from the terms of the value and its
     rounded arguments (exp_shift_eval's from the Mittag-Leffler series,
     powerlog_shift_eval's from the bracket before it cancels,
     weyl_power_shift_eval's from the cosine ratio before it vanishes, and
-    power_shift_eval's from a few ulp of the value).  Whole derivative
-    orders m take the plain m-th derivative; for power-log its bound is the
-    bracket's at a = -m, and for exp it counts the rounding of lam t.
+    power_shift_eval's from a few ulp of the value).
     """
     if type(kind) is not OperatorKind:
         kind = OperatorKind(kind)
     kind.check_pairing(family)
-    # before the whole-order test: math.floor raises on nan and inf
+    # a non-finite alpha is refused by name, before any formula sees it
     _check_finite("alpha", alpha)
-    if kind.is_derivative and alpha > 0.0 and alpha == math.floor(alpha):
-        value, bound = _PLAIN_DERIVATIVES[type(family)](int(alpha), family, t)
-    else:
-        delta = family.delta if kind is OperatorKind.WEYL_INTEGRAL else None
-        t = _require_t_and_alpha(_FORMULAS[kind, type(family)], alpha, t, delta)
-        shift_eval = globals()[_SHIFT_EVALS[type(family)]]
-        value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
+    delta = family.delta if kind is OperatorKind.WEYL_INTEGRAL else None
+    t = _require_t_and_alpha(_FORMULAS[kind, type(family)], alpha, t, delta)
+    shift_eval = globals()[_SHIFT_EVALS[type(family)]]
+    value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
     return EvalResult(value=value, method="closed-form", abs_err_estimate=bound)

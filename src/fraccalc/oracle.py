@@ -582,25 +582,21 @@ def _stencil_derivative(
 ) -> EvalResult | list[EvalResult]:
     """Order-alpha derivative as the order-m difference of an order (m - alpha) integral.
 
-    m is the smallest integer above alpha.  The differenced integral is the
-    one of f from 0, taken at every stencil point of every level of every t
-    in a single rl_integral_quad call, plus, when given, a tail term:
-    tail(beta, coeffs, stencils) takes one (t, steps, points) per t, points
-    holding the stencil of each level, and returns its rows flat,
-    RICHARDSON_LEVELS per t: for level i of a t, sum_k coeffs[k] *
-    T(points[i][k]) for the order-beta tail T and its error, or the error
-    that refused the row.  A t takes the error of its first refused row,
-    its integrals' rows in stencil order before its tail's; otherwise the
-    differences over a symmetric stencil of base width FD_STEP_FACTOR * t
-    are Richardson-extrapolated over RICHARDSON_LEVELS step halvings.
+    m is floor(alpha) + 1, so a whole alpha differences the first integral.
+    The differenced integral is the one of f from 0, taken at every stencil
+    point of every level of every t in a single rl_integral_quad call, plus,
+    when given, a tail term: tail(beta, coeffs, stencils) takes one
+    (t, steps, points) per t, points holding the stencil of each level, and
+    returns its rows flat, RICHARDSON_LEVELS per t: for level i of a t,
+    sum_k coeffs[k] * T(points[i][k]) for the order-beta tail T and its
+    error, or the error that refused the row.  A t takes the error of its
+    first refused row, its integrals' rows in stencil order before its
+    tail's; otherwise the differences over a symmetric stencil of base width
+    FD_STEP_FACTOR * t are Richardson-extrapolated over RICHARDSON_LEVELS
+    step halvings.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
-    if alpha == math.floor(alpha):
-        raise DomainError(
-            f"{name} requires non-integer alpha (got {alpha!r}); "
-            "integer orders are plain derivatives"
-        )
     points, scalar = _points(name, t)
     m = int(math.floor(alpha)) + 1
     beta_order = m - alpha
@@ -660,11 +656,11 @@ def rl_derivative_quad(
 ) -> EvalResult | list[EvalResult]:
     """Order-alpha fractional derivative from 0 by differencing the integral.
 
-    With m the smallest integer above alpha, evaluates the order (m - alpha)
-    integral on a symmetric stencil of base width FD_STEP_FACTOR * t and
-    applies the order-m central difference, Richardson-extrapolated over
-    RICHARDSON_LEVELS step halvings.  A sequence of t gives a list, as in
-    rl_integral_quad.
+    With m = floor(alpha) + 1, evaluates the order (m - alpha) integral on a
+    symmetric stencil of base width FD_STEP_FACTOR * t and applies the
+    order-m central difference, Richardson-extrapolated over
+    RICHARDSON_LEVELS step halvings; a whole alpha takes the first integral.
+    A sequence of t gives a list, as in rl_integral_quad.
     """
     return _stencil_derivative("rl_derivative_quad", f, alpha, t, cfg)
 
@@ -697,9 +693,16 @@ def _power_tail_rows(a_exp: float, beta_exp: float, w_plus_1: float, ts: list[fl
     After u = s t/(1-s) the endpoint exponents are w = -a_exp-beta_exp-2 at
     s=1 and beta_exp at s=0.  The caller passes w + 1 as it computes it from
     its own exponents, so that the rule's mass is built from the exact value.
+    A t where t**a_exp, t**beta_exp or t**(a_exp+beta_exp) leaves [2**-1000,
+    2**1000] is refused: the powers' product would under- or overflow there.
     """
     phi = _tail_integrand(lambda u, rows: (rows + u) ** a_exp, beta_exp)
-    return _jacobi_ladder(phi, np.array(ts)[:, None], w_plus_1 - 1.0, beta_exp, cfg, a_plus_1=w_plus_1)
+    reach = max(abs(a_exp), abs(beta_exp), abs(a_exp + beta_exp))
+    fits = lambda t: reach * abs(math.log2(t)) <= 1000.0
+    kept = np.array([t for t in ts if fits(t)])[:, None]
+    rows = iter(_jacobi_ladder(phi, kept, w_plus_1 - 1.0, beta_exp, cfg, a_plus_1=w_plus_1))
+    refused = lambda t: DomainError(f"the power tail (t+u)**{a_exp!r} * u**{beta_exp!r} leaves the doubles at t={t!r}")
+    return [next(rows) if fits(t) else refused(t) for t in ts]
 
 
 def tail_power_quad(
@@ -758,8 +761,9 @@ def weyl_derivative_quad(
     the stencil kernel sum_k c_k (x_k + u)**(beta-1) *inside* the integral
     cancels the divergent bulk analytically (the kernel decays like
     h**m u**(beta-1-m)), so the tail is evaluated as a single absolutely
-    convergent Jacobi-weighted integral for every admissible order.  A
-    sequence of t gives a list, as in rl_integral_quad.
+    convergent Jacobi-weighted integral for every order; at a whole alpha,
+    beta = 1 and the kernel is exactly 0.  A sequence of t gives a list, as
+    in rl_integral_quad.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_quad requires delta in (0,1), got {delta!r}")

@@ -159,11 +159,14 @@ class TestEval:
         ) == 3
         assert "t > 0" in capsys.readouterr().err
 
-    def test_integer_order_oracle_derivative_is_domain_error(self, capsys):
+    def test_whole_order_routes_agree(self, capsys):
         assert main(
             ["eval", "--op", "rl-der", "--alpha", "2", "--fn", "exp:lambda=1",
-             "--t", "1", "--method", "oracle"]
-        ) == 3
+             "--t", "1", "--method", "both"]
+        ) == 0
+        (v1, e1, m1), (v2, e2, m2) = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+        assert (m1, m2) == ("closed-form", "oracle")
+        assert abs(float(v1) - float(v2)) <= float(e1) + float(e2)
 
     def test_convergence_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "quad.cfg"
@@ -289,6 +292,17 @@ class TestTableCommand:
             closed, diff = float(row[3]), float(row[5])
             assert diff <= max(TOL_DERIVATIVE * abs(closed), ATOL_DERIVATIVE)
 
+    def test_sweep_across_whole_orders(self, tmp_path):
+        # alpha = 1 lies inside the range, and takes the path of every other order
+        out = tmp_path / "table.csv"
+        assert main(
+            ["table", "--op", "rl-der", "--fn", "power:gamma=0.5",
+             "--alpha-range", "0.1:1.9:0.1", "--t-range", "0.5:5:0.5", "--out", str(out)]
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 190
+        assert any(float(row[0]) == 1.0 for row in rows)
+
     def test_rows_parse_back_losslessly(self, tmp_path):
         out = tmp_path / "table.csv"
         main(
@@ -319,6 +333,19 @@ class TestCompareCommand:
             )
             assert abs(float(fields[5])) < 1e-6
             assert fields[7] == "corrected"
+
+
+    # the tabulated formula has the wrong sign at odd whole orders and
+    # coincides with the corrected one at even ones
+    @pytest.mark.parametrize("alpha, verdict", (("1", "corrected"), ("2", "inconclusive"), ("3", "corrected")))
+    def test_whole_orders(self, tmp_path, alpha, verdict):
+        out = tmp_path / "cmp.csv"
+        assert main(
+            ["compare", "--delta", "0.5", "--alpha", alpha, "--t-range", "0.5:2:0.5", "--out", str(out)]
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row[7] == verdict for row in rows)
 
 
 class TestOracleCommandConfig:

@@ -164,14 +164,19 @@ class TestExpDerivative:
                 for t in (0.5, 2.0):
                     assert cf.rl_derivative_exp(alpha, lam, t) == cf.exp_shift_eval(-alpha, lam, t)[0]
 
-    def test_integer_order_rejected(self):
-        with pytest.raises(DomainError):
-            cf.rl_derivative_exp(2.0, 1.0, 1.0)
+    def test_whole_order_is_the_plain_derivative(self):
+        # E_{1,1-m}(z) = z**m e**z, so the formula at order m is lam**m e**(lam t)
+        for m in (1, 2, 3):
+            for lam in (-1.0, 0.5, 1.5):
+                for t in (0.5, 2.0):
+                    assert cf.rl_derivative_exp(float(m), lam, t) == pytest.approx(
+                        lam**m * math.exp(lam * t), rel=1e-14
+                    )
 
     @pytest.mark.parametrize("alpha", (1.0, 2.0))
     @pytest.mark.parametrize("t", (-1.0, 0.0))
     def test_whole_order_requires_positive_t(self, alpha, t):
-        # whole orders take the plain-derivative row, which must check t like the others
+        # whole orders take the formula's checks, like every other order
         with pytest.raises(DomainError, match="t > 0"):
             cf.closed_eval(OperatorKind.RL_DERIVATIVE, alpha, Exp(1.0), t)
 
@@ -233,9 +238,15 @@ class TestPowerLogDerivative:
         with pytest.raises(SingularParamError):
             cf.rl_derivative_powerlog(1.5, 0.5, 1.0)
 
-    def test_integer_order_rejected(self):
-        with pytest.raises(DomainError):
-            cf.rl_derivative_powerlog(1.0, 0.5, 1.0)
+    def test_whole_order_is_the_plain_derivative(self):
+        # PowerLog(nu=2) is f(t) = t log t, so d/dt = log t + 1
+        assert cf.rl_derivative_powerlog(1.0, 2.0, 2.0) == pytest.approx(math.log(2.0) + 1.0, rel=1e-14)
+        for m in (1, 2, 3):
+            for nu in (0.3, 0.5, 2.5):
+                for t in (0.5, 2.0):
+                    assert cf.rl_derivative_powerlog(float(m), nu, t) == pytest.approx(
+                        cf.nth_derivative_powerlog(m, nu - 1.0, t), rel=1e-13
+                    )
 
 
 class TestWeylIntegral:
@@ -282,9 +293,14 @@ class TestWeylDerivative:
                         -alpha, delta, t
                     )[0]
 
-    def test_integer_order_rejected(self):
-        with pytest.raises(DomainError):
-            cf.weyl_derivative_abspower(1.0, 0.5, 1.0)
+    def test_whole_order_is_the_plain_derivative(self):
+        # the cosine ratio is (-1)**m there, and the value d**m/dt**m t**(-delta)
+        for m in (1, 2, 3):
+            for delta in (0.2, 0.5, 0.8):
+                for t in (0.5, 2.0):
+                    assert cf.weyl_derivative_abspower(float(m), delta, t) == pytest.approx(
+                        cf.nth_derivative_power(m, -delta, t), rel=1e-13
+                    )
 
 
 class TestWeylLiterature:
@@ -414,6 +430,7 @@ class TestDigammaSumIdentity:
 
 class TestDispatch:
     def test_integer_order_derivative_routes_to_plain_derivative(self):
+        # a whole order m takes the shift function at -m, which is the plain m-th derivative
         assert cf.closed_eval(OperatorKind.RL_DERIVATIVE, 1.0, Power(2.0), 3.0).value == pytest.approx(
             6.0, rel=1e-15
         )
@@ -426,8 +443,8 @@ class TestDispatch:
         ).value == pytest.approx(math.log(2.0) + 1.0, rel=1e-14)
 
     def test_integer_order_weyl_derivative_matches_cosine_parity(self):
-        # at whole orders the corrected cosine ratio collapses to (-1)^m and
-        # the plain derivative takes over
+        # at whole orders the corrected cosine ratio collapses to (-1)^m,
+        # which makes the shift function the plain derivative
         delta, t = 0.4, 1.3
         for m in (1, 2):
             plain = cf.closed_eval(OperatorKind.WEYL_DERIVATIVE, float(m), AbsPower(delta), t).value

@@ -8,7 +8,6 @@ This tests the rounding honesty of the closed route, not its formulas;
 checking the formulas is the ledger's job.
 """
 
-import math
 import re
 import sys
 
@@ -92,7 +91,7 @@ class TestExpEstimates:
     @example("rl-der", 2.0 - 1e-9, 20.0, 3.0)
     @example("rl-int", 0.5, -40.0, 5.0)
     @example("rl-der", 2.5, 50.0, 5.0)
-    @example("rl-der", 1.0, 49.5, 4.5)  # whole orders take the plain derivative
+    @example("rl-der", 1.0, 49.5, 4.5)  # whole orders: the shift function at -m is the plain derivative
     @example("rl-der", 2.0, -49.5, 4.5)
     def test_estimate_is_honest_and_not_wild(self, op, alpha, lam_t, t):
         lam = lam_t / t
@@ -119,7 +118,7 @@ class TestWeylEstimates:
     @example(("weyl-der", 0.38745130105220377, 0.22565324200520231, 2.898528528519859))
     @example(("weyl-der", 2.1205576669320485, 0.7589089301359269, 3.3002374308206326))
     @example(("weyl-int", 4.01264665566004e-08, 0.9999665318776211, 1.0817318761322046))
-    @example(("weyl-der", 1.0, 0.5, 4.5))  # whole orders take the plain derivative
+    @example(("weyl-der", 1.0, 0.5, 4.5))  # whole orders: the shift function at -m is the plain derivative
     @example(("weyl-der", 2.5, 0.8, 5.0))
     def test_estimate_is_honest_and_not_wild(self, point):
         op, alpha, delta, t = point
@@ -203,7 +202,7 @@ class TestPowerEstimates:
     @example(("rl-der", 2.5, 0.5, 4.0))
     @example(("rl-der", 2.4999999999, 0.5, 4.0))  # next to that pole
     @example(("rl-der", 1.1, 0.1, 2.0))  # 1 + g rounds, and 1 + g - alpha onto a pole
-    @example(("rl-der", 1.0, 2.5, 3.0))  # whole orders take the plain derivative
+    @example(("rl-der", 1.0, 2.5, 3.0))  # whole orders: the shift function at -m is the plain derivative
     @example(("rl-der", 2.0, 0.5, 0.5))
     def test_estimate_is_honest_and_not_wild(self, point):
         op, alpha, g, t = point
@@ -230,8 +229,13 @@ class TestPowerLogEstimates:
     @example(("rl-der", 0.1, 1.95, 0.7))  # nu and nu - alpha in psi's windows
     @example(("rl-der", 2.0599, 0.0348, 2.366))  # nu - alpha rounds next to a pole
     @example(("rl-der", 0.76, 1.5, 3.55))  # the bracket cancels
-    @example(("rl-der", 1.0, 2.0, 2.0))  # whole orders take the plain derivative
+    @example(("rl-der", 1.0, 2.0, 2.0))  # whole orders: the shift function at -m is the plain derivative
     @example(("rl-der", 2.0, 0.3, 4.5))
+    # small nu at whole orders: nth_derivative_powerlog's value, under the
+    # bracket's bound, fell 4.8x, 4.7x and 1.06x below the error here
+    @example(("rl-der", 2.0, 0.01, 1.0))
+    @example(("rl-der", 2.0, 0.01, 0.5))
+    @example(("rl-der", 1.0, 0.017639441759332037, 3.9967264195416488))
     def test_estimate_is_honest_and_not_wild(self, point):
         op, alpha, nu, t = point
         shifted = nu - alpha if op == "rl-der" else nu + alpha
@@ -305,27 +309,15 @@ FORMULAS = {
 }
 
 
-def _plain_derivative(m, family, t):
-    """The m-th derivative of family at t, from the closed forms of plain calculus."""
-    if type(family) is Exp:
-        return family.lam**m * math.exp(family.lam * t)
-    if type(family) is PowerLog:
-        return cf.nth_derivative_powerlog(m, family.nu - 1.0, t)
-    return cf.nth_derivative_power(m, family.power_at_zero, t)
-
-
 class TestOneEvaluation:
     def test_eval_value_is_the_formula_value(self):
         # closed_eval evaluates every family through its shift function, so
         # that the bound comes from the value's own terms; the value must
-        # still be the pair's public formula's, bit for bit, and at whole
-        # derivative orders the plain derivative's
+        # still be the pair's public formula's, bit for bit, at whole
+        # derivative orders as at every other
         for kind, alpha, family, t in _grid():
             result = _outcome(closed_eval, kind, alpha, family, t)
-            if kind.is_derivative and alpha == int(alpha):
-                value = _outcome(_plain_derivative, int(alpha), family, t)
-            else:
-                value = _outcome(FORMULAS[kind, type(family)], alpha, family.param, t)
+            value = _outcome(FORMULAS[kind, type(family)], alpha, family.param, t)
             if isinstance(value, float):
                 assert result.value.hex() == value.hex(), (kind, alpha, family, t)
             else:

@@ -20,7 +20,7 @@ from fraccalc import oracle as orc
 from fraccalc.errors import ConvergenceError, DomainError, StencilError
 from fraccalc.model import _EPS, JACOBI_MAX_NODES, AbsPower, Exp, OperatorKind, Power, PowerLog
 from fraccalc.oracle import Integrand, QuadConfig
-from fraccalc.verify import ALPHAS, ATOL_DERIVATIVE, NUS, TOL_DERIVATIVE, TS
+from fraccalc.verify import ALPHAS, ATOL_DERIVATIVE, DELTAS, GAMMAS, LAMBDAS, NUS, TOL_DERIVATIVE, TS
 
 CFG = QuadConfig()
 
@@ -870,9 +870,11 @@ class TestRlDerivativeQuad:
         r = orc.rl_derivative_quad(Exp(1.0), 0.5, 1.0, CFG)
         assert r.value == pytest.approx(2.8548878358509945, rel=1e-5)
 
-    def test_integer_order_rejected(self):
-        with pytest.raises(DomainError):
-            orc.rl_derivative_quad(Exp(1.0), 1.0, 1.0, CFG)
+    def test_whole_order_is_the_plain_derivative(self):
+        # m = 2 differences the first integral, whose second difference is f's first
+        for alpha in (1.0, 2.0):
+            r = orc.rl_derivative_quad(Exp(1.0), alpha, 1.0, CFG)
+            assert abs(r.value - math.e) <= min(r.abs_err_estimate, TOL_DERIVATIVE * math.e)
 
     def test_powerlog_whose_lower_piece_cancels(self):
         # one stencil point's integral has a lower log piece of nearly 0
@@ -984,13 +986,58 @@ class TestWeylDerivativeQuad:
         assert abs(r.value - 0.96721172218460257) <= 10.0 * r.abs_err_estimate
         assert r.abs_err_estimate < 1e-2
 
-    def test_integer_order_rejected(self):
-        with pytest.raises(DomainError):
-            orc.weyl_derivative_quad(0.5, 1.0, 1.0, CFG)
+    def test_whole_order_is_the_plain_derivative(self):
+        # the combined tail kernel sum_k c_k (x_k + u)**0 is exactly 0, and the value d/dt t**-0.5
+        r = orc.weyl_derivative_quad(0.5, 1.0, 1.0, CFG)
+        assert abs(r.value + 0.5) <= min(r.abs_err_estimate, TOL_DERIVATIVE * 0.5)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             orc.weyl_derivative_quad(1.5, 0.5, 1.0, CFG)
+
+
+def _plain_derivative(f, m, t):
+    """d**m/dt**m f at t, by mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        if isinstance(f, Exp):
+            return mpmath.mpf(f.lam) ** m * mpmath.exp(f.lam * mpmath.mpf(t))
+        p = mpmath.mpf(f.power_at_zero)
+        g = (lambda x: x**p * mpmath.log(x)) if f.log_at_zero else (lambda x: x**p)
+        return mpmath.diff(g, mpmath.mpf(t), m)
+
+
+# the verify grid's families at the whole orders 1 and 2: 128 points
+WHOLE_ORDER_GRID = [
+    (kind, alpha, family, t)
+    for kind, families in (
+        (OperatorKind.RL_DERIVATIVE, [Power(g) for g in GAMMAS] + [Exp(l) for l in LAMBDAS] + [PowerLog(n) for n in NUS]),
+        (OperatorKind.WEYL_DERIVATIVE, [AbsPower(d) for d in DELTAS]),
+    )
+    for family in families
+    for alpha in (1.0, 2.0)
+    for t in TS
+]
+
+
+class TestWholeOrders:
+    def test_grid_meets_the_gate_and_its_estimate(self):
+        # D^m = I^-m: the order-(m+1) difference of the first integral; closed_eval
+        # raises SingularParamError on the power-log formula's 0*inf points
+        # (nu - m in {0, -1}), whose values are held against mpmath
+        from fraccalc import closed_eval
+        from fraccalc.errors import SingularParamError
+
+        assert len(WHOLE_ORDER_GRID) == 128
+        for kind, alpha, family, t in WHOLE_ORDER_GRID:
+            r = orc.oracle_eval(kind, alpha, family, t, CFG)
+            exact = _plain_derivative(family, int(alpha), t)
+            try:
+                closed = closed_eval(kind, alpha, family, t).value
+            except SingularParamError:
+                closed = float(exact)
+            assert abs(r.value - closed) <= max(TOL_DERIVATIVE * abs(closed), ATOL_DERIVATIVE), (kind, alpha, family, t)
+            assert abs(r.value - exact) <= r.abs_err_estimate, (kind, alpha, family, t)
 
 
 class TestTailPowerQuad:
@@ -1009,6 +1056,46 @@ class TestTailPowerQuad:
     def test_domain(self):
         with pytest.raises(DomainError):
             orc.tail_power_quad(-0.4, -0.5, 1.0, CFG)
+
+
+def _tail_power(a, b, t):
+    """integral_0^inf (t+u)**a u**b du = t**(a+b+1) gamma(-1-a-b) gamma(b+1) / gamma(-a), at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, t = map(mpmath.mpf, (a, b, t))
+        return t ** (a + b + 1) * mpmath.gamma(-1 - a - b) * mpmath.gamma(b + 1) / mpmath.gamma(-a)
+
+
+class TestPowerTailRange:
+    # (t+u)**a_exp * u**beta_exp, taken before du scales it back, underflowed past
+    # about t = 1e256 at a_exp = -0.7, beta_exp = -0.5 and overflowed near 1e-300:
+    # weyl_integral_quad(0.5, 0.3, 1e280) gave 1.5224e-56 against 3.6179e-56,
+    # tail_power_quad(-0.7, -0.5, 1e300) gave 0, and 1e270 and 1e-300 ran out of rungs
+    @pytest.mark.parametrize("t", (1e270, 1e280, 1e300, 1e-300))
+    def test_out_of_range_t_is_domain_error(self, t):
+        with pytest.raises(DomainError, match=re.escape(f"t={t!r}")):
+            orc.weyl_integral_quad(0.5, 0.3, t, CFG)
+        with pytest.raises(DomainError, match=re.escape(f"t={t!r}")):
+            orc.tail_power_quad(-0.7, -0.5, t, CFG)
+
+    @pytest.mark.parametrize("t", (1e250, 1e-250))
+    def test_in_range_t_keeps_its_value(self, t):
+        r = orc.tail_power_quad(-0.7, -0.5, t, CFG)
+        assert abs(r.value - _tail_power(-0.7, -0.5, t)) <= r.abs_err_estimate
+        assert orc.weyl_integral_quad(0.5, 0.3, t, CFG).value > 0.0
+
+    def test_refused_point_keeps_the_others(self):
+        with pytest.raises(DomainError) as info:
+            orc.tail_power_quad(-0.7, -0.5, [1.0, 1e300], CFG)
+        assert info.value.outcomes[0] == orc.tail_power_quad(-0.7, -0.5, 1.0, CFG)
+
+    def test_cli_exits_three_with_one_line(self, capsys):
+        from fraccalc.cli import main
+
+        argv = ["eval", "--op", "weyl-int", "--alpha", "0.3", "--fn", "abspower:delta=0.5", "--t", "1e280"]
+        assert main([*argv, "--method", "oracle"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fraccalc: domain error: ") and err.count("\n") == 1 and "t=1e+280" in err
 
 
 class TestOracleBehavior:
