@@ -27,7 +27,7 @@ import sys
 
 from .closed_forms import closed_eval
 from .errors import ConvergenceError, DomainError
-from .model import DEFAULT_CONFIG, EvalResult, FunctionFamily, OperatorKind, QuadConfig, _fmt, parse_family
+from .model import DEFAULT_CONFIG, EvalResult, FunctionFamily, OperatorKind, QuadConfig, _csv, _fmt, parse_family
 
 _OP_TOKENS = tuple(kind.value for kind in OperatorKind)
 
@@ -185,49 +185,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     kind = OperatorKind(args.op)
     param = args.fn.param
-    lines = ["alpha,t,param,value_closed,value_oracle,abs_diff"]
+    rows = []
     for alpha in args.alpha_range:
         for t in args.t_range:
-            closed = closed_eval(kind, alpha, args.fn, t)
-            oracle = oracle_eval(kind, alpha, args.fn, t, cfg)
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(alpha),
-                        _fmt(t),
-                        _fmt(param),
-                        _fmt(closed.value),
-                        _fmt(oracle.value),
-                        _fmt(abs(closed.value - oracle.value)),
-                    )
-                )
-            )
-    _write_out(args.out, ("\n".join(lines) + "\n").encode())
+            closed = closed_eval(kind, alpha, args.fn, t).value
+            oracle = oracle_eval(kind, alpha, args.fn, t, cfg).value
+            rows.append((alpha, t, param, closed, oracle, abs(closed - oracle)))
+    _write_out(args.out, _csv(("alpha", "t", "param", "value_closed", "value_oracle", "abs_diff"), rows))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .verify import falsification_margin
+    from .verify import FalsificationMargin, falsification_margin
 
     cfg = _load_config(args.config)
-    lines = ["delta,alpha,t,corrected,literature,oracle,oracle_err,verdict"]
-    for t in args.t_range:
-        margin = falsification_margin(args.delta, args.alpha, t, cfg)
-        lines.append(
-            ",".join(
-                (
-                    _fmt(margin.delta),
-                    _fmt(margin.alpha),
-                    _fmt(margin.t),
-                    _fmt(margin.corrected),
-                    _fmt(margin.literature),
-                    _fmt(margin.oracle),
-                    _fmt(margin.oracle_err),
-                    margin.verdict,
-                )
-            )
-        )
-    _write_out(args.out, ("\n".join(lines) + "\n").encode())
+    rows = (falsification_margin(args.delta, args.alpha, t, cfg)._astuple() for t in args.t_range)
+    _write_out(args.out, _csv(FalsificationMargin._fields, rows))
     return 0
 
 

@@ -1,9 +1,12 @@
 """Closed-form fractional integrals and derivatives of the four families.
 
 Each family has one ``*_shift_eval`` function, of a *signed* order, giving
-the value and its rounding bound: every formula, and closed_eval, is that
-function at order alpha, or at -alpha for a derivative; the verification
-suite leans on that symmetry.
+the value and its rounding bound.  closed_eval, the one closed route, checks
+its arguments and takes that function at order alpha, or at -alpha for a
+derivative.  Each of the eight named formulas (``rl_integral_power`` ...
+``weyl_derivative_abspower``) is closed_eval at a fixed (operator, family)
+pair, so a formula and closed_eval give the same value and refuse the same
+arguments with the same error.
 
 ``weyl_power_literature`` reproduces a formula that circulates in tables but
 is wrong (it omits the cosine ratio); it exists so that the quadrature oracle
@@ -50,20 +53,6 @@ def _require_positive_t(t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"evaluation point must satisfy t > 0, got {t!r}")
-    return t
-
-
-def _require_t_and_alpha(formula: str, alpha: float, t: float, delta: float | None = None) -> float:
-    """t as a float, after the checks that every formula starts with.
-
-    Given delta (the Weyl integral, whose tail converges only there), alpha
-    must lie in (0, delta); otherwise it must be positive.
-    """
-    t = _require_positive_t(t)
-    if delta is not None and not 0.0 < alpha < delta:
-        raise DomainError(f"{formula} requires 0 < alpha < delta, got alpha={alpha!r}, delta={delta!r}")
-    if alpha <= 0.0:
-        raise DomainError(f"{formula} requires alpha > 0, got {alpha!r}")
     return t
 
 
@@ -189,24 +178,17 @@ def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, floa
 
 def rl_integral_power(alpha: float, gamma_exp: float, t: float) -> float:
     """Fractional integral of order alpha of t**gamma_exp from 0."""
-    t = _require_t_and_alpha("rl_integral_power", alpha, t)
-    if gamma_exp <= -1.0:
-        raise DomainError(f"rl_integral_power requires gamma_exp > -1, got {gamma_exp!r}")
-    return power_shift_eval(alpha, gamma_exp, t)[0]
+    return closed_eval(OperatorKind.RL_INTEGRAL, alpha, Power(gamma_exp), t).value
 
 
 def rl_integral_exp(alpha: float, lam: float, t: float) -> float:
     """Fractional integral of order alpha of exp(lam t) from 0."""
-    t = _require_t_and_alpha("rl_integral_exp", alpha, t)
-    return exp_shift_eval(alpha, lam, t)[0]
+    return closed_eval(OperatorKind.RL_INTEGRAL, alpha, Exp(lam), t).value
 
 
 def rl_integral_powerlog(alpha: float, nu: float, t: float) -> float:
     """Fractional integral of order alpha of t**(nu-1) log t from 0."""
-    t = _require_t_and_alpha("rl_integral_powerlog", alpha, t)
-    if nu <= 0.0:
-        raise DomainError(f"rl_integral_powerlog requires nu > 0, got {nu!r}")
-    return powerlog_shift_eval(alpha, nu, t)[0]
+    return closed_eval(OperatorKind.RL_INTEGRAL, alpha, PowerLog(nu), t).value
 
 
 def weyl_integral_abspower(alpha: float, delta: float, t: float) -> float:
@@ -215,10 +197,7 @@ def weyl_integral_abspower(alpha: float, delta: float, t: float) -> float:
     Requires 0 < alpha < delta < 1 for the tail of the defining integral to
     converge.
     """
-    t = _require_t_and_alpha("weyl_integral_abspower", alpha, t, delta)
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"weyl_integral_abspower requires delta in (0,1), got {delta!r}")
-    return weyl_power_shift_eval(alpha, delta, t)[0]
+    return closed_eval(OperatorKind.WEYL_INTEGRAL, alpha, AbsPower(delta), t).value
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +210,7 @@ def rl_derivative_power(alpha: float, gamma_exp: float, t: float) -> float:
     whenever 1+gamma_exp-alpha is a non-positive integer (e.g. the classical
     half-derivative of 1/sqrt(t)).
     """
-    t = _require_t_and_alpha("rl_derivative_power", alpha, t)
-    if gamma_exp <= -1.0:
-        raise DomainError(f"rl_derivative_power requires gamma_exp > -1, got {gamma_exp!r}")
-    return power_shift_eval(-alpha, gamma_exp, t)[0]
+    return closed_eval(OperatorKind.RL_DERIVATIVE, alpha, Power(gamma_exp), t).value
 
 
 def rl_derivative_exp(alpha: float, lam: float, t: float) -> float:
@@ -242,8 +218,7 @@ def rl_derivative_exp(alpha: float, lam: float, t: float) -> float:
 
     At a whole order m it is the plain derivative, lam**m * exp(lam t).
     """
-    t = _require_t_and_alpha("rl_derivative_exp", alpha, t)
-    return exp_shift_eval(-alpha, lam, t)[0]
+    return closed_eval(OperatorKind.RL_DERIVATIVE, alpha, Exp(lam), t).value
 
 
 def rl_derivative_powerlog(alpha: float, nu: float, t: float) -> float:
@@ -252,10 +227,7 @@ def rl_derivative_powerlog(alpha: float, nu: float, t: float) -> float:
     Raises SingularParamError when nu-alpha is a non-positive integer: there
     the formula degenerates to 0*inf and no limit value is assigned.
     """
-    t = _require_t_and_alpha("rl_derivative_powerlog", alpha, t)
-    if nu <= 0.0:
-        raise DomainError(f"rl_derivative_powerlog requires nu > 0, got {nu!r}")
-    return powerlog_shift_eval(-alpha, nu, t)[0]
+    return closed_eval(OperatorKind.RL_DERIVATIVE, alpha, PowerLog(nu), t).value
 
 
 def weyl_derivative_abspower(alpha: float, delta: float, t: float) -> float:
@@ -266,10 +238,7 @@ def weyl_derivative_abspower(alpha: float, delta: float, t: float) -> float:
     delta/2 + alpha in {1/2, 3/2, ...}, and is (-1)**m at a whole order m,
     where the value is the plain derivative.
     """
-    t = _require_t_and_alpha("weyl_derivative_abspower", alpha, t)
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"weyl_derivative_abspower requires delta in (0,1), got {delta!r}")
-    return weyl_power_shift_eval(-alpha, delta, t)[0]
+    return closed_eval(OperatorKind.WEYL_DERIVATIVE, alpha, AbsPower(delta), t).value
 
 
 def weyl_power_literature(alpha: float, delta: float, t: float) -> float:
@@ -374,7 +343,7 @@ def digamma_sum_identity_residual(n: int, beta_exp: float) -> float:
 # ---------------------------------------------------------------------------
 # dispatch over (operator, family)
 
-# the formula of each (operator, family) pair, which closed_eval's domain errors name
+# the named formula of each (operator, family) pair, which closed_eval's domain errors name
 _FORMULAS = {
     (OperatorKind.RL_INTEGRAL, Power): "rl_integral_power",
     (OperatorKind.RL_INTEGRAL, Exp): "rl_integral_exp",
@@ -401,8 +370,10 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     """The closed form of an operator applied to a family member, with an error bound.
 
     Weyl kinds accept only the AbsPower family (the two-sided power function);
-    the lower-limit-zero kinds accept the other three.  After the pair's
-    formula's own checks, the value and its bound come from one evaluation
+    the lower-limit-zero kinds accept the other three.  alpha must be finite
+    and positive, and below delta for the Weyl integral, and t finite and
+    positive; an alpha out of that range is refused in the name of the
+    pair's formula.  Then the value and its bound come from one evaluation
     of the family's shift function at order alpha, or -alpha for a
     derivative, whole orders included: at alpha = m it is the plain m-th
     derivative.  Each bound comes from the terms of the value and its
@@ -414,10 +385,15 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     if type(kind) is not OperatorKind:
         kind = OperatorKind(kind)
     kind.check_pairing(family)
-    # a non-finite alpha is refused by name, before any formula sees it
+    # inf and nan pass the range checks below, so a non-finite alpha is refused first, by name
     _check_finite("alpha", alpha)
-    delta = family.delta if kind is OperatorKind.WEYL_INTEGRAL else None
-    t = _require_t_and_alpha(_FORMULAS[kind, type(family)], alpha, t, delta)
+    formula = _FORMULAS[kind, type(family)]
+    t = _require_positive_t(t)
+    # the Weyl integral's tail converges only below delta
+    if kind is OperatorKind.WEYL_INTEGRAL and not 0.0 < alpha < family.delta:
+        raise DomainError(f"{formula} requires 0 < alpha < delta, got alpha={alpha!r}, delta={family.delta!r}")
+    if alpha <= 0.0:
+        raise DomainError(f"{formula} requires alpha > 0, got {alpha!r}")
     shift_eval = globals()[_SHIFT_EVALS[type(family)]]
     value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
     return EvalResult(value=value, method="closed-form", abs_err_estimate=bound)

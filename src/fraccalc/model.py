@@ -325,3 +325,15 @@ DEFAULT_CONFIG = QuadConfig()
 def _fmt(x: float) -> str:
     """The 17-significant-digit form of every number the CLI and reports print."""
     return f"{x:.17g}"
+
+
+def _csv(columns: tuple[str, ...], rows) -> bytes:
+    """The CSV of every command and report: the header, then one line per row.
+
+    Strings go as they are, bools as true/false, and numbers through _fmt.
+    """
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = [x if type(x) is str else ("true" if x else "false") if type(x) is bool else _fmt(x) for x in row]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()

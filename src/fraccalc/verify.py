@@ -22,7 +22,6 @@ when called, and oracle_eval its operator's quadrature.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
@@ -42,6 +41,7 @@ from .model import (
     Power,
     PowerLog,
     QuadConfig,
+    _csv,
     _fmt,
     _Record,
 )
@@ -595,7 +595,9 @@ def _fmt_inputs(inputs: dict[str, float]) -> str:
     return ";".join(f"{k}={_fmt(float(v))}" for k, v in sorted(inputs.items()))
 
 
-CSV_HEADER = "check_id,inputs,lhs,rhs,abs_diff,rel_diff,tol,passed"
+# every CheckRecord field but the trailing note
+_CSV_COLUMNS = CheckRecord._fields[:-1]
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 def emit_report(report: VerificationReport, fmt: str) -> bytes:
@@ -611,25 +613,11 @@ def emit_report(report: VerificationReport, fmt: str) -> bytes:
         fields["skipped"] = [s._asdict() for s in report.skipped]
         return (json.dumps(fields, indent=2) + "\n").encode()
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for r in report.records:
-            out.write(
-                ",".join(
-                    (
-                        r.check_id,
-                        _fmt_inputs(r.inputs),
-                        _fmt(r.lhs),
-                        _fmt(r.rhs),
-                        _fmt(r.abs_diff),
-                        _fmt(r.rel_diff),
-                        _fmt(r.tol),
-                        "true" if r.passed else "false",
-                    )
-                )
-                + "\n"
-            )
-        return out.getvalue().encode()
+        rows = (
+            (r.check_id, _fmt_inputs(r.inputs), r.lhs, r.rhs, r.abs_diff, r.rel_diff, r.tol, r.passed)
+            for r in report.records
+        )
+        return _csv(_CSV_COLUMNS, rows)
     if fmt == "text":
         lines = [
             f"suite: {report.suite}",

@@ -348,6 +348,53 @@ class TestCompareCommand:
         assert all(row[7] == verdict for row in rows)
 
 
+def _csv_bytes(header, rows):
+    """The header, then one line per row of numbers at 17 significant digits and strings as they are."""
+    lines = [header] + [",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestCsvBytes:
+    """table and compare files, byte for byte, against rows built in process from the two routes."""
+
+    # the second alpha range crosses the whole order 1
+    @pytest.mark.parametrize(
+        "op, fn, alpha_range, t_range",
+        (
+            ("rl-int", "exp:lambda=-1", "0.25:0.75:0.25", "0.5:2:0.5"),
+            ("rl-der", "power:gamma=0.5", "0.5:1.5:0.25", "1:3:1"),
+        ),
+    )
+    def test_table(self, tmp_path, op, fn, alpha_range, t_range):
+        from fraccalc import closed_eval, oracle_eval
+        from fraccalc.model import OperatorKind, parse_family
+
+        out = tmp_path / "table.csv"
+        argv = ["table", "--op", op, "--fn", fn, "--alpha-range", alpha_range, "--t-range", t_range]
+        assert main([*argv, "--out", str(out)]) == 0
+        kind, family = OperatorKind(op), parse_family(fn)
+        rows = []
+        for alpha in _range_arg(alpha_range):
+            for t in _range_arg(t_range):
+                closed = closed_eval(kind, alpha, family, t).value
+                oracle = oracle_eval(kind, alpha, family, t).value
+                rows.append((alpha, t, family.param, closed, oracle, abs(closed - oracle)))
+        assert out.read_bytes() == _csv_bytes("alpha,t,param,value_closed,value_oracle,abs_diff", rows)
+
+    # the second compare is at the whole order 1
+    @pytest.mark.parametrize("delta, alpha, t_range", (("0.5", "0.25", "0.5:2:0.5"), ("0.4", "1", "1:3:1")))
+    def test_compare(self, tmp_path, delta, alpha, t_range):
+        from fraccalc.verify import falsification_margin
+
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--delta", delta, "--alpha", alpha, "--t-range", t_range, "--out", str(out)]) == 0
+        rows = []
+        for t in _range_arg(t_range):
+            m = falsification_margin(float(delta), float(alpha), t)
+            rows.append((m.delta, m.alpha, m.t, m.corrected, m.literature, m.oracle, m.oracle_err, m.verdict))
+        assert out.read_bytes() == _csv_bytes("delta,alpha,t,corrected,literature,oracle,oracle_err,verdict", rows)
+
+
 class TestOracleCommandConfig:
     # each command beside the eval whose oracle evaluates the same point
     CASES = (

@@ -33,6 +33,37 @@ T4_CANCELLING = 2.6807390824790617  # alpha 0.24, t 3.594375
 T8_CANCELLING = 1.2426388388897313  # alpha 0.76, t 3.55
 
 
+# each named formula, its family, a parameter in its domain, and parameters outside it
+NAMED_FORMULAS = (
+    (cf.rl_integral_power, Power, 0.5, (-1.0, -2.5, math.nan)),
+    (cf.rl_integral_exp, Exp, 1.0, (math.inf, math.nan)),
+    (cf.rl_integral_powerlog, PowerLog, 2.0, (0.0, -1.0, math.inf)),
+    (cf.weyl_integral_abspower, AbsPower, 0.5, (0.0, 1.0, math.nan)),
+    (cf.rl_derivative_power, Power, 0.5, (-1.0, -2.5, math.nan)),
+    (cf.rl_derivative_exp, Exp, 1.0, (math.inf, math.nan)),
+    (cf.rl_derivative_powerlog, PowerLog, 2.0, (0.0, -1.0, math.inf)),
+    (cf.weyl_derivative_abspower, AbsPower, 0.5, (0.0, 1.0, math.nan)),
+)
+
+
+class TestNamedFormulasAreClosedEval:
+    """A named formula refuses an argument as closed_eval and the family constructors do."""
+
+    @pytest.mark.parametrize("alpha", (math.inf, -math.inf, math.nan))
+    @pytest.mark.parametrize("formula, family_type, param, bad_params", NAMED_FORMULAS)
+    def test_non_finite_alpha_is_refused_by_name(self, formula, family_type, param, bad_params, alpha):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'alpha must be finite, got {alpha!r}')}$"):
+            formula(alpha, param, 1.0)
+
+    @pytest.mark.parametrize("formula, family_type, param, bad_params", NAMED_FORMULAS)
+    def test_out_of_domain_parameter_is_the_family_constructors_error(self, formula, family_type, param, bad_params):
+        for bad in bad_params:
+            with pytest.raises(DomainError) as expected:
+                family_type(bad)
+            with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
+                formula(0.25, bad, 1.0)
+
+
 class TestPowerIntegral:
     def test_plain_antiderivative(self):
         assert cf.rl_integral_power(1.0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-15)

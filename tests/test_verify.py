@@ -173,6 +173,24 @@ class TestReportFormats:
         assert parse_report_json(payload) == empty
         assert emit_report(empty, "csv").decode().strip() == verify.CSV_HEADER
 
+    def test_csv_bytes(self):
+        # the header, then per record: the id, the inputs sorted by name, six numbers at
+        # 17 significant digits and the verdict; the note is left out
+        nan = float("nan")
+        report = VerificationReport(
+            suite="two", grid_spec="none",
+            records=[
+                CheckRecord("two/x", {"t": 1.0, "alpha": 0.1}, 2.0, 2.0, 0.0, 0.0, 1e-9, True, note="kept out"),
+                CheckRecord("two/y", {"t": 2.0}, nan, nan, nan, nan, 1e-12, False),
+            ],
+            skipped=[], n_pass=1, n_fail=1, n_skip=0, wall_time_seconds=0.0,
+        )
+        assert emit_report(report, "csv") == (
+            b"check_id,inputs,lhs,rhs,abs_diff,rel_diff,tol,passed\n"
+            b"two/x,alpha=0.10000000000000001;t=1,2,2,0,0,1.0000000000000001e-09,true\n"
+            b"two/y,t=2,nan,nan,nan,nan,9.9999999999999998e-13,false\n"
+        )
+
     def test_single_record_csv(self):
         one = VerificationReport(
             suite="one", grid_spec="none",
@@ -199,6 +217,30 @@ class TestMutationSensitivity:
             cf, "power_shift_eval", lambda a, g, t: (original(a, g, t)[0] * (1.0 + 1e-3), original(a, g, t)[1])
         )
         assert run_suite("rl-power").n_fail > 0
+
+    @staticmethod
+    def _scale_power_shift_at_negative_orders(monkeypatch):
+        # scales the value, not the bound, at a < 0 only: the derivatives and not the integrals
+        original = cf.power_shift_eval
+
+        def scaled(a, g, t):
+            value, bound = original(a, g, t)
+            return (value * (1.0 + 1e-3) if a < 0.0 else value), bound
+
+        monkeypatch.setattr(cf, "power_shift_eval", scaled)
+
+    def test_power_shift_scaled_at_negative_orders_fails_rl_power(self, monkeypatch):
+        self._scale_power_shift_at_negative_orders(monkeypatch)
+        assert run_suite("rl-power").n_fail > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 13: d-equals-i-neg holds each derivative formula against the shift "
+        "function that the formula itself evaluates, so no mutation of that function can fail it",
+    )
+    def test_item_13_power_shift_scaled_at_negative_orders_fails_d_equals_i_neg(self, monkeypatch):
+        self._scale_power_shift_at_negative_orders(monkeypatch)
+        assert run_suite("d-equals-i-neg").n_fail > 0
 
     def test_dropped_cosine_ratio_fails_falsification(self, monkeypatch):
         # replaces the corrected Weyl derivative with the literature formula
