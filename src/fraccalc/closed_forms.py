@@ -343,18 +343,6 @@ def digamma_sum_identity_residual(n: int, beta_exp: float) -> float:
 # ---------------------------------------------------------------------------
 # dispatch over (operator, family)
 
-# the named formula of each (operator, family) pair, which closed_eval's domain errors name
-_FORMULAS = {
-    (OperatorKind.RL_INTEGRAL, Power): "rl_integral_power",
-    (OperatorKind.RL_INTEGRAL, Exp): "rl_integral_exp",
-    (OperatorKind.RL_INTEGRAL, PowerLog): "rl_integral_powerlog",
-    (OperatorKind.RL_DERIVATIVE, Power): "rl_derivative_power",
-    (OperatorKind.RL_DERIVATIVE, Exp): "rl_derivative_exp",
-    (OperatorKind.RL_DERIVATIVE, PowerLog): "rl_derivative_powerlog",
-    (OperatorKind.WEYL_INTEGRAL, AbsPower): "weyl_integral_abspower",
-    (OperatorKind.WEYL_DERIVATIVE, AbsPower): "weyl_derivative_abspower",
-}
-
 # Each family's shift function is named, not bound, and looked up in the
 # module globals on every call, so that patching one (as the mutation-
 # sensitivity checks and call tracers do) changes what closed_eval evaluates.
@@ -373,7 +361,8 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     the lower-limit-zero kinds accept the other three.  alpha must be finite
     and positive, and below delta for the Weyl integral, and t finite and
     positive; an alpha out of that range is refused in the name of the
-    pair's formula.  Then the value and its bound come from one evaluation
+    operator, the token the CLI's --op takes ('rl-int requires alpha > 0,
+    got -1.0').  Then the value and its bound come from one evaluation
     of the family's shift function at order alpha, or -alpha for a
     derivative, whole orders included: at alpha = m it is the plain m-th
     derivative.  Each bound comes from the terms of the value and its
@@ -387,13 +376,12 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     kind.check_pairing(family)
     # inf and nan pass the range checks below, so a non-finite alpha is refused first, by name
     _check_finite("alpha", alpha)
-    formula = _FORMULAS[kind, type(family)]
     t = _require_positive_t(t)
     # the Weyl integral's tail converges only below delta
     if kind is OperatorKind.WEYL_INTEGRAL and not 0.0 < alpha < family.delta:
-        raise DomainError(f"{formula} requires 0 < alpha < delta, got alpha={alpha!r}, delta={family.delta!r}")
+        raise DomainError(f"{kind.value} requires 0 < alpha < delta, got alpha={alpha!r}, delta={family.delta!r}")
     if alpha <= 0.0:
-        raise DomainError(f"{formula} requires alpha > 0, got {alpha!r}")
+        raise DomainError(f"{kind.value} requires alpha > 0, got {alpha!r}")
     shift_eval = globals()[_SHIFT_EVALS[type(family)]]
     value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
     return EvalResult(value=value, method="closed-form", abs_err_estimate=bound)

@@ -43,9 +43,12 @@ class _NumpyOnFirstUse:
 np = _NumpyOnFirstUse()
 
 
-def _check_finite(name: str, value: float) -> None:
+def _check_finite(name: str, value: float) -> float:
+    """value as a float, refused by name where it is not finite."""
+    value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 # sets a field of a record once, in its __init__, past _Record.__setattr__
@@ -271,8 +274,8 @@ class OperatorKind(str, Enum):
 
 # sets, not tuples of members read off the class: each such read
 # (OperatorKind.RL_DERIVATIVE) takes about 0.14 us, where a whole power
-# closed_eval takes 2.4 us.  check_pairing compares exact types, as the
-# closed forms' formula table does
+# closed_eval takes 2.4 us.  check_pairing compares exact types, as
+# closed_eval's table of shift functions does
 _DERIVATIVE_KINDS = frozenset((OperatorKind.RL_DERIVATIVE, OperatorKind.WEYL_DERIVATIVE))
 _WEYL_KINDS = frozenset((OperatorKind.WEYL_INTEGRAL, OperatorKind.WEYL_DERIVATIVE))
 _WEYL_FAMILIES = frozenset((AbsPower,))
@@ -302,7 +305,8 @@ JACOBI_MAX_NODES = 256
 
 
 class QuadConfig(_Record):
-    """Accuracy and budget knobs for every oracle evaluation."""
+    """Accuracy and budget knobs for every oracle evaluation: the relative agreement at which a
+    ladder row stops, and the largest rule of every ladder (32, 64, 128 or 256 nodes)."""
 
     __slots__ = ("target_rel_tol", "max_nodes")
 
@@ -313,8 +317,10 @@ class QuadConfig(_Record):
         # max_nodes quadruples the memory and about octuples the time of the
         # largest Gauss-Jacobi rule.  A power of two, as the Jacobi ladder
         # doubles from 16 nodes: any other value stops it below max_nodes.
-        if type(max_nodes) is not int or not 16 <= max_nodes <= JACOBI_MAX_NODES or max_nodes & (max_nodes - 1):
-            raise DomainError(f"max_nodes must be a power of two in [16, {JACOBI_MAX_NODES}], got {max_nodes!r}")
+        # At least 32, as a row stops only on a rung that agrees with the one
+        # below: at 16 the Jacobi ladder has one rung and refuses every row.
+        if type(max_nodes) is not int or not 32 <= max_nodes <= JACOBI_MAX_NODES or max_nodes & (max_nodes - 1):
+            raise DomainError(f"max_nodes must be a power of two in [32, {JACOBI_MAX_NODES}], got {max_nodes!r}")
         _set(self, "target_rel_tol", target_rel_tol)
         _set(self, "max_nodes", max_nodes)
 

@@ -42,6 +42,7 @@ built only for the caller.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from functools import cached_property, partial
 from operator import itemgetter
@@ -302,6 +303,7 @@ def _row_ladder(
     The first rung has nothing to agree with, so it never stops a row: phi
     evaluates it together with the second rung, on their points joined along
     the last axis, and each rung's slice of the block is reduced on its own.
+    So the ladder needs 2n <= n_max: QuadConfig's max_nodes is at least 32.
     Each row stops at its first rung within max(target_rel_tol * |current|,
     its floor) of the one before, and its error estimate is that difference
     plus rounding.  The rows still climbing when the rungs run out share one
@@ -315,8 +317,6 @@ def _row_ladder(
         rung = rule(n)
         if previous is not None:
             block = phi(rung, params)
-        elif 2 * n > n_max:  # a lone rung cannot stop a row; it is looked up as every rung is
-            break
         else:  # the first two rungs, in one call of phi
             upper = rule(2 * n)
             joined = phi(rung.joined(upper), params)
@@ -394,6 +394,7 @@ def _panel_rule(n: int) -> _Rung:
 _TAIL_S = (0.5 * math.exp(-LOG_HEAD_END), 0.5 * math.exp(-LOG_HEAD_END - 30.0))
 _LOG_TAIL_S2 = math.log(_TAIL_S[1])
 _LOG_TINY = -1022.0 * math.log(2.0)  # of the smallest normal double
+_TINY, _HUGE = 2.0**-1022, sys.float_info.max  # the normal doubles
 
 
 def _log_tails(f: Integrand | FunctionFamily, ts: list[float]) -> list[tuple[float, float]]:
@@ -494,8 +495,11 @@ def rl_integral_quad(
     After tau = t s the definition reads
     t**alpha / gamma(alpha) * integral_0^1 (1-s)**(alpha-1) f(t s) ds,
     so the kernel weight is exactly a Jacobi weight at s = 1; the declared
-    origin exponent of f supplies the weight at s = 0.  A sequence of t
-    gives a list of results, its points being rows of the same ladders.
+    origin exponent of f supplies the weight at s = 0.  A point whose
+    prefactor t**alpha/gamma(alpha), or value before or after scaling by
+    it, leaves the normal doubles is refused: digits lost to underflow
+    (all, at 0) are in no ladder's estimate.  A sequence of t gives a list of results, its
+    points being rows of the same ladders.
     When the ladders refuse some of its points, the call raises the error of
     the first one, with every point's result or error in its outcomes (see
     FracCalcError).
@@ -546,10 +550,11 @@ def rl_integral_quad(
                 else:
                     (v, e), (vh, eh) = rows[i], head
                     rows[i] = (scale_hi * v + vh + vt, scale_hi * e + eh + et)
-    rows = [
-        row if isinstance(row, FracCalcError) else (c * row[0], c * row[1])
-        for c, row in zip(prefactors, rows)
-    ]
+    for i, (x, c, row) in enumerate(zip(points, prefactors, rows)):
+        if not isinstance(row, FracCalcError):
+            value, err = rows[i] = c * row[0], c * row[1]
+            if not (_TINY <= c and _TINY <= abs(row[0]) and _TINY <= abs(value) <= _HUGE and err <= _HUGE):
+                rows[i] = DomainError(f"rl_integral_quad: the scaled integral leaves the normal doubles at t={x!r}")
     return rows if grouped else _results(rows, scalar)
 
 
@@ -593,7 +598,7 @@ def _stencil_derivative(
     first refused row, its integrals' rows in stencil order before its
     tail's; otherwise the differences over a symmetric stencil of base width
     FD_STEP_FACTOR * t are Richardson-extrapolated over RICHARDSON_LEVELS
-    step halvings.
+    step halvings; a t whose result leaves the doubles is refused.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
@@ -623,16 +628,16 @@ def _stencil_derivative(
         integrals = rl_integral_quad(f, beta_order, _GroupedPoints(flat), cfg)
         tails = tail(beta_order, coeffs, list(stencils.values())) if tail is not None else []
         n = (m + 1) * RICHARDSON_LEVELS  # integral rows per t
-        for k, (i, (_, steps, _)) in enumerate(stencils.items()):
+        for k, (i, (x, steps, _)) in enumerate(stencils.items()):
             block = integrals[k * n : (k + 1) * n]
             levels = tails[k * RICHARDSON_LEVELS : (k + 1) * RICHARDSON_LEVELS]
             refused = [row for row in block + levels if isinstance(row, FracCalcError)]
-            rows[i] = refused[0] if refused else _difference(coeffs, steps, block, levels)
+            rows[i] = refused[0] if refused else _difference(name, x, coeffs, steps, block, levels)
     return _results(rows, scalar)
 
 
-def _difference(coeffs: list[float], steps: list[float], integrals: list, tails: list) -> tuple[float, float]:
-    """The extrapolated difference of one t, and its error, from its stencil rows and its tail rows, if any."""
+def _difference(name: str, t: float, coeffs: list[float], steps: list[float], integrals: list, tails: list) -> Row:
+    """The extrapolated difference at t, and its error, from its stencil rows and its tail rows, if any."""
     m = len(coeffs) - 1
     worst_quad_err = 0.0
     samples = []
@@ -647,8 +652,9 @@ def _difference(coeffs: list[float], steps: list[float], integrals: list, tails:
             total += tail_value
         samples.append(total / h**m)
     value, spread = _richardson(samples)
-    noise = 2.0**m * worst_quad_err / steps[-1] ** m
-    return value, spread + noise + 64.0 * _EPS * abs(value)
+    err = spread + 2.0**m * worst_quad_err / steps[-1] ** m + 64.0 * _EPS * abs(value)
+    # finite rows can still give an inf difference over h**m, or past it a nan
+    return (value, err) if err <= _HUGE else DomainError(f"{name}: the difference leaves the doubles at t={t!r}")
 
 
 def rl_derivative_quad(

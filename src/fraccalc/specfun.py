@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .model import _EPS
+from .model import _EPS, _check_finite
 
 __all__ = [
     "INCGAMMA_MAX_TERMS",
@@ -47,20 +47,13 @@ ML_Z_MAX = 50.0
 INCGAMMA_MAX_TERMS = 1000
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
 def sinpi(x: float) -> float:
     """sin(pi*x) with exact argument reduction (exact zeros at integers)."""
-    x = _require_finite("x", x)
+    x = _check_finite("x", x)
     r = math.fmod(x, 2.0)
     if r < 0.0:
         r += 2.0
@@ -76,7 +69,7 @@ def sinpi(x: float) -> float:
 
 def cospi(x: float) -> float:
     """cos(pi*x) with exact argument reduction (exact zeros at half-integers)."""
-    x = _require_finite("x", x)
+    x = _check_finite("x", x)
     r = math.fmod(abs(x), 2.0)
     return sinpi(0.5 - r)
 
@@ -87,7 +80,7 @@ def gamma(z: float) -> float:
     Raises PoleError at 0, -1, -2, ... and OverflowError once the result
     exceeds double range (z > ~171.6).
     """
-    z = _require_finite("z", z)
+    z = _check_finite("z", z)
     try:
         return math.gamma(z)
     except ValueError as exc:
@@ -96,7 +89,7 @@ def gamma(z: float) -> float:
 
 def reciprocal_gamma(z: float) -> float:
     """1/gamma(z); exactly 0 at the poles z = 0, -1, -2, ... and for huge z."""
-    z = _require_finite("z", z)
+    z = _check_finite("z", z)
     if _is_nonpositive_integer(z):
         return 0.0
     try:
@@ -122,8 +115,8 @@ def gamma_ratio(p: float, q: float) -> float:
     analytic limit of the ratio).  A pole in the numerator alone raises
     PoleError; a pole in both is genuinely undefined here and also raises.
     """
-    p = _require_finite("p", p)
-    q = _require_finite("q", q)
+    p = _check_finite("p", p)
+    q = _check_finite("q", q)
     p_pole = _is_nonpositive_integer(p)
     q_pole = _is_nonpositive_integer(q)
     if q_pole and not p_pole:
@@ -188,7 +181,7 @@ def digamma(z: float) -> float:
     through 1/z^12 is accurate to well under 1e-15 absolute.  Valid for all
     real z off the poles 0, -1, -2, ...
     """
-    z = _require_finite("z", z)
+    z = _check_finite("z", z)
     h = z - _PSI_ZERO  # exact near x0
     if -_PSI_ZERO_RADIUS <= h <= _PSI_ZERO_RADIUS:
         h -= _PSI_ZERO_LO
@@ -216,7 +209,7 @@ def pochhammer(x: float, n: int) -> float:
     The product form stays exact at negative and zero x, where the
     gamma-ratio form would hit poles.
     """
-    x = _require_finite("x", x)
+    x = _check_finite("x", x)
     if n != int(n) or n < 0:
         raise DomainError(f"pochhammer order must be a nonnegative integer, got {n!r}")
     out = 1.0
@@ -227,8 +220,8 @@ def pochhammer(x: float, n: int) -> float:
 
 def beta(a: float, b: float) -> float:
     """Euler beta B(a, b) = gamma(a) gamma(b) / gamma(a+b) for a, b > 0."""
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
+    a = _check_finite("a", a)
+    b = _check_finite("b", b)
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta requires a > 0 and b > 0, got a={a!r}, b={b!r}")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
@@ -257,8 +250,8 @@ def lower_incomplete_gamma(alpha: float, z: float) -> float:
     INCGAMMA_MAX_TERMS terms do not settle either, and OverflowError when the
     value exceeds double range.
     """
-    alpha = _require_finite("alpha", alpha)
-    z = _require_finite("z", z)
+    alpha = _check_finite("alpha", alpha)
+    z = _check_finite("z", z)
     if alpha <= 0.0:
         raise DomainError(f"lower_incomplete_gamma requires alpha > 0, got {alpha!r}")
     if z < 0.0:
@@ -324,7 +317,7 @@ def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
       E_{1,1+a}(z) = e**z (1 + a sum_{k>=1} (-z)**k / (k! (a + k))) / gamma(1 + a),
       whose sum holds no cancelling terms for a > 0;
     * a a negative integer: 1/gamma(1 + a + k) vanishes for k < -a, and
-      E_{1,1+a}(z) = z**-a e**z.
+      E_{1,1+a}(z) = z**-a e**z, its bound counting where z**-a underflows.
 
     In either series only the terms with a + k < 0 (two at most for a > -3)
     take the other sign, so the direct sum of the defining series, which
@@ -337,8 +330,8 @@ def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
     DomainError for a non-finite a or z, |1 + a| > 170 or |z| > ML_Z_MAX, and
     ConvergenceError when the terms leave double range.
     """
-    a = _require_finite("a", a)
-    z = _require_finite("z", z)
+    a = _check_finite("a", a)
+    z = _check_finite("z", z)
     if abs(1.0 + a) > 170.0:
         raise DomainError(f"mittag_leffler_shifted requires |1 + a| <= 170, got {1.0 + a!r}")
     if abs(z) > ML_Z_MAX:
@@ -346,8 +339,10 @@ def mittag_leffler_shifted(a: float, z: float) -> tuple[float, float]:
     u = 0.5 * _EPS  # unit roundoff
     x = abs(z)
     if a < 0.0 and a == math.floor(a):
-        value = z**-a * math.exp(z)
-        bound = (x - a + 3.0) * u * abs(value)
+        growth = math.exp(z)
+        value = z**-a * growth
+        # where below the normal doubles, the power and the product are good to 2**-1074 and 2**-1075, not relative
+        bound = (x - a + 3.0) * u * abs(value) + math.ldexp(growth + 2.0, -1074)
     else:
         # the terms k = 1..lead have a + k < 0; later ratios are all positive
         lead = 0 if a >= 0.0 else math.ceil(-a) - 1

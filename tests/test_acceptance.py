@@ -181,14 +181,14 @@ def test_criterion_5_auxiliary_formula_suite():
             scale = max(abs(rhs + residual), abs(rhs), 1e-3)
             worst_residual = max(worst_residual, abs(residual) / scale)
     aux = run_suite("lemmas")
-    fd_check_failures = [
+    derivative_failures = [
         r.check_id for r in aux.records if not r.passed and "powerlog-derivative" in r.check_id
     ]
     passed = (
         worst_tail <= 1e-8
         and exact_log_beta
         and worst_residual <= 1e-12
-        and not fd_check_failures
+        and not derivative_failures
         and aux.n_fail == 0
     )
     report(
@@ -197,7 +197,7 @@ def test_criterion_5_auxiliary_formula_suite():
         f"lemmas: tail-power closed-vs-quadrature worst rel {worst_tail:.2e} (1e-8); "
         f"log-beta exact points {'ok' if exact_log_beta else 'BAD'}; digamma-sum worst "
         f"residual {worst_residual:.2e} (1e-12, n <= 8); derivative-formula "
-        f"finite-difference checks {'ok' if not fd_check_failures else fd_check_failures}",
+        f"Leibniz checks {'ok' if not derivative_failures else derivative_failures}",
     )
     assert worst_tail <= 1e-8
     assert exact_log_beta

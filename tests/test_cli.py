@@ -169,8 +169,9 @@ class TestEval:
         assert abs(float(v1) - float(v2)) <= float(e1) + float(e2)
 
     def test_convergence_error_exit_code(self, tmp_path, capsys):
+        # no two rungs up to 32 nodes agree to 1e-300
         config = tmp_path / "quad.cfg"
-        config.write_text("max_nodes = 16\n")
+        config.write_text("target_rel_tol = 1e-300\nmax_nodes = 32\n")
         code = main(
             ["eval", "--op", "rl-int", "--alpha", "0.5", "--fn", "exp:lambda=1",
              "--t", "1", "--method", "oracle", "--config", str(config)]
@@ -417,7 +418,7 @@ class TestOracleCommandConfig:
     @pytest.mark.parametrize("argv, eval_argv", CASES, ids=("table", "compare"))
     def test_config_reaches_the_oracle(self, tmp_path, capsys, argv, eval_argv):
         config = tmp_path / "quad.cfg"
-        config.write_text("max_nodes = 16\n")
+        config.write_text("target_rel_tol = 1e-300\nmax_nodes = 32\n")
         assert main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
         capsys.readouterr()
         assert main([*eval_argv, "--method", "oracle", "--config", str(config)]) == 4

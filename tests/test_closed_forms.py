@@ -63,6 +63,17 @@ class TestNamedFormulasAreClosedEval:
             with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
                 formula(0.25, bad, 1.0)
 
+    @pytest.mark.parametrize("formula, family_type, param, bad_params", NAMED_FORMULAS)
+    def test_out_of_range_alpha_is_refused_by_operator_token(self, formula, family_type, param, bad_params):
+        # the token of the CLI's --op, where the refusal named the formula
+        token = formula.__name__.replace("_integral_", "-int/").replace("_derivative_", "-der/").split("/")[0]
+        refusals = {-1.0: f"{token} requires alpha > 0, got -1.0"}
+        if token == "weyl-int":
+            refusals = {a: f"weyl-int requires 0 < alpha < delta, got alpha={a!r}, delta=0.5" for a in (-1.0, 0.7)}
+        for alpha, message in refusals.items():
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                formula(alpha, param, 1.0)
+
 
 class TestPowerIntegral:
     def test_plain_antiderivative(self):

@@ -8,7 +8,6 @@ This tests the rounding honesty of the closed route, not its formulas;
 checking the formulas is the ledger's job.
 """
 
-import re
 import sys
 
 import mpmath
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from fraccalc import closed_eval
 from fraccalc import closed_forms as cf
 from fraccalc import verify
+from fraccalc.errors import DomainError
 from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog
 
 EPS = sys.float_info.epsilon
@@ -309,31 +309,43 @@ FORMULAS = {
 }
 
 
+# the shift function of each family, of a signed order
+SHIFT_EVALS = {
+    Power: "power_shift_eval",
+    Exp: "exp_shift_eval",
+    PowerLog: "powerlog_shift_eval",
+    AbsPower: "weyl_power_shift_eval",
+}
+
+
 class TestOneEvaluation:
-    def test_eval_value_is_the_formula_value(self):
-        # closed_eval evaluates every family through its shift function, so
-        # that the bound comes from the value's own terms; the value must
-        # still be the pair's public formula's, bit for bit, at whole
-        # derivative orders as at every other
+    def test_formula_is_its_shift_function_at_the_signed_order(self):
+        # each named formula takes its family's shift function once, at alpha, or at -alpha
+        # for a derivative: its value is that function's, bit for bit, at whole derivative
+        # orders as at every other; it refuses only what the shift function refuses, and
+        # the Weyl integral's orders from delta up
         for kind, alpha, family, t in _grid():
-            result = _outcome(closed_eval, kind, alpha, family, t)
             value = _outcome(FORMULAS[kind, type(family)], alpha, family.param, t)
+            signed = -alpha if kind.is_derivative else alpha
+            shifted = _outcome(getattr(cf, SHIFT_EVALS[type(family)]), signed, family.param, t)
             if isinstance(value, float):
-                assert result.value.hex() == value.hex(), (kind, alpha, family, t)
-            else:
-                assert result == value, (kind, alpha, family, t)
+                assert value.hex() == shifted[0].hex(), (kind, alpha, family, t)
+            elif kind is not OperatorKind.WEYL_INTEGRAL or alpha < family.delta:
+                assert value == shifted, (kind, alpha, family, t)
 
     @pytest.mark.parametrize("kind", ("rl-int", "rl-der", "weyl-int", "weyl-der"))
-    def test_checks_run_before_the_shift_functions(self, kind):
-        # the formula's own checks, in its order: t first, then alpha; the
-        # Weyl integral's alpha also below delta
+    def test_refusals_come_before_the_shift_function(self, kind, monkeypatch):
+        # t first, then alpha, and the Weyl integral's alpha also below delta: a refused
+        # argument never reaches the shift function
         families = (AbsPower(0.5),) if kind.startswith("weyl") else (Power(0.5), Exp(-1.0), PowerLog(0.5))
         alphas = (-0.5, 0.5, 0.7) if kind == "weyl-int" else (-0.5,)
         for family in families:
+            calls = []
+            monkeypatch.setattr(cf, SHIFT_EVALS[type(family)], lambda *args: calls.append(args))
             formula = FORMULAS[OperatorKind(kind), type(family)]
             for alpha in alphas:
                 for t in (0.0, 1.0):
-                    with pytest.raises(Exception) as formula_error:
+                    message = "t > 0" if t == 0.0 else f"^{kind} requires "
+                    with pytest.raises(DomainError, match=message):
                         formula(alpha, family.param, t)
-                    with pytest.raises(type(formula_error.value), match=re.escape(str(formula_error.value))):
-                        closed_eval(kind, alpha, family, t)
+            assert calls == []

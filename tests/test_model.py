@@ -314,11 +314,13 @@ class TestRecords:
             (lambda: EvalResult(1.0, "oracle", -1.0), "abs_err_estimate must be finite and nonnegative, got -1.0"),
             (lambda: EvalResult(1.0, "oracle", float("inf")), "abs_err_estimate must be finite and nonnegative, got inf"),
             (lambda: QuadConfig(0.0), "target_rel_tol must be > 0, got 0.0"),
-            (lambda: QuadConfig(max_nodes=8), "max_nodes must be a power of two in [16, 256], got 8"),
-            (lambda: QuadConfig(max_nodes=512), "max_nodes must be a power of two in [16, 256], got 512"),
-            (lambda: QuadConfig(max_nodes=100), "max_nodes must be a power of two in [16, 256], got 100"),
-            (lambda: QuadConfig(max_nodes=16.5), "max_nodes must be a power of two in [16, 256], got 16.5"),
-            (lambda: QuadConfig(max_nodes=True), "max_nodes must be a power of two in [16, 256], got True"),
+            (lambda: QuadConfig(max_nodes=8), "max_nodes must be a power of two in [32, 256], got 8"),
+            # a ladder of one 16-node rung could only refuse
+            (lambda: QuadConfig(max_nodes=16), "max_nodes must be a power of two in [32, 256], got 16"),
+            (lambda: QuadConfig(max_nodes=512), "max_nodes must be a power of two in [32, 256], got 512"),
+            (lambda: QuadConfig(max_nodes=100), "max_nodes must be a power of two in [32, 256], got 100"),
+            (lambda: QuadConfig(max_nodes=16.5), "max_nodes must be a power of two in [32, 256], got 16.5"),
+            (lambda: QuadConfig(max_nodes=True), "max_nodes must be a power of two in [32, 256], got True"),
             (lambda: Integrand(abs, -1.0), "integrand must be integrable at 0: power_at_zero > -1, got -1.0"),
             # nan passed power_at_zero <= -1, and rl_integral_quad on it raised numpy's LinAlgError
             (lambda: Integrand(abs, float("nan")), "integrand must be integrable at 0: power_at_zero > -1, got nan"),

@@ -525,13 +525,6 @@ class TestFusedLadder:
         assert 2 in stops and len(set(stops)) > 2
 
     @pytest.mark.parametrize("case", sorted(FUSED_CASES))
-    def test_lone_rung_fuses_nothing(self, case):
-        # n_max < 2n: one rung, which has nothing to agree with, so no row stops
-        n = FUSED_CASES[case][1]
-        shapes, stops = self._run(case, FUSED_ROWS["3 rows"][case], n_max=2 * n - 1)
-        assert shapes == [] and stops == [None] * 3
-
-    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
     def test_two_rungs_are_one_call(self, case):
         n = FUSED_CASES[case][1]
         shapes, stops = self._run(case, FUSED_ROWS["3 rows"][case], n_max=2 * n)
@@ -612,8 +605,9 @@ class TestRlIntegralQuad:
         assert abs(r.value - (math.e - 1.0)) <= 10.0 * r.abs_err_estimate
 
     def test_convergence_error_when_budget_too_small(self):
-        tiny = QuadConfig(max_nodes=16)
-        with pytest.raises(ConvergenceError):
+        # no two rungs up to 32 nodes agree to 1e-300
+        tiny = QuadConfig(1e-300, 32)
+        with pytest.raises(ConvergenceError, match="exhausted 32 nodes"):
             orc.rl_integral_quad(Exp(1.0), 0.5, 1.0, tiny)
 
     def test_powerlog_lower_piece_cancelling_to_zero(self):
@@ -682,7 +676,7 @@ class TestRlIntegralQuadVector:
     def test_row_that_cannot_converge(self):
         f = VECTOR_KINDS["p=0"]
         with pytest.raises(ConvergenceError):
-            orc.rl_integral_quad(f, 0.5, [1.0, 2.0], QuadConfig(max_nodes=16))
+            orc.rl_integral_quad(f, 0.5, [1.0, 2.0], QuadConfig(1e-300, 32))
         # t = 1 converges within 32 nodes on its own, t = 40 does not
         orc.rl_integral_quad(f, 0.5, 1.0, QuadConfig(max_nodes=32))
         with pytest.raises(ConvergenceError):
@@ -907,6 +901,21 @@ class TestExtremeT:
         assert info.value.outcomes[0] == orc.rl_derivative_quad(Power(0.5), 2.5, 1.0, CFG)
         # an order-1 difference still has its step in range there
         assert orc.rl_derivative_quad(Power(0.5), 0.5, 1e-250, CFG).value > 0.0
+
+    def test_subnormal_integral_is_refused_before_scaling(self):
+        # the integral of a subnormal integrand has lost digits that no estimate counts; scaled
+        # by t**1.5 = 1e150 it was a normal value whose estimate was exactly 0
+        f = Integrand(lambda x: np.full_like(x, 3e-310))
+        with pytest.raises(DomainError, match=re.escape("leaves the normal doubles at t=1e+100")):
+            orc.rl_integral_quad(f, 1.5, 1e100, CFG)
+
+    def test_difference_past_the_doubles_is_refused_by_name(self):
+        # every integral row is finite, but their difference over h = 1e-11 is not; the
+        # refusal said "abs_err_estimate must be finite and nonnegative, got nan"
+        f = Integrand(lambda x: np.full_like(x, 1e307))
+        with pytest.raises(DomainError, match=r"^rl_derivative_quad: .* at t=1e-10$"):
+            orc.rl_derivative_quad(f, 0.5, 1e-10, CFG)
+        assert orc.rl_derivative_quad(f, 0.5, 1.0, CFG).value == pytest.approx(1e307 / math.sqrt(math.pi))
 
     @pytest.mark.parametrize("op, alpha, t", EXTREME_T)
     def test_cli_exits_three_with_one_line(self, op, alpha, t, capsys):
@@ -1134,6 +1143,8 @@ class TestOracleBehavior:
             QuadConfig(target_rel_tol=0.0)
         with pytest.raises(DomainError):
             QuadConfig(max_nodes=8)
+        with pytest.raises(DomainError):
+            QuadConfig(max_nodes=16)
 
     def test_config_upper_bounds_name_the_field(self):
         QuadConfig(max_nodes=JACOBI_MAX_NODES)
@@ -1387,6 +1398,17 @@ class TestOpenDefects:
         a, b, t = -0.7, -0.305, 2.0
         r = orc.tail_power_quad(a, b, t, CFG)
         assert abs(r.value - float(_tail_power(a, b, t))) <= r.abs_err_estimate
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4f: the family evaluates tau**fl(nu - 1), and the estimate does not count "
+        "the rounded exponent, which moves the value by about |ln t| times it (2.1x and 2.3x short here)",
+    )
+    @pytest.mark.parametrize("t", (1e100, 1e-100))
+    def test_item_4f_powerlog_integral_estimate_covers_the_rounded_exponent(self, t):
+        nu, alpha = 0.3, 2.5
+        r = orc.rl_integral_quad(PowerLog(nu), alpha, t, CFG)
+        assert abs(r.value - float(_shift(alpha, nu, t))) <= r.abs_err_estimate
 
     @pytest.mark.xfail(
         strict=True,

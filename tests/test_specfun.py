@@ -295,6 +295,13 @@ class TestMittagLeffler:
         value, bound = sf.mittag_leffler_shifted(a, z)
         assert abs(mpmath.mpf(value) - unit_mu_reference(a, z)) <= bound
 
+    @pytest.mark.parametrize("a, z", ((-2.0, 2.4657596168331184e-237), (-1.0, -1e-310), (-3.0, 1e-120)))
+    def test_unit_mu_bound_counts_underflow(self, a, z):
+        # at a negative integer a the value is z**-a e**z, below the normal doubles for
+        # tiny z; the bound was a multiple of the value, so 0 where the value rounds to 0
+        value, bound = sf.mittag_leffler_shifted(a, z)
+        assert abs(mpmath.mpf(value) - unit_mu_reference(a, z)) <= bound
+
     def test_refusals(self):
         with pytest.raises(DomainError, match=r"\|z\| <= 50.0, got z=50.5"):
             sf.mittag_leffler_shifted(0.5, 50.5)

@@ -171,7 +171,7 @@ class TestReportFormats:
         )
         payload = emit_report(empty, "json")
         assert parse_report_json(payload) == empty
-        assert emit_report(empty, "csv").decode().strip() == verify.CSV_HEADER
+        assert emit_report(empty, "csv").decode() == "check_id,inputs,lhs,rhs,abs_diff,rel_diff,tol,passed\n"
 
     def test_csv_bytes(self):
         # the header, then per record: the id, the inputs sorted by name, six numbers at
@@ -397,3 +397,39 @@ class TestOracleBatching:
         first = len(calls)
         run_suite("lemmas")
         assert first > 0 and len(calls) == 2 * first
+
+
+class TestLemmaDerivatives:
+    """The derivative lemma rows hold each formula against an exact route, not a difference."""
+
+    def test_rows_pass_at_the_identity_tolerance(self):
+        rows = [r for r in run_suite("lemmas").records if "derivative/" in r.check_id]
+        assert len(rows) == 22
+        assert all(r.passed and r.tol == verify.TOL_IDENTITY for r in rows)
+
+    @pytest.mark.parametrize(
+        "name, family",
+        (("nth_derivative_power", "power-derivative"), ("nth_derivative_powerlog", "powerlog-derivative")),
+    )
+    def test_a_1e_9_mutation_fails_its_rows(self, monkeypatch, name, family):
+        # the differenced rows held the formulas to 1e-6 only
+        original = getattr(cf, name)
+        monkeypatch.setattr(cf, name, lambda n, b, t: original(n, b, t) * (1.0 + 1e-9))
+        report = run_suite("lemmas")
+        assert {r.check_id.split("/")[1] for r in report.records if not r.passed} == {family}
+        assert all(not r.passed for r in report.records if r.check_id.split("/")[1] == family)
+
+    def test_leibniz_expansion_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 2, 3):
+            for b in (0.5, 1.3, 2.0):
+                for t in (0.7, 1.3):
+                    with mpmath.workdps(30):
+                        exact = mpmath.diff(lambda x: x**b * mpmath.log(x), t, n)
+                    assert verify._leibniz_powerlog(n, b, t) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+
+    def test_verify_reaches_nothing_private_in_the_oracle(self):
+        assert [
+            name for name, obj in vars(verify).items()
+            if name.startswith("_") and getattr(obj, "__module__", None) == oracle.__name__
+        ] == []
