@@ -16,6 +16,7 @@ can quantify the discrepancy, and must never be used for actual evaluation.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import specfun as sf
 from .errors import DomainError, SingularParamError
@@ -59,6 +60,30 @@ def _require_positive_t(t: float) -> float:
 # ---------------------------------------------------------------------------
 # signed-order expressions (order a may be negative; derivatives use a = -alpha)
 
+_TINY, _HUGE = 2.0**-1022, sys.float_info.max  # the normal doubles
+
+
+def _power(t: float, exponent: float) -> float:
+    """t**exponent, or nan where it leaves the normal doubles, which makes the value built on it nan.
+
+    No rounding bound counts the digits that an underflowing power loses
+    (all of them, at 0), and an overflowing one raises a bare OverflowError;
+    _refuse_off_doubles refuses the nan value by name and t instead.
+    """
+    try:
+        power = t**exponent
+    except OverflowError:
+        return math.nan
+    return power if _TINY <= power <= _HUGE else math.nan
+
+
+def _refuse_off_doubles(value: float, name: str, t: float) -> float:
+    """value, or a DomainError naming name and t where it is nan (see _power) or infinite."""
+    if not abs(value) <= _HUGE:
+        raise DomainError(f"{name}: the closed form leaves the normal doubles at t={t!r}")
+    return value
+
+
 def _rounding(x: float, y: float, total: float) -> float:
     """|x + y - total| for total = fl(x + y), exactly (Knuth's TwoSum)."""
     y_part = total - x
@@ -90,7 +115,7 @@ def power_shift_eval(a: float, gamma_exp: float, t: float) -> tuple[float, float
     x = 1.0 + gamma_exp
     s = x + a
     exponent = gamma_exp + a
-    power = t**exponent
+    power = _power(t, exponent)
     value = sf.gamma_ratio(x, s) * power
     dx = _rounding(1.0, gamma_exp, x)
     ds = dx + _rounding(x, a, s)
@@ -106,7 +131,7 @@ def power_shift_eval(a: float, gamma_exp: float, t: float) -> tuple[float, float
 
 def exp_shift_eval(a: float, lam: float, t: float) -> tuple[float, float]:
     """t**a * E_{1,1+a}(lam t), and a bound on its rounding error."""
-    power = t**a
+    power = _power(t, a)
     series, bound = sf.mittag_leffler_shifted(a, lam * t)
     value = power * series
     # the power and the product each round once
@@ -135,7 +160,7 @@ def powerlog_shift_eval(a: float, nu: float, t: float) -> tuple[float, float]:
             f"power-log formula is a 0*inf form at shifted order a+nu={s!r}"
         )
     exponent = s - 1.0
-    prefactor = t**exponent * sf.gamma_ratio(nu, s)
+    prefactor = _power(t, exponent) * sf.gamma_ratio(nu, s)
     log_t, psi_nu, psi_shifted = math.log(t), sf.digamma(nu), sf.digamma(s)
     if not (math.isfinite(psi_nu) and math.isfinite(psi_shifted)):
         raise DomainError(f"power-log formula needs finite digamma at nu={nu!r} and a+nu={s!r}")
@@ -164,7 +189,7 @@ def weyl_power_shift_eval(a: float, delta: float, t: float) -> tuple[float, floa
     """
     ratio = sf.gamma_ratio(delta - a, delta)
     exponent = a - delta
-    power = t**exponent
+    power = _power(t, exponent)
     cos_arg = delta / 2.0 - a
     cos_delta = sf.cospi(delta / 2.0)
     value = ratio * (sf.cospi(cos_arg) / cos_delta) * power
@@ -251,7 +276,8 @@ def weyl_power_literature(alpha: float, delta: float, t: float) -> float:
     t = _require_positive_t(t)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_power_literature requires delta in (0,1), got {delta!r}")
-    return sf.gamma_ratio(delta + alpha, delta) * t ** (-alpha - delta)
+    value = sf.gamma_ratio(delta + alpha, delta) * _power(t, -alpha - delta)
+    return _refuse_off_doubles(value, "weyl_power_literature", t)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +314,8 @@ def nth_derivative_power(n: int, a_exp: float, t: float) -> float:
 
     The falling-factorial product keeps the coefficient exact for every real
     a_exp, including the integer cases where the equivalent gamma ratio sits
-    on poles.
+    on poles.  A t where t**(a-n) leaves the normal doubles is refused, as
+    closed_eval refuses it.
     """
     t = _require_positive_t(t)
     if n != int(n) or n < 0:
@@ -296,22 +323,21 @@ def nth_derivative_power(n: int, a_exp: float, t: float) -> float:
     coeff = 1.0
     for j in range(int(n)):
         coeff *= a_exp - j
-    return coeff * t ** (a_exp - n)
+    return _refuse_off_doubles(coeff * _power(t, a_exp - n), "nth_derivative_power", t)
 
 
 def nth_derivative_powerlog(n: int, beta_exp: float, t: float) -> float:
-    """d^n/dt^n [t**b log t] = gamma(b+1)/gamma(b-n+1) t**(b-n) [log t + psi(b+1) - psi(b-n+1)]."""
+    """d^n/dt^n [t**b log t] = gamma(b+1)/gamma(b-n+1) t**(b-n) [log t + psi(b+1) - psi(b-n+1)].
+
+    This is the power-log shift function at order -n with nu = b + 1, which
+    never forms b - n + 1, and which raises SingularParamError where that
+    sum is a non-positive integer.  A t where t**(b-n) leaves the normal
+    doubles is refused, as closed_eval refuses it.
+    """
     t = _require_positive_t(t)
     if n != int(n) or n < 1:
         raise DomainError(f"derivative order must be a positive integer, got {n!r}")
-    shifted = beta_exp - n + 1.0
-    if sf._is_nonpositive_integer(shifted):
-        raise SingularParamError(
-            f"nth_derivative_powerlog is a 0*inf form at beta_exp-n+1={shifted!r}"
-        )
-    coeff = sf.gamma_ratio(beta_exp + 1.0, shifted)
-    bracket = math.log(t) + sf.digamma(beta_exp + 1.0) - sf.digamma(shifted)
-    return coeff * t ** (beta_exp - n) * bracket
+    return _refuse_off_doubles(powerlog_shift_eval(-n, beta_exp + 1.0, t)[0], "nth_derivative_powerlog", t)
 
 
 def digamma_sum_identity_residual(n: int, beta_exp: float) -> float:
@@ -365,11 +391,14 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     got -1.0').  Then the value and its bound come from one evaluation
     of the family's shift function at order alpha, or -alpha for a
     derivative, whole orders included: at alpha = m it is the plain m-th
-    derivative.  Each bound comes from the terms of the value and its
-    rounded arguments (exp_shift_eval's from the Mittag-Leffler series,
-    powerlog_shift_eval's from the bracket before it cancels,
-    weyl_power_shift_eval's from the cosine ratio before it vanishes, and
-    power_shift_eval's from a few ulp of the value).
+    derivative.  A t at which the function's power of t leaves the normal
+    doubles is refused by operator token and t ('rl-int: ... at t=1e+150'):
+    underflow there loses digits that no bound counts.  An exact zero of the
+    coefficient is 0 where the power is normal.  Each bound comes from the
+    terms of the value and its rounded arguments (exp_shift_eval's from the
+    Mittag-Leffler series, powerlog_shift_eval's from the bracket before it
+    cancels, weyl_power_shift_eval's from the cosine ratio before it
+    vanishes, and power_shift_eval's from a few ulp of the value).
     """
     if type(kind) is not OperatorKind:
         kind = OperatorKind(kind)
@@ -384,4 +413,4 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
         raise DomainError(f"{kind.value} requires alpha > 0, got {alpha!r}")
     shift_eval = globals()[_SHIFT_EVALS[type(family)]]
     value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
-    return EvalResult(value=value, method="closed-form", abs_err_estimate=bound)
+    return EvalResult(value=_refuse_off_doubles(value, kind.value, t), method="closed-form", abs_err_estimate=bound)

@@ -194,10 +194,11 @@ def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -
     built from it: a rounded a + 1 would move every rule of a ladder by the
     same relative error, up to 2**-54/(a + 1), which no difference of rungs
     can show.  Rules are cached by (n, a + 1, b): the callers here pass
-    a = fl(a_plus_1 - 1), so a + 1 fixes a.  A hit returns the cached rung.
-    DomainError where the construction has no rule in floating point: its
-    zeroth moment 2**(a+b+1) B(a+1, b+1) overflows past about a + b = 1030
-    when one exponent is near 0, and its recurrence past about 1e77.
+    a = fl(a_plus_1 - 1), as _jacobi_ladder computes it, so a + 1 fixes a.
+    A hit returns the cached rung.  DomainError where the construction has
+    no rule in floating point: its zeroth moment 2**(a+b+1) B(a+1, b+1)
+    overflows past about a + b = 1030 when one exponent is near 0, and its
+    recurrence past about 1e77.
     """
     if a_plus_1 is None:
         a_plus_1 = a + 1.0
@@ -344,21 +345,18 @@ def _row_ladder(
 
 
 def _jacobi_ladder(
-    phi: RowFn,
-    params: Sequence,
-    a: float,
-    b: float,
-    cfg: QuadConfig,
-    floors: list | None = None,
-    a_plus_1: float | None = None,
+    phi: RowFn, params: Sequence, a_plus_1: float, b: float, cfg: QuadConfig, floors: list | None = None
 ) -> list[Row]:
     """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
-    floors, one per row, are absolute tolerances: agreement within a row's floor
-    counts as convergence.  A row that runs out of rungs is refused on its own.
-    Each rung is gauss_jacobi_01's rule, looked up once; a_plus_1 is the
-    weight's exact a + 1, as that function takes it.
+    The weight is (1-s)**a s**b, given by the exact a + 1 (see
+    gauss_jacobi_01): a is fl(a_plus_1 - 1), so the rule's key and its mass
+    come from the one exponent.  floors, one per row, are absolute
+    tolerances: agreement within a row's floor counts as convergence.  A row
+    that runs out of rungs is refused on its own.  Each rung is
+    gauss_jacobi_01's rule, looked up once.
     """
+    a = a_plus_1 - 1.0
     rule = lambda n: gauss_jacobi_01(n, a, b, a_plus_1)
     refusal = lambda: f"Gauss-Jacobi ladder exhausted {cfg.max_nodes} nodes (weights a={a!r}, b={b!r})"
     return _row_ladder(rule, 16, cfg.max_nodes, _jacobi_sums, phi, params, cfg, refusal, floors)
@@ -520,14 +518,14 @@ def rl_integral_quad(
     p = f.power_at_zero
     if not f.log_at_zero:
         phi = lambda rung, tc: f.value(tc * rung.points) * rung.s_pow_neg_b
-        rows = _jacobi_ladder(phi, ts, alpha - 1.0, p, cfg, a_plus_1=alpha)
+        rows = _jacobi_ladder(phi, ts, alpha, p, cfg)
     else:
         if p + 1.0 == 0.0:
             raise DomainError(f"rl_integral_quad requires power_at_zero + 1 > 0 in floating point, got {p!r}")
         # logarithmic origin: split at s = 1/2
         # upper piece keeps the Jacobi weight; f is smooth on [1/2, 1]
         upper = lambda rung, tc: f.value(tc * rung.upper_half)
-        rows = _jacobi_ladder(upper, ts, alpha - 1.0, 0.0, cfg, a_plus_1=alpha)
+        rows = _jacobi_ladder(upper, ts, alpha, 0.0, cfg)
         scale_hi = 0.5**alpha
 
         # lower piece: s = exp(-x)/2 turns s**p log s into analytic * exp(-(p+1) x)
@@ -596,9 +594,11 @@ def _stencil_derivative(
     sum_k coeffs[k] * T(points[i][k]) for the order-beta tail T and its
     error, or the error that refused the row.  A t takes the error of its
     first refused row, its integrals' rows in stencil order before its
-    tail's; otherwise the differences over a symmetric stencil of base width
-    FD_STEP_FACTOR * t are Richardson-extrapolated over RICHARDSON_LEVELS
-    step halvings; a t whose result leaves the doubles is refused.
+    tail's; an integral's DomainError, which names the stencil point, is
+    restated in the derivative's name at t.  Otherwise the differences over
+    a symmetric stencil of base width FD_STEP_FACTOR * t are
+    Richardson-extrapolated over RICHARDSON_LEVELS step halvings; a t whose
+    result leaves the doubles is refused.
     """
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"{name} requires alpha > 0, got {alpha!r}")
@@ -632,6 +632,9 @@ def _stencil_derivative(
             block = integrals[k * n : (k + 1) * n]
             levels = tails[k * RICHARDSON_LEVELS : (k + 1) * RICHARDSON_LEVELS]
             refused = [row for row in block + levels if isinstance(row, FracCalcError)]
+            if refused and isinstance(refused[0], DomainError):  # it names a stencil point, not t
+                message = f"{name}: an integral of its stencil leaves the normal doubles at t={x!r}"
+                refused[0] = type(refused[0])(message)
             rows[i] = refused[0] if refused else _difference(name, x, coeffs, steps, block, levels)
     return _results(rows, scalar)
 
@@ -706,7 +709,7 @@ def _power_tail_rows(a_exp: float, beta_exp: float, w_plus_1: float, ts: list[fl
     reach = max(abs(a_exp), abs(beta_exp), abs(a_exp + beta_exp))
     fits = lambda t: reach * abs(math.log2(t)) <= 1000.0
     kept = np.array([t for t in ts if fits(t)])[:, None]
-    rows = iter(_jacobi_ladder(phi, kept, w_plus_1 - 1.0, beta_exp, cfg, a_plus_1=w_plus_1))
+    rows = iter(_jacobi_ladder(phi, kept, w_plus_1, beta_exp, cfg))
     refused = lambda t: DomainError(f"the power tail (t+u)**{a_exp!r} * u**{beta_exp!r} leaves the doubles at t={t!r}")
     return [next(rows) if fits(t) else refused(t) for t in ts]
 
@@ -773,7 +776,6 @@ def weyl_derivative_quad(
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_derivative_quad requires delta in (0,1), got {delta!r}")
-    w_right = alpha + delta - 1.0
 
     def tail(beta_order: float, coeffs: list[float], stencils: list[tuple]) -> list:
         # one row per Richardson level of each t: t, the step, the low end of the stencil, its points
@@ -795,12 +797,12 @@ def weyl_derivative_quad(
             return total
 
         # unsigned-kernel magnitude sets the roundoff floor of the signed sum
-        rule = gauss_jacobi_01(32, w_right, -delta, alpha + delta)
+        rule = gauss_jacobi_01(32, alpha + delta - 1.0, -delta, alpha + delta)
         scales = _tail_integrand(partial(kernel, unsigned=True), -delta)(rule, levels)
         floors = [64.0 * _EPS * abs(scale) for scale in _jacobi_sums(scales, rule.weights).tolist()]
         prefactor = 1.0 / math.gamma(beta_order)
         phi = _tail_integrand(kernel, -delta)
-        rows = _jacobi_ladder(phi, levels, w_right, -delta, cfg, floors, alpha + delta)
+        rows = _jacobi_ladder(phi, levels, alpha + delta, -delta, cfg, floors)
         # the floor is evaluation noise that the ladder's differences need not show
         return [
             row if isinstance(row, FracCalcError) else (prefactor * row[0], prefactor * (row[1] + floor))

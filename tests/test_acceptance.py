@@ -147,8 +147,9 @@ def test_criterion_4_derivative_equals_negated_integral():
     report(
         4,
         passed,
-        f"derivative formulas equal integral expressions at negated order on "
-        f"{len(suite.records)} in-domain grid points, worst rel {worst:.2e} (tol 1e-12)",
+        f"closed derivatives (I^-alpha) equal D^m I^(m-alpha), the closed integral at order m - alpha "
+        f"differentiated m times exactly, on {len(suite.records)} in-domain grid points, "
+        f"worst rel {worst:.2e} (tol 1e-12)",
     )
     assert suite.n_fail == 0
     assert worst <= 1e-12

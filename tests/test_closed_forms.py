@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fraccalc import closed_forms as cf
 from fraccalc import specfun as sf
+from fraccalc import verify
 from fraccalc.errors import DomainError, PoleError, SingularParamError
 from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog
 
@@ -283,11 +284,13 @@ class TestPowerLogDerivative:
     def test_whole_order_is_the_plain_derivative(self):
         # PowerLog(nu=2) is f(t) = t log t, so d/dt = log t + 1
         assert cf.rl_derivative_powerlog(1.0, 2.0, 2.0) == pytest.approx(math.log(2.0) + 1.0, rel=1e-14)
+        # nth_derivative_powerlog is the same shift function at -m, so the plain derivative
+        # comes from Leibniz's rule, which takes no gamma or digamma
         for m in (1, 2, 3):
             for nu in (0.3, 0.5, 2.5):
                 for t in (0.5, 2.0):
                     assert cf.rl_derivative_powerlog(float(m), nu, t) == pytest.approx(
-                        cf.nth_derivative_powerlog(m, nu - 1.0, t), rel=1e-13
+                        verify._leibniz_powerlog(m, nu - 1.0, t), rel=1e-13
                     )
 
 
@@ -440,11 +443,27 @@ class TestNthDerivativePowerLog:
                 2.0 * t * math.log(t) + t, rel=1e-13, abs=1e-14
             )
 
+    def test_near_the_rounded_shifted_exponent_against_mpmath(self):
+        # b - n + 1 = 0.0345 rounds; a copy of the formula that formed it erred 2.4e-12 here
+        mpmath = pytest.importorskip("mpmath")
+        b, t = -0.9655273434079169, 2.9260813060109303
+        with mpmath.workdps(40):
+            exact = mpmath.diff(lambda x: x ** mpmath.mpf(b) * mpmath.log(x), mpmath.mpf(t), 1)
+        assert cf.nth_derivative_powerlog(1, b, t) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
     def test_singular_parameters(self):
         with pytest.raises(SingularParamError):
             cf.nth_derivative_powerlog(3, 2.0, 1.0)
         with pytest.raises(SingularParamError):
             cf.nth_derivative_powerlog(2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ("nth_derivative_power", "nth_derivative_powerlog"))
+@pytest.mark.parametrize("t", (1e-200, 1e250))
+def test_nth_derivative_power_off_the_doubles_is_refused_by_t(name, t):
+    # t**-2.5 overflows at 1e-200 and underflows at 1e250: a bare OverflowError, or 0
+    with pytest.raises(DomainError, match=rf"^{name}: .* at t={re.escape(repr(t))}$"):
+        getattr(cf, name)(3, 0.5, t)
 
 
 class TestDigammaSumIdentity:

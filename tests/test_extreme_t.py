@@ -4,20 +4,23 @@ Far from t = 1 the prefactor t**alpha of the order-alpha integral, the
 integral it scales, or the integrand itself can leave the normal doubles and
 lose its digits to underflow, down to 0, which no ladder difference shows.
 The oracle refuses such a point (a DomainError naming t) instead of
-returning 0 +- 0.  The scan holds every point of a grid over t in
+returning 0 +- 0, and the closed form refuses a point where its power of t
+leaves the normal doubles.  The scan holds every point of a grid over t in
 1e+-100 ... 1e+-300 to the double-entry rule: refused, or the two routes
 within the sum of their estimates.
 """
 
 import itertools
 import math
+import re
 
 import pytest
 
 from fraccalc import closed_eval, oracle_eval
 from fraccalc.cli import main
+from fraccalc.closed_forms import weyl_power_literature
 from fraccalc.errors import DomainError, FracCalcError
-from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog
+from fraccalc.model import AbsPower, Exp, OperatorKind, Power, PowerLog, parse_family
 
 RL_FAMILIES = (
     *(Power(g) for g in (-0.5, 0.0, 0.5, 2.0)),
@@ -50,9 +53,9 @@ UNDERFLOW_CLASSES = (
 
 
 def _apart(kind, alpha, family, t):
-    """Whether the oracle answers at the point and lands outside the two routes' estimates."""
-    closed = closed_eval(kind, alpha, family, t)
+    """Whether both routes answer at the point and land outside the two routes' estimates."""
     try:
+        closed = closed_eval(kind, alpha, family, t)
         oracle = oracle_eval(kind, alpha, family, t)
     except FracCalcError:
         return False
@@ -64,12 +67,16 @@ def test_scan_has_no_double_entry_violation():
     for (kind, family), alpha, t in itertools.product(SCAN_CASES, SCAN_ALPHAS, SCAN_TS):
         try:
             closed_eval(kind, alpha, family, t)
-        except (FracCalcError, OverflowError):  # the closed form refuses the point
+        except FracCalcError:  # the closed form refuses the point
             continue
         answered += 1
         if (kind, family, alpha, t) not in ITEM_4F and _apart(kind, alpha, family, t):
             apart.append((kind.value, family, alpha, t))
-    assert answered == 1444
+    # 1444 before the closed form refused a power of t off the normal doubles; the 248 points
+    # refused since returned 0 (235, 18 of them exact zeros of the coefficient), a subnormal
+    # value (12) or a value built on a subnormal power (1), and the 262 that raised a bare
+    # OverflowError were skipped then too
+    assert answered == 1196
     assert apart == []
 
 
@@ -96,9 +103,56 @@ def test_cli_both_exits_three_instead_of_zero(argv, capsys):
 
 def test_derivative_past_the_doubles_names_the_function_and_t():
     # the integrals at the stencil points about t = 1e300 overflow once scaled; the
-    # derivative's refusal said "abs_err_estimate must be finite and nonnegative, got nan"
-    with pytest.raises(DomainError, match=r"^rl_integral_quad: .* at t=1\.0\d*e\+300$"):
+    # derivative's refusal said "abs_err_estimate must be finite and nonnegative, got nan",
+    # then named rl_integral_quad and a stencil point, t=1.05e+300
+    with pytest.raises(DomainError, match=r"^rl_derivative_quad: .* at t=1e\+300$"):
         oracle_eval(OperatorKind.RL_DERIVATIVE, 0.25, Power(0.5), 1e300)
+
+
+# one point of each class where the closed form's power of t left the normal doubles: it
+# raised a bare OverflowError, returned 0 +- 0 (the true value is about 8.9e-401) or returned
+# a subnormal value
+CLOSED_OFF_DOUBLES = (
+    ("rl-int", 2.5, "power:gamma=2", "1e150"),
+    ("rl-int", 2.5, "power:gamma=-0.5", "1e-200"),
+    ("rl-int", 0.75, "power:gamma=0.5", "1e-250"),
+)
+
+
+@pytest.mark.parametrize("op, alpha, fn, t", CLOSED_OFF_DOUBLES)
+def test_closed_form_refuses_its_power_off_the_doubles_by_t(op, alpha, fn, t, capsys):
+    with pytest.raises(DomainError, match=rf"^{op}: .* at t={re.escape(repr(float(t)))}$"):
+        closed_eval(OperatorKind(op), alpha, parse_family(fn), float(t))
+    assert main(["eval", "--op", op, "--alpha", str(alpha), "--fn", fn, "--t", t]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"fraccalc: domain error: {op}: ") and err.count("\n") == 1 and "t=" in err
+
+
+def test_exact_zero_of_the_coefficient_stays_zero():
+    # 1 + gamma - alpha = 0 is a pole of the denominator's gamma; t**-1 is a normal double
+    for t in (1.0, 1e-300, 1e300):
+        result = closed_eval(OperatorKind.RL_DERIVATIVE, 0.5, Power(-0.5), t)
+        assert result.value == 0.0 and result.abs_err_estimate == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["eval", "--op", "rl-der", "--alpha", "0.25", "--fn", "power:gamma=0.5", "--t", "1e300", "--method", "oracle"],
+        # the corrected formula has the literature formula's power t**(-alpha-delta) and refuses it first
+        ["compare", "--delta", "0.5", "--alpha", "2.5", "--t-range", "1e-150:1e-150:1", "--out", "unwritten.csv"],
+    ),
+)
+def test_cli_refusal_is_one_line_naming_t(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fraccalc: domain error: ") and err.count("\n") == 1 and "at t=1e" in err
+
+
+def test_literature_formula_refuses_its_power_off_the_doubles_by_t():
+    # t**(-alpha-delta) = 1e825 raised a bare OverflowError
+    with pytest.raises(DomainError, match=r"^weyl_power_literature: .* at t=1e-300$"):
+        weyl_power_literature(2.5, 0.25, 1e-300)
 
 
 def test_prefactor_in_range_keeps_a_subnormal_estimate():

@@ -79,7 +79,7 @@ class TestGaussJacobiRule:
         else:
             # no rule has n nodes: each degree is the ladder's value or its refusal
             phi = lambda nodes, k: nodes.points**k
-            rows = orc._jacobi_ladder(phi, np.array(degrees, float)[:, None], a, b, CFG)
+            rows = orc._jacobi_ladder(phi, np.array(degrees, float)[:, None], a + 1.0, b, CFG)
         for k, row in zip(degrees, rows):
             if isinstance(row, ConvergenceError):
                 # the largest rule is exact up to degree 2 * JACOBI_MAX_NODES - 1
@@ -202,7 +202,7 @@ class TestJacobiRuleCache:
 
         def rows():
             cache.clear()
-            ladder = orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], -0.5, 0.3, CFG)
+            ladder = orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], 0.5, 0.3, CFG)
             results = orc.weyl_derivative_quad(0.5, 0.25, list(np.linspace(0.5, 8.0, 16)), CFG)
             results = [(r.value, r.abs_err_estimate) for r in results]
             return [
@@ -538,10 +538,10 @@ class TestFusedLadder:
         monkeypatch.setattr(
             orc, "gauss_jacobi_01", lambda n, a, b, *exact: sizes.append((n, a, b)) or jacobi(n, a, b, *exact)
         )
-        orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], -0.5, 0.3, CFG)
+        orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], 0.5, 0.3, CFG)
         assert sizes == [(16 * 2**k, -0.5, 0.3) for k in range(5)]
         sizes.clear()
-        orc._jacobi_ladder(_JACOBI_PHI, np.array([[3.0]]), -0.5, 0.3, CFG)
+        orc._jacobi_ladder(_JACOBI_PHI, np.array([[3.0]]), 0.5, 0.3, CFG)
         assert sizes == [(16, -0.5, 0.3), (32, -0.5, 0.3)]
 
     @pytest.mark.parametrize(

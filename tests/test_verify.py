@@ -233,14 +233,34 @@ class TestMutationSensitivity:
         self._scale_power_shift_at_negative_orders(monkeypatch)
         assert run_suite("rl-power").n_fail > 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 13: d-equals-i-neg holds each derivative formula against the shift "
-        "function that the formula itself evaluates, so no mutation of that function can fail it",
-    )
     def test_item_13_power_shift_scaled_at_negative_orders_fails_d_equals_i_neg(self, monkeypatch):
         self._scale_power_shift_at_negative_orders(monkeypatch)
         assert run_suite("d-equals-i-neg").n_fail > 0
+
+    @pytest.mark.parametrize(
+        "shift, label, rows",
+        (
+            # of 140 power and 140 Weyl rows, those whose coefficient is exactly 0 (on a
+            # gamma pole, or at a zero of the cosine ratio) stay 0 when scaled
+            ("power_shift_eval", "power", 120),
+            ("exp_shift_eval", "exp", 84),
+            ("powerlog_shift_eval", "log", 84),
+            ("weyl_power_shift_eval", "abspower", 132),
+        ),
+    )
+    def test_shift_scaled_at_negative_orders_fails_its_composed_rows(self, monkeypatch, shift, label, rows):
+        # d-equals-i-neg takes each shift function at the positive order m - alpha only, so a
+        # 1e-9 scaling at a < 0, where closed_eval takes the derivatives, fails that family's rows
+        original = getattr(cf, shift)
+
+        def scaled(a, p, t):
+            value, bound = original(a, p, t)
+            return (value * (1.0 + 1e-9) if a < 0.0 else value), bound
+
+        monkeypatch.setattr(cf, shift, scaled)
+        failed = [r.check_id for r in run_suite("d-equals-i-neg").records if not r.passed]
+        assert {check_id.split("/")[1] for check_id in failed} == {label}
+        assert len(failed) == rows
 
     def test_dropped_cosine_ratio_fails_falsification(self, monkeypatch):
         # replaces the corrected Weyl derivative with the literature formula
