@@ -226,11 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"fraccalc: convergence error: {exc}", file=sys.stderr)
         return 4
-    except OverflowError as exc:
-        # specfun's gamma ratios raise it where gamma itself leaves the doubles (gamma(nu) at
-        # powerlog:nu=1e-310, gamma(delta + alpha) of weyl-der at alpha = 200); no power of t does
-        print(f"fraccalc: domain error: overflow: {exc}", file=sys.stderr)
-        return 3
 
 
 def run() -> None:

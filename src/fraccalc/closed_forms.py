@@ -16,12 +16,13 @@ can quantify the discrepancy, and must never be used for actual evaluation.
 from __future__ import annotations
 
 import math
-import sys
 
 from . import specfun as sf
 from .errors import DomainError, SingularParamError
 from .model import (
     _EPS,
+    _HUGE,
+    _TINY,
     _check_finite,
     AbsPower,
     EvalResult,
@@ -59,9 +60,6 @@ def _require_positive_t(t: float) -> float:
 
 # ---------------------------------------------------------------------------
 # signed-order expressions (order a may be negative; derivatives use a = -alpha)
-
-_TINY, _HUGE = 2.0**-1022, sys.float_info.max  # the normal doubles
-
 
 def _power(t: float, exponent: float) -> float:
     """t**exponent, or nan where it leaves the normal doubles, which makes the value built on it nan.
@@ -276,8 +274,11 @@ def weyl_power_literature(alpha: float, delta: float, t: float) -> float:
     t = _require_positive_t(t)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"weyl_power_literature requires delta in (0,1), got {delta!r}")
-    value = sf.gamma_ratio(delta + alpha, delta) * _power(t, -alpha - delta)
-    return _refuse_off_doubles(value, "weyl_power_literature", t)
+    try:
+        ratio = sf.gamma_ratio(delta + alpha, delta)
+    except OverflowError:
+        raise DomainError(f"weyl_power_literature: the gamma ratio overflows at t={t!r}") from None
+    return _refuse_off_doubles(ratio * _power(t, -alpha - delta), "weyl_power_literature", t)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,9 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     derivative, whole orders included: at alpha = m it is the plain m-th
     derivative.  A t at which the function's power of t leaves the normal
     doubles is refused by operator token and t ('rl-int: ... at t=1e+150'):
-    underflow there loses digits that no bound counts.  An exact zero of the
+    underflow there loses digits that no bound counts.  So is one where a
+    gamma factor of the value or of its bound overflows (at
+    powerlog:nu=1e-310, or rl-der at alpha = 180).  An exact zero of the
     coefficient is 0 where the power is normal.  Each bound comes from the
     terms of the value and its rounded arguments (exp_shift_eval's from the
     Mittag-Leffler series, powerlog_shift_eval's from the bracket before it
@@ -412,5 +415,8 @@ def closed_eval(kind: OperatorKind, alpha: float, family: FunctionFamily, t: flo
     if alpha <= 0.0:
         raise DomainError(f"{kind.value} requires alpha > 0, got {alpha!r}")
     shift_eval = globals()[_SHIFT_EVALS[type(family)]]
-    value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
+    try:
+        value, bound = shift_eval(-alpha if kind.is_derivative else alpha, family.param, t)
+    except OverflowError:  # a gamma factor of the value or of its bound leaves the doubles
+        raise DomainError(f"{kind.value}: the closed form overflows at t={t!r}") from None
     return EvalResult(value=_refuse_off_doubles(value, kind.value, t), method="closed-form", abs_err_estimate=bound)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .errors import DomainError
@@ -22,6 +23,8 @@ __all__ = [
 
 # machine epsilon of IEEE double precision, 2**-52
 _EPS = 2.220446049250313e-16
+# the smallest and the largest normal double
+_TINY, _HUGE = 2.0**-1022, sys.float_info.max
 
 
 class _NumpyOnFirstUse:

@@ -11,8 +11,9 @@ defining integrals.  The machinery:
   and the last successive difference is the reported error estimate; the
   first rung cannot stop a ladder, so the integrand is evaluated on the first
   two rungs' points in one call;
-* a rule is a rung (_Rung), the pair (points, weights), cached (at most
-  JACOBI_CACHE_MAX_RULES Jacobi rules; the panel rules by node count alone)
+* a rule is a rung (_Rung), the pair (points, weights), cached by
+  functools.lru_cache (the 4096 most recently used Jacobi rules, keyed by
+  every argument of their builder; the panel rules by node count alone)
   with the arrays that depend on its points alone: the powers of s and 1 - s
   that divide its weight out of an integrand, the maps of the two log pieces,
   and its points joined to the next rung's;
@@ -42,9 +43,7 @@ built only for the caller.
 from __future__ import annotations
 
 import math
-import sys
-import threading
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -53,6 +52,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, FracCalcError, StencilError
 from .model import (
     _EPS,
+    _HUGE,
+    _TINY,
     DEFAULT_CONFIG,
     JACOBI_MAX_NODES,
     AbsPower,
@@ -114,17 +115,6 @@ class Integrand(_Record):
 
 # ---------------------------------------------------------------------------
 # quadrature rules
-
-# gauss_jacobi_01 keeps at most this many rules and drops the oldest past it.
-# The keys are float (n, a + 1, b), so a sweep over alpha in a long-lived process
-# builds new rules without end (about 2.6 per sweep evaluation); the verify
-# grid needs about 200, so neither verify nor a grid ever drops one.  Panel
-# rules are keyed by n alone, one per rung, and need no bound.
-JACOBI_CACHE_MAX_RULES = 4096
-
-_jacobi_cache: dict = {}  # rungs by (n, a + 1, b), oldest first
-_panel_cache: dict = {}  # rungs by n
-_rule_cache_lock = threading.Lock()  # held to insert into and evict from the Jacobi cache, not to look up
 
 
 class _Rung(tuple):
@@ -193,19 +183,21 @@ def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -
     default a + 1).  The rule's mass, B(a+1, b+1) up to a power of 2, is
     built from it: a rounded a + 1 would move every rule of a ladder by the
     same relative error, up to 2**-54/(a + 1), which no difference of rungs
-    can show.  Rules are cached by (n, a + 1, b): the callers here pass
-    a = fl(a_plus_1 - 1), as _jacobi_ladder computes it, so a + 1 fixes a.
-    A hit returns the cached rung.  DomainError where the construction has
-    no rule in floating point: its zeroth moment 2**(a+b+1) B(a+1, b+1)
-    overflows past about a + b = 1030 when one exponent is near 0, and its
-    recurrence past about 1e77.
+    can show.  Rules are cached by all of (n, a, b, a_plus_1), the 4096 most
+    recently used, and a hit returns the cached rung.  DomainError where the
+    construction has no rule in floating point: its zeroth moment
+    2**(a+b+1) B(a+1, b+1) overflows past about a + b = 1030 when one
+    exponent is near 0, and its recurrence past about 1e77.
     """
-    if a_plus_1 is None:
-        a_plus_1 = a + 1.0
-    key = (n, a_plus_1, b)
-    cached = _jacobi_cache.get(key)
-    if cached is not None:
-        return cached
+    return _jacobi_rule(n, a, b, a + 1.0 if a_plus_1 is None else a_plus_1)
+
+
+# A sweep over alpha in a long-lived process builds new rules without end
+# (about 2.6 per sweep evaluation), so the cache is bounded; the verify grid
+# needs about 230 rules, so neither verify nor a grid ever drops one.
+@lru_cache(maxsize=4096)
+def _jacobi_rule(n: int, a: float, b: float, a_plus_1: float) -> _Rung:
+    """gauss_jacobi_01's rule, built by Golub-Welsch; lru_cache keeps it under its full argument list."""
     # checked before the O(n**2) matrix is built
     if not 1 <= n <= JACOBI_MAX_NODES:
         raise DomainError(f"rule size must be in [1, {JACOBI_MAX_NODES}], got {n!r}")
@@ -219,12 +211,7 @@ def gauss_jacobi_01(n: int, a: float, b: float, a_plus_1: float | None = None) -
         raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: {exc}") from None
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise DomainError(f"no {n}-node Gauss-Jacobi rule for a={a!r}, b={b!r}: not finite")
-    rule = _Rung(nodes, weights, a, b)
-    with _rule_cache_lock:
-        _jacobi_cache[key] = rule
-        while len(_jacobi_cache) > JACOBI_CACHE_MAX_RULES:
-            del _jacobi_cache[next(iter(_jacobi_cache))]  # dicts keep insertion order
-    return rule
+    return _Rung(nodes, weights, a, b)
 
 
 def _golub_welsch(n: int, a: float, b: float, a_plus_1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -350,8 +337,8 @@ def _jacobi_ladder(
     """Double the Gauss-Jacobi rule until two successive estimates agree, row by row.
 
     The weight is (1-s)**a s**b, given by the exact a + 1 (see
-    gauss_jacobi_01): a is fl(a_plus_1 - 1), so the rule's key and its mass
-    come from the one exponent.  floors, one per row, are absolute
+    gauss_jacobi_01): a is fl(a_plus_1 - 1), so the rule's nodes and its
+    mass come from the one exponent.  floors, one per row, are absolute
     tolerances: agreement within a row's floor counts as convergence.  A row
     that runs out of rungs is refused on its own.  Each rung is
     gauss_jacobi_01's rule, looked up once.
@@ -368,31 +355,27 @@ def _jacobi_ladder(
 # panel's rule converges like rho**(-2n), rho growing with that point's distance
 # from the panel in half-lengths.  The 8 panels grow geometrically in x + ln 2,
 # each half-length under a quarter of its centre's distance from -ln 2 (rho about
-# 7.9), so that 8 nodes per panel are nearly exact.  Their rules are cached by n.
+# 7.9), so that 8 nodes per panel are nearly exact.
 LOG_HEAD_END = 40.0
 _PANEL_EDGES = np.geomspace(math.log(2.0), LOG_HEAD_END + math.log(2.0), 9) - math.log(2.0)
 
 
+@lru_cache(maxsize=None)  # one rule per rung: 8 to JACOBI_MAX_NODES nodes per panel, 6 rules
 def _panel_rule(n: int) -> _Rung:
     """Gauss-Legendre of n nodes on each panel between _PANEL_EDGES; points are (1, panels, n).
 
     Each rung looks up its rule here, as a Jacobi rung does through
     gauss_jacobi_01.  The rules are cached by n.
     """
-    rule = _panel_cache.get(n)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
-        rule = _Rung((_PANEL_EDGES[:-1, None] + half * (1.0 + x))[None], half * w)
-        rule = _panel_cache.setdefault(n, rule)  # the rule of the first thread to build it
-    return rule
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(_PANEL_EDGES)[:, None]
+    return _Rung((_PANEL_EDGES[:-1, None] + half * (1.0 + x))[None], half * w)
 
 
 # s at the head's end and 30 further, where _log_tails samples f
 _TAIL_S = (0.5 * math.exp(-LOG_HEAD_END), 0.5 * math.exp(-LOG_HEAD_END - 30.0))
 _LOG_TAIL_S2 = math.log(_TAIL_S[1])
 _LOG_TINY = -1022.0 * math.log(2.0)  # of the smallest normal double
-_TINY, _HUGE = 2.0**-1022, sys.float_info.max  # the normal doubles
 
 
 def _log_tails(f: Integrand | FunctionFamily, ts: list[float]) -> list[tuple[float, float]]:
@@ -556,13 +539,6 @@ def rl_integral_quad(
     return rows if grouped else _results(rows, scalar)
 
 
-def _central_stencil(m: int) -> tuple[list[float], list[float]]:
-    """Coefficients and node offsets (in units of h) of the order-m central difference."""
-    coeffs = [float((-1) ** k * math.comb(m, k)) for k in range(m + 1)]
-    offsets = [m / 2.0 - k for k in range(m + 1)]
-    return coeffs, offsets
-
-
 def _richardson(samples: list[float]) -> tuple[float, float]:
     """Extrapolate central-difference samples at steps h0, h0/2, ... (error ~ h**2)."""
     levels = len(samples)
@@ -605,7 +581,6 @@ def _stencil_derivative(
     points, scalar = _points(name, t)
     m = int(math.floor(alpha)) + 1
     beta_order = m - alpha
-    coeffs, offsets = _central_stencil(m)
     tiny, huge = math.exp(_LOG_TINY / m), math.exp(-_LOG_TINY / m)  # the steps h whose h**m is a normal double
     rows: list = []
     stencils = {}  # (t, steps, points of each level) by row, for each t whose stencil fits
@@ -613,18 +588,20 @@ def _stencil_derivative(
     for x in points:
         h0 = FD_STEP_FACTOR * x
         if x - m * h0 <= 0.0:
-            rows.append(StencilError(f"stencil of width {m}*{h0!r} leaves t > 0 at t={x!r}"))
+            rows.append(StencilError(f"stencil of width {m:g}*{h0!r} leaves t > 0 at t={x!r}"))
             continue
         steps = [h0 / 2.0**i for i in range(RICHARDSON_LEVELS)]
         if not tiny < steps[-1] < h0 < huge:  # each level divides by h**m
             rows.append(DomainError(f"{name}: the step powers h**{m} of the stencil leave the doubles at t={x!r}"))
             continue
-        levels = [[x + o * h for o in offsets] for h in steps]
+        levels = [[x + (m / 2.0 - k) * h for k in range(m + 1)] for h in steps]
         stencils[len(rows)] = (x, steps, levels)
         for level in levels:
             flat += level
         rows.append(None)
     if stencils:
+        # the order-m central difference; from m = 11 no stencil fits, and past m = 1029 these leave the doubles
+        coeffs = [float((-1) ** k * math.comb(m, k)) for k in range(m + 1)]
         integrals = rl_integral_quad(f, beta_order, _GroupedPoints(flat), cfg)
         tails = tail(beta_order, coeffs, list(stencils.values())) if tail is not None else []
         n = (m + 1) * RICHARDSON_LEVELS  # integral rows per t

@@ -208,6 +208,31 @@ class TestEval:
         if method == "closed":
             assert f"alpha must be finite, got {float(alpha)!r}" in err
 
+    # a gamma factor of the closed form overflows; each exited 3 with "fraccalc: domain error:
+    # overflow: math range error", naming neither the operator nor t.  The oracle's order-1101
+    # difference raised "int too large to convert to float" from its binomial coefficients,
+    # though no stencil of order 11 or more fits
+    @pytest.mark.parametrize(
+        "argv, name",
+        (
+            (["compare", "--delta", "0.5", "--alpha", "200", "--t-range", "0.5:2:0.5"], "weyl-der"),
+            (["eval", "--op", "weyl-der", "--alpha", "200", "--fn", "abspower:delta=0.5", "--t", "1"], "weyl-der"),
+            (["eval", "--op", "rl-int", "--alpha", "0.5", "--fn", "powerlog:nu=1e-310", "--t", "1"], "rl-int"),
+            (["eval", "--op", "rl-der", "--alpha", "180", "--fn", "power:gamma=0.5", "--t", "1"], "rl-der"),
+            (
+                ["eval", "--op", "rl-der", "--alpha", "1100", "--fn", "exp:lambda=1", "--t", "1", "--method", "oracle"],
+                "stencil of width 1101",
+            ),
+        ),
+    )
+    def test_overflow_is_a_domain_error_naming_the_operator_and_t(self, capsys, tmp_path, argv, name):
+        if argv[0] == "compare":
+            argv = [*argv, "--out", str(tmp_path / "compare.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fraccalc: domain error: ") and err.count("\n") == 1
+        assert name in err and "t=" in err
+
     def test_usage_error_on_bad_op(self):
         result = run_cli("eval", "--op", "bogus")
         assert result.returncode == 2

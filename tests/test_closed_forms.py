@@ -253,9 +253,10 @@ class TestPowerLogIntegral:
         with pytest.raises(DomainError, match=re.escape(message)):
             cf.closed_eval(OperatorKind.RL_INTEGRAL, alpha, PowerLog(nu), 1.0)
 
-    def test_gamma_overflow_keeps_its_type(self):
-        # gamma(nu) overflows before either digamma is taken
-        with pytest.raises(OverflowError):
+    def test_gamma_overflow_is_refused_by_operator_and_t(self):
+        # gamma(nu) overflows before either digamma is taken: a bare OverflowError,
+        # "overflow: math range error" on the command line
+        with pytest.raises(DomainError, match=r"^rl-int: the closed form overflows at t=1\.0$"):
             cf.closed_eval(OperatorKind.RL_INTEGRAL, 0.5, PowerLog(1e-310), 1.0)
 
 

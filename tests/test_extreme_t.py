@@ -155,6 +155,12 @@ def test_literature_formula_refuses_its_power_off_the_doubles_by_t():
         weyl_power_literature(2.5, 0.25, 1e-300)
 
 
+def test_literature_formula_refuses_its_gamma_overflow_by_t():
+    # gamma(delta + alpha) at alpha = 200 raised a bare OverflowError
+    with pytest.raises(DomainError, match=r"^weyl_power_literature: .* at t=1\.0$"):
+        weyl_power_literature(200.0, 0.5, 1.0)
+
+
 def test_prefactor_in_range_keeps_a_subnormal_estimate():
     # the value 1e-300 is a normal double, so the point is answered; its estimate is below them
     result = oracle_eval(OperatorKind.RL_INTEGRAL, 1.0, Power(0.0), 1e-300)

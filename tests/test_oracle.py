@@ -5,6 +5,7 @@ module; every expected value here is either elementary or a frozen constant
 re-derived in test_closed_forms.py from independent routes.
 """
 
+import functools
 import gc
 import math
 import re
@@ -152,79 +153,121 @@ class TestGaussJacobiRule:
         assert peak < 1e6  # the dense matrix would take 128 MB
 
 
-class TestJacobiRuleCache:
-    @pytest.fixture
-    def cache(self, monkeypatch):
-        """A fresh, empty rule cache, so that the test neither sees nor evicts the others' rules."""
-        fresh = {}
-        monkeypatch.setattr(orc, "_jacobi_cache", fresh)
-        return fresh
+@pytest.fixture
+def bind_rules(monkeypatch):
+    """Binds gauss_jacobi_01 to a new, empty cache of at most bound rules, so that a test neither sees nor evicts the others'.
 
-    def test_stays_at_its_bound_over_distinct_alphas(self, cache):
-        bound = orc.JACOBI_CACHE_MAX_RULES
+    bind_rules(bound) returns the cached builder, whose cache_info() counts
+    its rules and lookups, and the list of the keys (n, a, b, a + 1) it built, in order.
+    """
+
+    def bind(bound):
+        built = []
+        build = orc._jacobi_rule.__wrapped__
+        rules = functools.lru_cache(bound)(lambda *key: built.append(key) or build(*key))
+        monkeypatch.setattr(orc, "_jacobi_rule", rules)
+        return rules, built
+
+    return bind
+
+
+@pytest.fixture
+def panel_rules(monkeypatch):
+    """Binds _panel_rule to a new, empty cache; returns the list of the node counts it built, in order."""
+    built = []
+    build = orc._panel_rule.__wrapped__
+    monkeypatch.setattr(orc, "_panel_rule", functools.lru_cache(None)(lambda n: built.append(n) or build(n)))
+    return built
+
+
+class TestJacobiRuleCache:
+    def test_stays_at_its_bound_over_distinct_alphas(self):
+        rules = orc._jacobi_rule
+        bound = rules.cache_parameters()["maxsize"]
+        assert bound == 4096
+        rules.cache_clear()
         first = orc.gauss_jacobi_01(2, -0.5, 0.0)
         kept = tuple(x.copy() for x in first)
         for i in range(1, bound + 500):
             orc.gauss_jacobi_01(2, -0.5 + i * 1e-6, 0.0)
-            assert len(cache) <= bound
-        assert len(cache) == bound
-        # the oldest rules went first; the newest are still there
-        # rules are keyed by (n, a + 1, b)
-        assert (2, -0.5 + 1.0, 0.0) not in cache
-        assert (2, -0.5 + (bound + 499) * 1e-6 + 1.0, 0.0) in cache
+            assert rules.cache_info().currsize <= bound
+        assert rules.cache_info().currsize == bound
+        # the least recently used rules went first; the newest is still there
+        misses = rules.cache_info().misses
+        orc.gauss_jacobi_01(2, -0.5 + (bound + 499) * 1e-6, 0.0)
+        assert rules.cache_info().misses == misses
         rebuilt = orc.gauss_jacobi_01(2, -0.5, 0.0)
+        assert rules.cache_info().misses == misses + 1
         assert rebuilt is not first
         for new, old in zip(rebuilt, kept):
             assert new.tobytes() == old.tobytes()
 
-    def test_a_hit_is_the_cached_rule_and_keeps_its_age(self, cache, monkeypatch):
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 3)
+    def test_a_hit_is_the_cached_rule_and_makes_it_the_newest(self, bind_rules):
+        _, built = bind_rules(3)
         oldest = orc.gauss_jacobi_01(4, 0.1, 0.0)
         orc.gauss_jacobi_01(4, 0.2, 0.0)
         orc.gauss_jacobi_01(4, 0.3, 0.0)
         assert orc.gauss_jacobi_01(4, 0.1, 0.0) is oldest
-        # the hit did not make the rule younger: the next new rule evicts it
+        # the hit made the rule the most recently used: the next new rule evicts that of 0.2
         orc.gauss_jacobi_01(4, 0.4, 0.0)
-        assert list(cache) == [(4, 0.2 + 1.0, 0.0), (4, 0.3 + 1.0, 0.0), (4, 0.4 + 1.0, 0.0)]
+        assert orc.gauss_jacobi_01(4, 0.1, 0.0) is oldest
+        orc.gauss_jacobi_01(4, 0.2, 0.0)
+        assert [a for _, a, _, _ in built] == [0.1, 0.2, 0.3, 0.4, 0.2]
 
-    def test_a_hit_is_the_cached_rung_and_unpacks_to_its_arrays(self, cache):
+    def test_a_hit_is_the_cached_rung_and_unpacks_to_its_arrays(self, bind_rules):
+        _, built = bind_rules(4096)
         rung = orc.gauss_jacobi_01(16, -0.5, 0.3)
-        assert orc.gauss_jacobi_01(16, -0.5, 0.3) is rung and cache[(16, 0.5, 0.3)] is rung
+        assert orc.gauss_jacobi_01(16, -0.5, 0.3) is rung and built == [(16, -0.5, 0.3, 0.5)]
         nodes, weights = orc.gauss_jacobi_01(16, -0.5, 0.3)
         assert nodes is rung.points and weights is rung.weights
         ref_nodes, ref_weights = orc._golub_welsch(16, -0.5, 0.3, 0.5)
         assert nodes.tobytes() == ref_nodes.tobytes() and weights.tobytes() == ref_weights.tobytes()
 
-    def test_rows_do_not_depend_on_the_bound(self, cache, monkeypatch):
+    def test_a_rule_is_served_only_for_its_own_exponents(self, bind_rules):
+        # alpha = 1.1 climbs the rules of a = fl(1.1 - 1) = 0.10000000000000009, whose a + 1
+        # is 1.1, as 0.1 + 1 is: rules cached by (n, a + 1, b) served it those built for
+        # a = 0.1 when they ran first, and its values moved by up to 10 ulp
+        def values():
+            results = orc.rl_integral_quad(Exp(1.0), 1.1, [0.5, 1.0, 2.0, 5.0], CFG)
+            return [(r.value.hex(), r.abs_err_estimate.hex()) for r in results]
+
+        bind_rules(4096)
+        empty = values()
+        bind_rules(4096)
+        orc.gauss_jacobi_01(16, 0.1, 0.0)
+        orc.gauss_jacobi_01(32, 0.1, 0.0)
+        assert values() == empty
+
+    def test_rows_do_not_depend_on_the_bound(self, bind_rules):
         # under a bound of one rule each rung evicts the one below it, which the
         # ladder still holds: the rows are those of the default bound, bit for bit
         c = FUSED_ROWS["48 rows"]["jacobi"]  # rows stopping on every rung to 256 nodes, and refused ones
 
-        def rows():
-            cache.clear()
+        def rows(bound):
+            rules, built = bind_rules(bound)
             ladder = orc._jacobi_ladder(_JACOBI_PHI, np.array(c)[:, None], 0.5, 0.3, CFG)
             results = orc.weyl_derivative_quad(0.5, 0.25, list(np.linspace(0.5, 8.0, 16)), CFG)
             results = [(r.value, r.abs_err_estimate) for r in results]
-            return [
+            return rules, built, [
                 str(row) if isinstance(row, Exception) else (row[0].hex(), row[1].hex()) for row in ladder + results
             ]
 
-        default = rows()
-        assert max(n for n, _, _ in cache) == JACOBI_MAX_NODES
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 1)
-        assert rows() == default
-        assert len(cache) == 1
+        _, built, default = rows(4096)
+        assert max(n for n, _, _, _ in built) == JACOBI_MAX_NODES
+        rules, _, bound_1 = rows(1)
+        assert bound_1 == default
+        assert rules.cache_info().currsize == 1
         assert any(isinstance(row, str) for row in default)
 
-    def test_threads_building_rules_keep_the_bound(self, cache, monkeypatch):
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 16)
+    def test_threads_building_rules_keep_the_bound(self, bind_rules):
+        rules, _ = bind_rules(16)
         errors = []
 
         def build(k):
             try:
                 for i in range(300):
                     orc.gauss_jacobi_01(2, 0.1 * k + i * 1e-6, 0.0)
-            except Exception as exc:  # reported below: a lost eviction raises KeyError here
+            except Exception as exc:  # reported below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
@@ -239,10 +282,10 @@ class TestJacobiRuleCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(cache) == 16
+        assert rules.cache_info().currsize == 16
 
-    def test_derived_arrays_go_with_their_rule(self, cache, monkeypatch):
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 2)
+    def test_derived_arrays_go_with_their_rule(self, bind_rules):
+        rules, built = bind_rules(2)
         rule, upper = orc.gauss_jacobi_01(16, -0.5, 0.3), orc.gauss_jacobi_01(32, -0.5, 0.3)
         joined = rule.joined(upper)
         s = rule.points
@@ -264,12 +307,12 @@ class TestJacobiRuleCache:
         del rule, upper, joined, s, again
         orc.gauss_jacobi_01(16, 0.1, 0.0)
         orc.gauss_jacobi_01(16, 0.2, 0.0)
-        assert list(cache) == [(16, 0.1 + 1.0, 0.0), (16, 0.2 + 1.0, 0.0)]
+        assert built[2:] == [(16, 0.1, 0.0, 0.1 + 1.0), (16, 0.2, 0.0, 0.2 + 1.0)]
+        assert rules.cache_info().currsize == 2
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
 
-    def test_panel_arrays_go_with_their_rule(self, monkeypatch):
-        monkeypatch.setattr(orc, "_panel_cache", {})
+    def test_panel_arrays_go_with_their_rule(self, panel_rules):
         rule = orc._panel_rule(8)
         edges = orc._PANEL_EDGES
         panels = len(edges) - 1
@@ -283,25 +326,22 @@ class TestJacobiRuleCache:
         again = orc._panel_rule(8)
         assert again is rule and again.half_exp_neg is rule.half_exp_neg
         assert rule.joined(orc._panel_rule(16)) is rule.joined(orc._panel_rule(16))
+        assert panel_rules == [8, 16]
 
-    def test_powerlog_sweep_keeps_panel_rules_at_the_bound(self, cache, monkeypatch):
+    def test_powerlog_sweep_keeps_panel_rules_at_the_bound(self, bind_rules, panel_rules):
         # the lower log piece's head is [0, 40] for every nu: a sweep over nu
         # reuses one panel rule per rung, from 8 nodes per panel up
-        panels = {}
-        monkeypatch.setattr(orc, "_panel_cache", panels)
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 32)
+        rules, _ = bind_rules(32)
         rungs = int(math.log2(CFG.max_nodes // 8)) + 1
         for nu in np.geomspace(1e-3, 3.0, 40):
             _outcome(lambda: orc.rl_integral_quad(PowerLog(float(nu)), 0.5, 2.0, QuadConfig(1e-15)))
-            assert len(cache) <= 32
-            assert set(panels) <= {8 * 2**k for k in range(rungs)}
-        assert len(panels) > 2
+            assert rules.cache_info().currsize <= 32
+            assert set(panel_rules) <= {8 * 2**k for k in range(rungs)}
+        assert len(panel_rules) > 2
 
-    def test_panel_cache_keeps_to_its_node_bound(self, monkeypatch):
+    def test_panel_cache_keeps_to_its_node_bound(self, panel_rules):
         # one rule per rung, whatever the integrand, and none past max_nodes per panel:
         # at most twice the points of the largest rung
-        panels = {}
-        monkeypatch.setattr(orc, "_panel_cache", panels)
         # sin(1/x) is smooth on the upper piece, [1/2, 1], and turns without end below it:
         # its lower piece climbs every rung
         refused = Integrand(lambda x: np.sin(1.0 / x) * np.log(x), log_at_zero=True)
@@ -312,21 +352,20 @@ class TestJacobiRuleCache:
                     _outcome(lambda: orc.rl_integral_quad(PowerLog(nu), 0.5, t, cfg))
             row = _outcome(lambda: orc.rl_integral_quad(refused, 0.5, 1.0, cfg))
             assert isinstance(row, ConvergenceError) and f"{max_nodes} nodes per panel" in str(row)
-            assert max(panels) == max_nodes
-        largest = panels[CFG.max_nodes].points.size
+            assert max(panel_rules) == max_nodes
+        largest = orc._panel_rule(CFG.max_nodes).points.size
         assert largest == (len(orc._PANEL_EDGES) - 1) * CFG.max_nodes
-        assert sum(rule.points.size for rule in panels.values()) < 2 * largest
+        assert sum(orc._panel_rule(n).points.size for n in panel_rules) < 2 * largest
 
-    def test_jacobi_cache_has_no_node_bound(self, cache):
-        # a full Jacobi cache holds at most JACOBI_CACHE_MAX_RULES rules of JACOBI_MAX_NODES
-        for i in range(4):
-            orc.gauss_jacobi_01(JACOBI_MAX_NODES, 0.1 * i, 0.0)
-        assert len(cache) == 4
-        assert sum(rule.points.size for rule in cache.values()) == 4 * JACOBI_MAX_NODES
+    def test_jacobi_cache_has_no_node_bound(self, bind_rules):
+        # a full Jacobi cache holds at most 4096 rules of JACOBI_MAX_NODES
+        rules, _ = bind_rules(4096)
+        full = [orc.gauss_jacobi_01(JACOBI_MAX_NODES, 0.1 * i, 0.0) for i in range(4)]
+        assert rules.cache_info().currsize == 4
+        assert sum(rule.points.size for rule in full) == 4 * JACOBI_MAX_NODES
 
-    def test_threads_sharing_derived_arrays(self, cache, monkeypatch):
-        monkeypatch.setattr(orc, "_panel_cache", {})
-        monkeypatch.setattr(orc, "JACOBI_CACHE_MAX_RULES", 16)
+    def test_threads_sharing_derived_arrays(self, bind_rules, panel_rules):
+        rules, _ = bind_rules(16)
         errors = []
 
         def build(k):
@@ -354,7 +393,7 @@ class TestJacobiRuleCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(cache) == 16
+        assert rules.cache_info().currsize == 16
 
 
 def _one_row_ladder(rule, n, n_max, integrate, block, tol, floor):
@@ -551,28 +590,23 @@ class TestFusedLadder:
             (lambda: orc.weyl_derivative_quad(0.5, 0.25, 1.0, CFG), [32]),  # the tail's one 32-node floor rule
         ),
     )
-    def test_one_rule_lookup_per_jacobi_rung(self, call, floor_rules, monkeypatch):
-        calls, gets, ladders = [], [], []  # gauss_jacobi_01's n, the cache's lookups, each ladder's rungs
-
-        class CountedCache(dict):
-            def get(self, key, default=None):
-                gets.append(key[0])
-                return super().get(key, default)
-
+    def test_one_rule_lookup_per_jacobi_rung(self, call, floor_rules, bind_rules, monkeypatch):
+        calls, ladders = [], []  # gauss_jacobi_01's n, each ladder's rungs
+        rules, _ = bind_rules(4096)
         jacobi, row_ladder = orc.gauss_jacobi_01, orc._row_ladder
 
         def ladder(rule, *args):
             ladders.append([])
             return row_ladder(lambda n: ladders[-1].append(n) or rule(n), *args)
 
-        monkeypatch.setattr(orc, "_jacobi_cache", CountedCache())
         monkeypatch.setattr(orc, "gauss_jacobi_01", lambda n, a, b, *exact: calls.append(n) or jacobi(n, a, b, *exact))
         monkeypatch.setattr(orc, "_row_ladder", ladder)
         call()
         # the integral's ladder, then the floor rule and the tail's ladder, if any
         assert ladders[0] == [16, 32]
         assert calls == ladders[0] + floor_rules + [n for rungs in ladders[1:] for n in rungs]
-        assert gets == calls
+        info = rules.cache_info()
+        assert info.hits + info.misses == len(calls)
 
 
 class TestRlIntegralQuad:
